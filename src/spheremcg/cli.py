@@ -8,6 +8,7 @@ Exit codes: 0 pass/equal, 1 fail/not equal, 2 overflow or cap exceeded,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -59,6 +60,25 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(USAGE_EXIT)
+
+
+# Limit types for argparse, so a bad limit is a usage error (64) found
+# before any work starts.  They are public because argparse names the
+# type function when a value does not parse at all.
+
+def positive_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive_seconds(text: str) -> float:
+    """A time limit; nan would never expire and inf is no limit."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
 
 
 def _usage(message: str) -> int:
@@ -206,9 +226,9 @@ def _build_parser() -> _Parser:
                        help="number of punctures")
         p.add_argument("--flavor", choices=("oriented", "extended"),
                        default="extended")
-        p.add_argument("--max-cosets", type=int, default=10**6)
-        p.add_argument("--max-time", type=float, default=60.0)
-        p.add_argument("--order-cap", type=int, default=None)
+        p.add_argument("--max-cosets", type=positive_count, default=10**6)
+        p.add_argument("--max-time", type=positive_seconds, default=60.0)
+        p.add_argument("--order-cap", type=positive_count, default=None)
         p.add_argument("--seed", type=int, default=0,
                        help="reserved for sampled checks")
 

@@ -1,11 +1,20 @@
 """Coset enumeration for finite presentations, HLT strategy.
 
-Scans subgroup generators at the base coset and every relator at every
-live coset, filling the first undefined slot, with immediate coincidence
-merging through a union-find.  Sweeps repeat until one makes no change;
-that final clean sweep doubles as a verification pass, since a sweep with
-no definitions, deductions or coincidences has re-traced every relator
-cycle and subgroup generator on the finished table.
+Each sweep scans the subgroup generators at the base coset and every
+relator at every live coset, filling the first undefined slot, with
+immediate coincidence merging through a union-find.  Only when a sweep
+makes no definition, deduction or coincidence are the remaining empty
+entries of the live cosets defined, all in one fill pass; the sweeps then
+resume.  The run ends on a sweep with no events over a complete table:
+that clean sweep doubles as a verification pass, since it has re-traced
+every relator cycle and subgroup generator on the finished table.
+
+Index-1 runs close early.  Every table entry is a consequence
+(H w_i g = H w_j), so once every generator maps coset 0 to itself, every
+generator lies in H and H is the whole group; the enumeration stops right
+after the merge into coset 0 that makes this so, instead of collapsing
+every remaining coset, and returns the one-row table, which is then
+verified like any other.
 
 Termination is not guaranteed in general (the index may be infinite);
 callers bound the run by coset count and wall time and must treat
@@ -79,6 +88,10 @@ class _Overflow(Exception):
     pass
 
 
+class _IndexOne(Exception):
+    """Every generator fixes coset 0: the subgroup is the whole group."""
+
+
 class _Enumerator:
     def __init__(self, pres: Presentation, subgens: tuple[Word, ...],
                  max_cosets: int, max_time: float):
@@ -89,7 +102,8 @@ class _Enumerator:
         self.letters = tuple(g for gen in pres.generators for g in (gen, -gen))
         self.col = {letter: k for k, letter in enumerate(self.letters)}
         self.width = len(self.letters)
-        self.table = array("i", [UNDEF] * self.width)
+        self.blank_row = array("i", [UNDEF]) * self.width
+        self.table = array("i", self.blank_row)
         self.parent = array("i", [0])
         self.count = 1
         self.alive = 1
@@ -111,11 +125,12 @@ class _Enumerator:
             raise _Overflow
         new = self.count
         self.count += 1
-        self.table.extend([UNDEF] * self.width)
+        self.table.extend(self.blank_row)
         self.parent.append(new)
         self.alive += 1
         self.defined += 1
-        self.max_alive = max(self.max_alive, self.alive)
+        if self.alive > self.max_alive:
+            self.max_alive = self.alive
         self.events += 1
         self.table[coset * self.width + c] = new
         self.table[new * self.width + (c ^ 1)] = coset
@@ -202,6 +217,10 @@ class _Enumerator:
                     table[d * width + (c ^ 1)] = x
                 elif self.find(m) != x:
                     stack.append((m, x))
+            # coset 0 is always a root, since merges keep the smaller number
+            if x == 0 and all(t != UNDEF and self.find(t) == 0
+                              for t in table[:width]):
+                raise _IndexOne
             self.tick()
 
     def live_cosets(self):
@@ -210,6 +229,11 @@ class _Enumerator:
                 yield i
 
     def run(self) -> None:
+        """Sweep until a sweep over a complete table has no events.
+
+        Raises _IndexOne when a coincidence closes coset 0 under every
+        generator, and _Overflow when a limit is hit.
+        """
         rel_cols = [tuple(self.col[letter] for letter in rel)
                     for rel in self.pres.relators]
         sub_cols = [tuple(self.col[letter] for letter in w)
@@ -225,6 +249,11 @@ class _Enumerator:
                     self.scan(self.find(coset), cols, fill=True)
                     if self.parent[coset] != coset:
                         break
+            if self.events:
+                continue
+            # the sweep found nothing: fill every empty entry, then sweep
+            # again; a fill pass with nothing to fill means the clean
+            # sweep just made ran over a complete table
             for coset in self.live_cosets():
                 for c in range(self.width):
                     if self.table[coset * self.width + c] == UNDEF:
@@ -273,11 +302,14 @@ def enumerate_cosets(pres: Presentation, subgens: tuple[Word, ...] = (),
     enum = _Enumerator(pres, tuple(subgens), max_cosets, max_time)
     try:
         enum.run()
+    except _IndexOne:
+        table = CosetTable(enum.letters, ((0,) * enum.width,))
     except _Overflow:
         stats = EnumerationStats(enum.defined, enum.max_alive, enum.collapses,
                                  time.monotonic() - start)
         return EnumerationResult("overflow", None, None, stats)
-    table = enum.standardized()
+    else:
+        table = enum.standardized()
     stats = EnumerationStats(enum.defined, enum.max_alive, enum.collapses,
                              time.monotonic() - start)
     if not table.verify(pres, tuple(subgens)):

@@ -152,6 +152,38 @@ class TestDump:
         assert not any(line.startswith("b =") for line in out.splitlines())
 
 
+class TestLimits:
+    """Invalid limits are usage errors, rejected before any work starts."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started despite an invalid limit")
+        monkeypatch.setattr("spheremcg.cli.enumerate_cosets", refuse)
+        monkeypatch.setattr("spheremcg.cli.order_of", refuse)
+        monkeypatch.setattr("spheremcg.cli.full_report", refuse)
+
+    @pytest.mark.parametrize("value", ("0", "-1"))
+    def test_max_cosets_below_one(self, capsys, no_work, value):
+        code, _, err = run(capsys, "enumerate", "--n", "6", "--subgroup", "a,b",
+                           "--max-cosets", value)
+        assert code == 64
+        assert "--max-cosets" in err
+
+    @pytest.mark.parametrize("value", ("-1", "0", "nan", "inf"))
+    def test_max_time_not_finite_positive(self, capsys, no_work, value):
+        code, _, err = run(capsys, "verify", "--n", "6", "--max-time", value)
+        assert code == 64
+        assert "--max-time" in err
+
+    @pytest.mark.parametrize("value", ("-3", "0"))
+    def test_order_cap_below_one(self, capsys, no_work, value):
+        code, _, err = run(capsys, "order", "--n", "6", "--order-cap", value,
+                           "t a0")
+        assert code == 64
+        assert "--order-cap" in err
+
+
 class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

@@ -1,6 +1,7 @@
 import pytest
 
 from spheremcg.coset import enumerate_cosets
+from spheremcg.homs import perm_image
 from spheremcg.presentation import Presentation, build_presentation, named_word
 from spheremcg.words import T_LETTER
 
@@ -46,10 +47,44 @@ class TestGenerationCertificates:
 
     def test_even_two_generator_certificate(self):
         pres = build_presentation(6, "extended")
-        result = enumerate_cosets(pres, (named_word("a", 6), named_word("b", 6)))
+        subgens = (named_word("a", 6), named_word("b", 6))
+        result = enumerate_cosets(pres, subgens)
         assert result.status == "finished"
         assert result.index == 1
-        assert result.table.verify(pres, (named_word("a", 6), named_word("b", 6)))
+        # the run closes once every generator fixes coset 0, instead of
+        # collapsing every other coset into it one by one
+        assert result.stats.collapses < result.stats.defined - 1
+        table = result.table
+        assert table.rows == ((0,) * len(table.letters),)
+        assert table.verify(pres, subgens)
+
+    @pytest.mark.parametrize("pres", (SYM_3, build_presentation(3, "extended")))
+    def test_merge_into_base_coset_does_not_close_early(self, pres):
+        # the unreduced word s1 s1^-1 s1 makes the scan merge a coset into
+        # coset 0 while row 0 is still incomplete: the close must wait
+        # until every column leads back to 0
+        result = enumerate_cosets(pres, ((1, -1, 1),))
+        assert result.index > 1
+        assert result.table.rows == enumerate_cosets(pres, ((1,),)).table.rows
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_puncture_stabilizer_matches_permutation_quotient(self, n):
+        # <s1..s(n-2), s(n-1)^2, t> is the preimage of the stabilizer of
+        # puncture n: its cosets are the punctures, acted on as perm_image says
+        pres = build_presentation(n, "extended")
+        subgens = tuple((i,) for i in range(1, n - 1)) + ((n - 1, n - 1), (T,))
+        assert all(perm_image(w, n)[n - 1] == n for w in subgens)
+        result = enumerate_cosets(pres, subgens)
+        assert result.status == "finished"
+        assert result.index == n
+        table = result.table
+        # label coset H w by the puncture that perm_image(w) sends to n
+        puncture = {0: n}
+        for coset in range(table.index):  # standardized rows are in BFS order
+            for letter, target in zip(table.letters, table.rows[coset]):
+                moved = perm_image((letter,), n).index(puncture[coset]) + 1
+                assert puncture.setdefault(target, moved) == moved
+        assert sorted(puncture.values()) == list(range(1, n + 1))
 
     @pytest.mark.parametrize("n", (5, 7))
     def test_odd_two_generator_certificate(self, n):
