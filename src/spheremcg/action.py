@@ -9,6 +9,19 @@ validation below all reduce to one primitive: deciding whether an
 automorphism is inner, which is decidable in a free group by inspecting
 the conjugacy class of one basis image.
 
+A word is evaluated letter by letter into a normalized form: stored
+images together with a carried conjugator c, the automorphism being
+x -> c stored(x) c^-1.  Each letter recomputes only the images its
+generator moves.  After a letter that moves x1, the peeled conjugator of
+the stored image of x1 is taken out of every stored image and appended
+to c, so inner parts never pile up in the images.  The free group of
+rank n-1 >= 2 has trivial centre, so an inner automorphism has exactly
+one conjugator: c followed by the conjugator of the stored part is the
+very word the unnormalized automorphism would give as witness.  Orders
+are taken on the stored part alone, which differs from the word's
+automorphism by an inner one; inner automorphisms form a normal
+subgroup, so the same powers of both are inner.
+
 Handedness of the half-twists and the basepoint position for the
 reflection are not forced by the algebra, so they are selected by a
 search over a small candidate family, validated against the extended
@@ -19,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .presentation import build_presentation
 from .words import EPSILON, T_LETTER, Word, concat, cyclic_reduce, invert, reduce
@@ -51,23 +64,31 @@ def identity_aut(n: int) -> FreeAut:
     return FreeAut(n, tuple((i,) for i in range(1, n)))
 
 
-def apply_aut(f: FreeAut, word: Iterable[int]) -> Word:
+def _mul(u: Word, v: Word) -> Word:
+    """Reduced product of two reduced words."""
+    k, last, m = 0, len(u) - 1, min(len(u), len(v))
+    while k < m and u[last - k] == -v[k]:
+        k += 1
+    return u[:len(u) - k] + v[k:]
+
+
+def _apply(images: Sequence[Word], word: Iterable[int]) -> Word:
+    """Reduced image of word under the endomorphism with these images."""
     out: list[int] = []
     for letter in word:
-        img = f.images[abs(letter) - 1]
-        if letter < 0:
-            img = invert(img)
-        for x in img:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
+        img = images[letter - 1] if letter > 0 else invert(images[-letter - 1])
+        k, m = 0, min(len(out), len(img))
+        while k < m and out[-1 - k] == -img[k]:
+            k += 1
+        if k:
+            del out[-k:]
+        out.extend(img[k:])
     return tuple(out)
 
 
 def compose(f: FreeAut, g: FreeAut, guard: int = DEFAULT_LENGTH_GUARD) -> FreeAut:
     """f after g: the result sends x to f(g(x))."""
-    images = tuple(apply_aut(f, img) for img in g.images)
+    images = tuple(_apply(f.images, img) for img in g.images)
     if sum(len(img) for img in images) > guard:
         raise ResourceLimitError(f"automorphism images exceed {guard} letters")
     return FreeAut(f.n, images)
@@ -128,37 +149,94 @@ def _t_images(family: str, n: int) -> tuple[Word, ...]:
     return tuple(images)
 
 
-def _candidate_gens(sigma: str, family: str, n: int) -> dict[int, FreeAut]:
-    gens: dict[int, FreeAut] = {}
+@dataclass(frozen=True)
+class _Gens:
+    """Generator automorphisms by letter, with the basis indices each one
+    moves; prefix_t marks the prefix reflection, which has a cheaper
+    update than substitution."""
+
+    auts: dict[int, FreeAut]
+    moved: dict[int, tuple[int, ...]]
+    prefix_t: bool
+
+
+def _candidate_gens(sigma: str, family: str, n: int) -> _Gens:
+    auts: dict[int, FreeAut] = {}
     for i in range(1, n):
         fwd, inv = _sigma_pair(i, n)
         if sigma == "mirror":
             fwd, inv = inv, fwd
-        gens[i] = FreeAut(n, fwd)
-        gens[-i] = FreeAut(n, inv)
+        auts[i] = FreeAut(n, fwd)
+        auts[-i] = FreeAut(n, inv)
     t = FreeAut(n, _t_images(family, n))
-    gens[T_LETTER] = t
-    gens[-T_LETTER] = t
-    return gens
+    auts[T_LETTER] = t
+    auts[-T_LETTER] = t
+    moved = {letter: tuple(i for i, img in enumerate(aut.images) if img != (i + 1,))
+             for letter, aut in auts.items()}
+    return _Gens(auts, moved, family == "prefix")
 
 
-def _word_aut(word: Iterable[int], gens: dict[int, FreeAut], n: int,
-              guard: int = DEFAULT_LENGTH_GUARD) -> FreeAut:
-    f = identity_aut(n)
+def _prefix_reflect(images: list[Word]) -> list[Word]:
+    """f after the prefix reflection xi -> ci xi^-1 ci^-1, ci = x1..x(i-1).
+
+    The new image of xi is Pi f(xi)^-1 Pi^-1 = Pi P(i+1)^-1 with
+    Pi = f(x1)..f(x(i-1)), and Pi grows by one image per step.
+    """
+    out = []
+    p = p_inv = EPSILON
+    for img in images:
+        next_inv = _mul(invert(img), p_inv)
+        out.append(_mul(p, next_inv))
+        p, p_inv = _mul(p, img), next_inv
+    return out
+
+
+def _evaluate(word: Iterable[int], gens: _Gens, n: int,
+              guard: int) -> tuple[list[Word], Word]:
+    """Normalized automorphism of the word, letters applied right to left:
+    stored images and a conjugator c, the automorphism being
+    x -> c stored(x) c^-1.  The guard bounds the letters held, stored
+    images plus c, after every letter."""
+    images: list[Word] = [(i,) for i in range(1, n)]
+    conj: list[int] = []
     for letter in word:
         try:
-            f = compose(f, gens[letter], guard)
+            moved = gens.moved[letter]
         except KeyError:
             raise ValueError(f"letter {letter} outside the alphabet for n={n}") from None
-    return f
+        if gens.prefix_t and abs(letter) == T_LETTER:
+            images = _prefix_reflect(images)
+        else:
+            g = gens.auts[letter].images
+            new = [_apply(images, g[i]) for i in moved]
+            for i, img in zip(moved, new):
+                images[i] = img
+        if moved[0] == 0:  # x1 moved: peel its image's conjugator into c
+            _, w0 = cyclic_reduce(images[0])
+            if w0:
+                w0_inv = invert(w0)
+                images = [_mul(_mul(w0_inv, img), w0) for img in images]
+                for x in w0:
+                    if conj and conj[-1] == -x:
+                        conj.pop()
+                    else:
+                        conj.append(x)
+        if sum(map(len, images)) + len(conj) > guard:
+            raise ResourceLimitError(f"automorphism images exceed {guard} letters")
+    return images, tuple(conj)
 
 
-def _validates(gens: dict[int, FreeAut], n: int) -> bool:
+def _inner_witness(word: Iterable[int], gens: _Gens, n: int,
+                   guard: int = DEFAULT_LENGTH_GUARD) -> Word | None:
+    """The conjugator w with the word acting as x -> w x w^-1, or None."""
+    images, conj = _evaluate(word, gens, n, guard)
+    w = is_inner(FreeAut(n, tuple(images)))
+    return None if w is None else _mul(conj, w)
+
+
+def _validates(gens: _Gens, n: int) -> bool:
     pres = build_presentation(n, "extended")
-    for rel in pres.relators:
-        if is_inner(_word_aut(rel, gens, n)) is None:
-            return False
-    return True
+    return all(_inner_witness(rel, gens, n) is not None for rel in pres.relators)
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +249,7 @@ def _convention(n: int) -> tuple[str, str]:
 
 
 @lru_cache(maxsize=None)
-def _gen_auts(n: int) -> dict[int, FreeAut]:
+def _gen_auts(n: int) -> _Gens:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     sigma, family = _convention(n)
@@ -181,37 +259,34 @@ def _gen_auts(n: int) -> dict[int, FreeAut]:
 def word_to_aut(word: Iterable[int], n: int,
                 guard: int = DEFAULT_LENGTH_GUARD) -> FreeAut:
     """Automorphism of the word, letters applied right to left."""
-    return _word_aut(word, _gen_auts(n), n, guard)
+    images, conj = _evaluate(word, _gen_auts(n), n, guard)
+    if conj:
+        conj_inv = invert(conj)
+        images = [_mul(_mul(conj, img), conj_inv) for img in images]
+    return FreeAut(n, tuple(images))
 
 
-def is_inner(f: FreeAut, pad: int = 2) -> Word | None:
-    """A word w with f = (x -> w x w^-1), or None.
+def is_inner(f: FreeAut) -> Word | None:
+    """The word w with f = (x -> w x w^-1), or None.
 
-    Any such w conjugates x1 to f(x1), so w = w0 x1^s where w0 is the
-    conjugator part of the cyclically reduced image of x1.  The exponent
-    is bounded by the image lengths; the window is padded and then
-    widened once before giving up, which is already past the provable
-    bound.
+    Any such w conjugates x1 to f(x1) = w0 x1 w0^-1, where w0 is the
+    peeled conjugator of f(x1), so w = w0 x1^s for some s.  Then
+    w0^-1 f(x2) w0 = x1^s x2 x1^-s, whose leading run of x1^(+-1) gives
+    s.  The one candidate is checked against every image.
     """
     core, w0 = cyclic_reduce(f.images[0])
     if core != (1,):
         return None
-    bound = pad + max(len(img) for img in f.images)
-    basis = [(i,) for i in range(1, f.n)]
-
-    def try_width(width: int) -> Word | None:
-        for k in range(2 * width + 1):
-            s = (k + 1) // 2 if k % 2 else -(k // 2)
-            w = concat(w0, ((1,) * s if s >= 0 else (-1,) * (-s)))
-            if all(f.images[i] == concat(w, basis[i], invert(w))
-                   for i in range(f.n - 1)):
-                return w
-        return None
-
-    found = try_width(bound)
-    if found is None:
-        found = try_width(4 * bound)
-    return found
+    h = _mul(_mul(invert(w0), f.images[1]), w0)
+    s = 0
+    if h and abs(h[0]) == 1:
+        while s < len(h) and h[s] == h[0]:
+            s += 1
+    w = w0 + h[:s]
+    w_inv = invert(w)
+    if all(img == _mul(_mul(w, (i,)), w_inv) for i, img in enumerate(f.images, 1)):
+        return w
+    return None
 
 
 def equal_with_witness(u: Iterable[int], v: Iterable[int], n: int,
@@ -221,7 +296,7 @@ def equal_with_witness(u: Iterable[int], v: Iterable[int], n: int,
     diff = concat(reduce(u), invert(reduce(v)))
     if diff == EPSILON:
         return True, EPSILON
-    witness = is_inner(word_to_aut(diff, n, guard))
+    witness = _inner_witness(diff, _gen_auts(n), n, guard)
     return witness is not None, witness
 
 
@@ -236,7 +311,9 @@ def order_of(u: Iterable[int], n: int, cap: int | None = None,
 
     Candidate exponents are filtered through the puncture permutation
     and the mod-2 letter counts before touching the free group, so only
-    multiples of both invariant orders get the full inner test.
+    multiples of both invariant orders get the full inner test.  The
+    powers are those of the stored part of the normalized automorphism,
+    which has the same inner powers as u's own.
     """
     from .homs import abelianization_image, perm_image, perm_order
 
@@ -248,7 +325,7 @@ def order_of(u: Iterable[int], n: int, cap: int | None = None,
     step = perm_order(perm_image(word, n))
     if any(abelianization_image(word)):
         step = step if step % 2 == 0 else 2 * step
-    f = word_to_aut(word, n, guard)
+    f = FreeAut(n, tuple(_evaluate(word, _gen_auts(n), n, guard)[0]))
     g = identity_aut(n)
     for k in range(1, cap + 1):
         g = compose(g, f, guard)
@@ -291,7 +368,7 @@ def validate_action(n: int, flavor: str = "extended",
     pres = build_presentation(n, flavor)
     checks = []
     for label, rel in zip(pres.labels, pres.relators):
-        witness = is_inner(word_to_aut(rel, n))
+        witness = _inner_witness(rel, _gen_auts(n), n)
         checks.append(RelatorCheck(label, rel, witness is not None, witness))
     alternates: tuple[tuple[str, str], ...] = ()
     if scan_alternates:

@@ -13,8 +13,9 @@ Index-1 runs close early.  Every table entry is a consequence
 (H w_i g = H w_j), so once every generator maps coset 0 to itself, every
 generator lies in H and H is the whole group; the enumeration stops right
 after the merge into coset 0 that makes this so, instead of collapsing
-every remaining coset, and returns the one-row table, which is then
-verified like any other.
+every remaining coset, and returns the one-row table.  CosetTable.verify
+accepts every one-row table, so an index-1 result rests on this
+bookkeeping of the enumeration itself, not on an independent check.
 
 Termination is not guaranteed in general (the index may be infinite);
 callers bound the run by coset count and wall time and must treat
@@ -23,6 +24,7 @@ overflow as inconclusive.
 
 from __future__ import annotations
 
+import mmap
 import time
 from array import array
 from dataclasses import dataclass
@@ -31,6 +33,18 @@ from .presentation import Presentation
 from .words import Word
 
 UNDEF = -1
+
+# Rows the table holds at first; it doubles as needed.
+INITIAL_ROWS = 64
+# Largest table kept in a heap array; a larger one moves to a mapping.
+SMALL_TABLE_BYTES = 1 << 20
+
+
+def _anonymous_map(size: int) -> mmap.mmap:
+    """Private anonymous memory, allocated page by page as it is written."""
+    if hasattr(mmap, "MAP_PRIVATE"):
+        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    return mmap.mmap(-1, size)
 
 
 @dataclass(frozen=True)
@@ -59,7 +73,12 @@ class CosetTable:
         return coset
 
     def verify(self, pres: Presentation, subgens: tuple[Word, ...]) -> bool:
-        """Path-independent check of the finished table."""
+        """Path-independent check of the finished table.
+
+        It checks that the table is a permutation action in which every
+        relator and subgroup generator closes.  This says nothing for a
+        one-row table, where every trace returns to coset 0.
+        """
         col = {letter: k for k, letter in enumerate(self.letters)}
         for row in self.rows:
             if any(not 0 <= t < len(self.rows) for t in row):
@@ -103,7 +122,8 @@ class _Enumerator:
         self.col = {letter: k for k, letter in enumerate(self.letters)}
         self.width = len(self.letters)
         self.blank_row = array("i", [UNDEF]) * self.width
-        self.table = array("i", self.blank_row)
+        self.table: array | memoryview = self.blank_row * INITIAL_ROWS
+        self.mapping: mmap.mmap | None = None
         self.parent = array("i", [0])
         self.count = 1
         self.alive = 1
@@ -125,17 +145,53 @@ class _Enumerator:
             raise _Overflow
         new = self.count
         self.count += 1
-        self.table.extend(self.blank_row)
+        width = self.width
+        row = new * width
+        if row + width > len(self.table):
+            self.grow()
+        table = self.table
+        table[row:row + width] = self.blank_row
         self.parent.append(new)
         self.alive += 1
         self.defined += 1
         if self.alive > self.max_alive:
             self.max_alive = self.alive
         self.events += 1
-        self.table[coset * self.width + c] = new
-        self.table[new * self.width + (c ^ 1)] = coset
+        table[coset * width + c] = new
+        table[row + (c ^ 1)] = coset
         self.tick()
         return new
+
+    def grow(self) -> None:
+        """Double the table; callers re-read self.table after define().
+
+        A table past SMALL_TABLE_BYTES moves from its heap array to an
+        anonymous mapping.  Where the platform has mremap, the mapping
+        doubles in place: its rows are neither copied nor left resident
+        behind it.  A heap buffer grown by realloc sometimes was both, so
+        the peak memory of a large enumeration depended on the heap
+        layout earlier work had left.  Small tables stay on the heap,
+        since every fresh mapping page costs a page fault.  Without
+        mremap the rows are copied into a new mapping.  Rows past
+        self.count hold stale entries until define() blanks them.
+        """
+        size = 2 * len(self.table) * self.blank_row.itemsize
+        if size <= SMALL_TABLE_BYTES:
+            self.table *= 2
+            return
+        if self.mapping is None:
+            self.mapping = _anonymous_map(size)
+            self.mapping[:size // 2] = self.table
+            self.table = memoryview(self.mapping).cast("i")
+            return
+        self.table.release()
+        try:
+            self.mapping.resize(size)
+        except (OSError, SystemError):
+            old, self.mapping = self.mapping, _anonymous_map(size)
+            self.mapping[:len(old)] = old
+            old.close()
+        self.table = memoryview(self.mapping).cast("i")
 
     def tick(self) -> None:
         self.ticks += 1
@@ -185,6 +241,7 @@ class _Enumerator:
             if not fill:
                 return
             f = self.define(f, cols[i])
+            table = self.table
             i += 1
 
     def coincide(self, a: int, b: int) -> None:

@@ -48,18 +48,20 @@ def perm_order(p: Perm) -> int:
 
 
 def perm_image(word: Iterable[int], n: int) -> Perm:
-    """Induced permutation of the n punctures; the reflection fixes all."""
-    result = perm_identity(n)
+    """Induced permutation of the n punctures; the reflection fixes all.
+
+    Each twist sk composes the permutation with the transposition (k k+1)
+    on the right, which swaps its entries k-1 and k in place.
+    """
+    result = list(perm_identity(n))
     for letter in word:
         k = abs(letter)
         if k == T_LETTER:
             continue
         if not 1 <= k <= n - 1:
             raise ValueError(f"letter {letter} outside the alphabet for n={n}")
-        swap = list(range(1, n + 1))
-        swap[k - 1], swap[k] = swap[k], swap[k - 1]
-        result = perm_compose(result, tuple(swap))
-    return result
+        result[k - 1], result[k] = result[k], result[k - 1]
+    return tuple(result)
 
 
 def format_perm(p: Perm) -> str:

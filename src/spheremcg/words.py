@@ -8,6 +8,7 @@ never collide.
 
 from __future__ import annotations
 
+from operator import neg
 from typing import Iterable
 
 Word = tuple[int, ...]
@@ -45,7 +46,7 @@ def concat(*parts: Iterable[int]) -> Word:
 
 
 def invert(word: Iterable[int]) -> Word:
-    return tuple(-letter for letter in reversed(tuple(word)))
+    return tuple(map(neg, reversed(tuple(word))))
 
 
 def power(word: Iterable[int], k: int) -> Word:
@@ -69,11 +70,10 @@ def cyclic_reduce(word: Iterable[int]) -> tuple[Word, Word]:
     possibly empty.
     """
     w = reduce(word)
-    prefix: list[int] = []
-    while len(w) >= 2 and w[0] == -w[-1]:
-        prefix.append(w[0])
-        w = w[1:-1]
-    return w, tuple(prefix)
+    k = 0
+    while len(w) - 2 * k >= 2 and w[k] == -w[-1 - k]:
+        k += 1
+    return w[k:len(w) - k], w[:k]
 
 
 def solve_conjugacy(u: Iterable[int], v: Iterable[int]) -> Word | None:

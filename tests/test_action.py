@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spheremcg.action import (
+    FreeAut,
     ResourceLimitError,
     compose,
     equal_in_group,
@@ -89,6 +90,20 @@ class TestIsInner:
         witness = is_inner(word_to_aut(rel, 3))
         assert witness is not None
 
+    @pytest.mark.parametrize("w", [(1,) * 60 + (2,), (2,) + (1,) * 60, (-3, -1, 2) + (-1,) * 45])
+    def test_long_conjugator_found_exactly(self, w):
+        # w = w0 x1^s with s = 0, 60 and -45: the exponent is read off
+        # w0^-1 f(x2) w0, however long the run of x1
+        aut = FreeAut(6, tuple(conjugate((i,), w) for i in range(1, 6)))
+        assert is_inner(aut) == w
+
+    def test_fixed_first_basis_letter_not_inner(self):
+        # f(x1) = x1 and f(x2) = x1^3 x2 x1^-3 single out w = x1^3, which
+        # fails on x3: a partial conjugation, not an inner automorphism
+        partial = FreeAut(6, ((1,), conjugate((2,), (1, 1, 1)), (3,), (4,), (5,)))
+        assert is_inner(partial) is None
+        assert is_inner(word_to_aut((2,), 6)) is None
+
 
 class TestEquality:
     def test_reflection_fixes_first_rotation(self):
@@ -158,6 +173,31 @@ class TestHomomorphism:
         lhs = word_to_aut(concat(u, v), 5)
         rhs = compose(word_to_aut(u, 5), word_to_aut(v, 5))
         assert lhs == rhs
+
+    @given(st.integers(3, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.sampled_from([T, 1, -1] * 3 + [s * k for k in range(2, n) for s in (1, -1)]),
+                 max_size=24),
+        st.sampled_from(build_presentation(n, "extended").relators))))
+    @settings(max_examples=60, deadline=None)
+    def test_normalized_evaluation_matches_compose_fold(self, case):
+        # words rich in t and s1 make the carried conjugator long; u r
+        # against u, for a relator r, is equal with a nontrivial witness
+        n, u, rel = case
+
+        def fold(word):
+            f = identity_aut(n)
+            for letter in word:
+                f = compose(f, word_to_aut((letter,), n))
+            return f
+
+        assert word_to_aut(u, n) == fold(u)
+        for lhs, rhs in ((u, EPSILON), (concat(u, rel), u)):
+            diff = concat(reduce(lhs), invert(reduce(rhs)))
+            ok, witness = equal_with_witness(lhs, rhs, n)
+            assert witness == is_inner(fold(diff))
+            assert ok == (witness is not None)
+        assert equal_with_witness(concat(u, rel), u, n)[0]
 
     def test_rotation_transport(self):
         # conjugating by the square shifts twist indices by two, wrapping

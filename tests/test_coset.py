@@ -1,5 +1,8 @@
+import mmap
+
 import pytest
 
+from spheremcg import coset
 from spheremcg.coset import enumerate_cosets
 from spheremcg.homs import perm_image
 from spheremcg.presentation import Presentation, build_presentation, named_word
@@ -163,3 +166,34 @@ class TestLimits:
         pres = build_presentation(6, "oriented")
         with pytest.raises(ValueError):
             enumerate_cosets(pres, ((T,),))
+
+
+class _NoResize(mmap.mmap):
+    def resize(self, size):
+        raise SystemError("mmap: resizing not available--no mremap()")
+
+
+# the symmetric group S6 as a Coxeter group: 720 cosets of the trivial subgroup
+SYM_6 = toy(range(1, 6), [(i, i) for i in range(1, 6)]
+            + [(i, i + 1) * 3 for i in range(1, 5)]
+            + [(i, j) * 2 for i in range(1, 6) for j in range(i + 2, 6)])
+GROWTH_CASES = [(SYM_6, ()),
+                (build_presentation(6, "extended"), (named_word("a", 6), named_word("b", 6)))]
+
+
+@pytest.mark.parametrize("mapping", [mmap.mmap, _NoResize])
+def test_table_moves_to_a_mapping_past_the_heap_size(monkeypatch, mapping):
+    # a small heap-array limit sends both tables into the mapping; the
+    # subclass stands in for platforms without mremap, whose mappings
+    # cannot be resized in place
+    expected = [enumerate_cosets(p, s) for p, s in GROWTH_CASES]
+    assert [r.index for r in expected] == [720, 1]
+    monkeypatch.setattr(coset, "SMALL_TABLE_BYTES", 4096)
+    monkeypatch.setattr(coset, "_anonymous_map",
+                        lambda size: mapping(-1, size, flags=mmap.MAP_PRIVATE))
+    for (p, s), want in zip(GROWTH_CASES, expected):
+        got = enumerate_cosets(p, s)
+        # large enough to move at 4 KiB and then resize the mapping twice
+        assert got.stats.defined * len(got.table.letters) * 4 > 4 * 4096
+        assert (got.index, got.table) == (want.index, want.table)
+        assert got.stats.defined == want.stats.defined

@@ -4,6 +4,11 @@ tests/golden/ byte for byte.  Reports are deterministic apart from
 `millis`, so any difference is a changed verdict, witness, statement or
 check id.
 
+`n16-oracle.json` holds the five oracle-only suites at n=16, keyed by
+suite.  Their identity chains run long words through the free-group
+action, so they exercise long carried conjugators that the small-n
+reports never produce.
+
 Regenerate (only when a report change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -20,16 +25,27 @@ from spheremcg.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 NS = range(3, 11)
+ORACLE_N = 16
+ORACLE_SUITES = ("presentation", "prop22", "section3", "lemma-y", "lemma-z")
 
 
-def stripped_report(n: int) -> str:
+def stripped_payload(n: int, suite: str) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        main(["verify", "--n", str(n), "--suite", "all", "--machine"])
+        main(["verify", "--n", str(n), "--suite", suite, "--machine"])
     payload = json.loads(out.getvalue())
     for check in payload["checks"]:
         del check["millis"]
-    return json.dumps(payload, indent=2) + "\n"
+    return payload
+
+
+def stripped_report(n: int) -> str:
+    return json.dumps(stripped_payload(n, "all"), indent=2) + "\n"
+
+
+def oracle_report() -> str:
+    payloads = {suite: stripped_payload(ORACLE_N, suite) for suite in ORACLE_SUITES}
+    return json.dumps(payloads, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("n", NS)
@@ -37,7 +53,12 @@ def test_report_matches_golden(n):
     assert stripped_report(n) == (GOLDEN / f"n{n}.json").read_text()
 
 
+def test_deep_oracle_reports_match_golden():
+    assert oracle_report() == (GOLDEN / f"n{ORACLE_N}-oracle.json").read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for n in NS:
         (GOLDEN / f"n{n}.json").write_text(stripped_report(n))
+    (GOLDEN / f"n{ORACLE_N}-oracle.json").write_text(oracle_report())

@@ -52,6 +52,22 @@ class TestPermImage:
             perm_image(u, 6), perm_image(v, 6)
         )
 
+    @given(st.integers(3, 9).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.sampled_from([T] + [s * k for k in range(1, n) for s in (1, -1)]),
+                 max_size=30))))
+    def test_matches_transposition_fold(self, case):
+        n, word = case
+        expected = tuple(range(1, n + 1))
+        for letter in word:
+            k = abs(letter)
+            if k == T:
+                continue
+            swap = list(range(1, n + 1))
+            swap[k - 1], swap[k] = k + 1, k
+            expected = perm_compose(expected, tuple(swap))
+        assert perm_image(word, n) == expected
+
 
 class TestAbelianization:
     def test_generators(self):
