@@ -2,7 +2,6 @@
 
 from .action import (
     ActionReport,
-    ConventionSearchError,
     FreeAut,
     ResourceLimitError,
     equal_in_group,
@@ -32,7 +31,6 @@ from .presentation import (
     format_presentation,
     named_word,
     parse_expression,
-    t_normal_form,
 )
 from .words import (
     EPSILON,
@@ -47,8 +45,6 @@ from .words import (
     parse_word,
     power,
     reduce,
-    solve_conjugacy,
-    substitute,
 )
 
 __version__ = "0.1.0"

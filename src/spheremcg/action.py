@@ -23,9 +23,11 @@ automorphism by an inner one; inner automorphisms form a normal
 subgroup, so the same powers of both are inner.
 
 Handedness of the half-twists and the basepoint position for the
-reflection are not forced by the algebra, so they are selected by a
-search over a small candidate family, validated against the extended
-relators.  The selected convention is recorded in validation reports.
+reflection are not forced by the algebra.  The convention is fixed:
+standard half-twists and the prefix reflection
+xi -> x1..x(i-1) xi^-1 (x1..x(i-1))^-1.  It is not assumed correct: the
+generators are checked against every extended relator once per n before
+any answer is given, and validate_action reports the same check.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ DEFAULT_LENGTH_GUARD = 10**6
 
 class ResourceLimitError(RuntimeError):
     """Raised when automorphism images outgrow the configured guard."""
-
-
-class ConventionSearchError(RuntimeError):
-    """Raised when no generator convention satisfies the relators."""
 
 
 @dataclass(frozen=True)
@@ -114,66 +112,18 @@ def _sigma_pair(i: int, n: int) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
     return tuple(fwd), tuple(inv)
 
 
-_T_FAMILIES = (
-    "prefix",
-    "prefix_rev",
-    "suffix",
-    "suffix_rev",
-    "trivial",
-    "prefix_inv",
-    "prefix_rev_inv",
-    "suffix_inv",
-    "suffix_rev_inv",
-)
-
-
-def _t_images(family: str, n: int) -> tuple[Word, ...]:
-    """Candidate reflection: xi -> ci xi^-1 ci^-1 for a conjugator family."""
-    base = family.removesuffix("_inv")
-    flip = family.endswith("_inv")
-    images: list[Word] = []
-    for i in range(1, n):
-        if base == "prefix":
-            c: Word = tuple(range(1, i))
-        elif base == "prefix_rev":
-            c = tuple(range(i - 1, 0, -1))
-        elif base == "suffix":
-            c = tuple(range(i + 1, n))
-        elif base == "suffix_rev":
-            c = tuple(range(n - 1, i, -1))
-        else:
-            c = EPSILON
-        if flip:
-            c = invert(c)
-        images.append(concat(c, (-i,), invert(c)))
-    return tuple(images)
+def _t_images(n: int) -> tuple[Word, ...]:
+    """The prefix reflection: xi -> ci xi^-1 ci^-1 with ci = x1..x(i-1)."""
+    return tuple(concat(range(1, i), (-i,), invert(range(1, i))) for i in range(1, n))
 
 
 @dataclass(frozen=True)
 class _Gens:
     """Generator automorphisms by letter, with the basis indices each one
-    moves; prefix_t marks the prefix reflection, which has a cheaper
-    update than substitution."""
+    moves."""
 
     auts: dict[int, FreeAut]
     moved: dict[int, tuple[int, ...]]
-    prefix_t: bool
-
-
-def _candidate_gens(sigma: str, family: str, n: int) -> _Gens:
-    auts: dict[int, FreeAut] = {}
-    for i in range(1, n):
-        fwd, inv = _sigma_pair(i, n)
-        if sigma == "mirror":
-            fwd, inv = inv, fwd
-        auts[i] = FreeAut(n, fwd)
-        auts[-i] = FreeAut(n, inv)
-    t = FreeAut(n, _t_images(family, n))
-    auts[T_LETTER] = t
-    auts[-T_LETTER] = t
-    moved = {letter: tuple(i for i, img in enumerate(aut.images) if img != (i + 1,))
-             for letter, aut in auts.items()}
-    return _Gens(auts, moved, family == "prefix")
 
 
 def _prefix_reflect(images: list[Word]) -> list[Word]:
@@ -196,32 +146,37 @@ def _evaluate(word: Iterable[int], gens: _Gens, n: int,
     """Normalized automorphism of the word, letters applied right to left:
     stored images and a conjugator c, the automorphism being
     x -> c stored(x) c^-1.  The guard bounds the letters held, stored
-    images plus c, after every letter."""
+    images plus c, after every letter; the stored letters are counted as
+    they change and recounted only where every image is rewritten."""
     images: list[Word] = [(i,) for i in range(1, n)]
+    stored = n - 1
     conj: list[int] = []
     for letter in word:
         try:
             moved = gens.moved[letter]
         except KeyError:
             raise ValueError(f"letter {letter} outside the alphabet for n={n}") from None
-        if gens.prefix_t and abs(letter) == T_LETTER:
+        if abs(letter) == T_LETTER:
             images = _prefix_reflect(images)
+            stored = sum(map(len, images))
         else:
             g = gens.auts[letter].images
             new = [_apply(images, g[i]) for i in moved]
             for i, img in zip(moved, new):
+                stored += len(img) - len(images[i])
                 images[i] = img
         if moved[0] == 0:  # x1 moved: peel its image's conjugator into c
             _, w0 = cyclic_reduce(images[0])
             if w0:
                 w0_inv = invert(w0)
                 images = [_mul(_mul(w0_inv, img), w0) for img in images]
+                stored = sum(map(len, images))
                 for x in w0:
                     if conj and conj[-1] == -x:
                         conj.pop()
                     else:
                         conj.append(x)
-        if sum(map(len, images)) + len(conj) > guard:
+        if stored + len(conj) > guard:
             raise ResourceLimitError(f"automorphism images exceed {guard} letters")
     return images, tuple(conj)
 
@@ -234,26 +189,26 @@ def _inner_witness(word: Iterable[int], gens: _Gens, n: int,
     return None if w is None else _mul(conj, w)
 
 
-def _validates(gens: _Gens, n: int) -> bool:
-    pres = build_presentation(n, "extended")
-    return all(_inner_witness(rel, gens, n) is not None for rel in pres.relators)
-
-
-@lru_cache(maxsize=None)
-def _convention(n: int) -> tuple[str, str]:
-    for sigma in ("standard", "mirror"):
-        for family in _T_FAMILIES:
-            if _validates(_candidate_gens(sigma, family, n), n):
-                return sigma, family
-    raise ConventionSearchError(f"no twist/reflection convention works at n={n}")
-
-
 @lru_cache(maxsize=None)
 def _gen_auts(n: int) -> _Gens:
+    """The generator automorphisms at n, refused unless every extended
+    relator acts as an inner automorphism."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    sigma, family = _convention(n)
-    return _candidate_gens(sigma, family, n)
+    auts: dict[int, FreeAut] = {}
+    for i in range(1, n):
+        fwd, inv = _sigma_pair(i, n)
+        auts[i] = FreeAut(n, fwd)
+        auts[-i] = FreeAut(n, inv)
+    auts[T_LETTER] = auts[-T_LETTER] = FreeAut(n, _t_images(n))
+    moved = {letter: tuple(i for i, img in enumerate(aut.images) if img != (i + 1,))
+             for letter, aut in auts.items()}
+    gens = _Gens(auts, moved)
+    pres = build_presentation(n, "extended")
+    for label, rel in zip(pres.labels, pres.relators):
+        if _inner_witness(rel, gens, n) is None:
+            raise RuntimeError(f"relator {label} does not act trivially at n={n}")
+    return gens
 
 
 def word_to_aut(word: Iterable[int], n: int,
@@ -349,33 +304,22 @@ class ActionReport:
     sigma_convention: str
     t_convention: str
     checks: tuple[RelatorCheck, ...]
-    alternates: tuple[tuple[str, str], ...] = ()
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
 
-def validate_action(n: int, flavor: str = "extended",
-                    scan_alternates: bool = False) -> ActionReport:
+def validate_action(n: int, flavor: str = "extended") -> ActionReport:
     """Check every relator acts trivially up to conjugation.
 
     This is the soundness certificate for the whole module: once it
     passes, word_to_aut factors through the group and the equality and
     order routines answer questions about the group itself.
     """
-    sigma, family = _convention(n)
     pres = build_presentation(n, flavor)
     checks = []
     for label, rel in zip(pres.labels, pres.relators):
         witness = _inner_witness(rel, _gen_auts(n), n)
         checks.append(RelatorCheck(label, rel, witness is not None, witness))
-    alternates: tuple[tuple[str, str], ...] = ()
-    if scan_alternates:
-        found = []
-        for s in ("standard", "mirror"):
-            for fam in _T_FAMILIES:
-                if (s, fam) != (sigma, family) and _validates(_candidate_gens(s, fam, n), n):
-                    found.append((s, fam))
-        alternates = tuple(found)
-    return ActionReport(n, flavor, sigma, family, tuple(checks), alternates)
+    return ActionReport(n, flavor, "standard", "prefix", tuple(checks))

@@ -16,22 +16,11 @@ from dataclasses import dataclass
 
 from .action import equal_in_group, order_of
 from .coset import enumerate_cosets
-from .harness import (
-    Limits,
-    Report,
-    full_report,
-    verify_lemma_y,
-    verify_lemma_z,
-    verify_main_even,
-    verify_n4,
-    verify_odd,
-    verify_presentation,
-    verify_prop22,
-    verify_section3,
-    verify_sigma2,
-)
+from .harness import SUITES, Limits, Report, full_report
 from .homs import abelianization_image, format_gf2, format_perm, perm_image
 from .presentation import (
+    FLAVORS,
+    NAME_HEADS,
     build_presentation,
     format_presentation,
     named_word,
@@ -46,10 +35,8 @@ PARSE_EXIT = 65
 @dataclass(frozen=True)
 class Config:
     n: int | None
-    flavor: str
     limits: Limits
     output: str
-    seed: int
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,39 +93,28 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-# suite token -> (runner, n requirement); None n-requirement means the
-# suite ignores --n entirely
-_N_SUITES = {
-    "presentation": (verify_presentation, lambda n: n >= 3),
-    "prop22": (verify_prop22, lambda n: n >= 4),
-    "section3": (verify_section3, lambda n: n >= 4),
-    "lemma-y": (verify_lemma_y, lambda n: n >= 6 and n % 2 == 0),
-    "lemma-z": (verify_lemma_z, lambda n: n >= 6 and n % 2 == 0),
-    "main": (verify_main_even, lambda n: n >= 6 and n % 2 == 0),
-    "odd": (verify_odd, lambda n: n >= 5 and n % 2 == 1),
-}
-_FREE_SUITES = {"n4": verify_n4, "sigma2": verify_sigma2}
-SUITE_TOKENS = tuple(_N_SUITES) + tuple(_FREE_SUITES) + ("all",)
+SUITE_TOKENS = tuple(SUITES) + ("all",)
 
 
 def cmd_verify(config: Config, suite: str, out: str | None = None) -> int:
+    n = config.n
     if suite == "all":
-        if config.n is None:
+        if n is None:
             return _usage("--n is required for --suite all")
-        if config.n < 3:
-            return _usage(f"need n >= 3, got {config.n}")
-        report = full_report([config.n], config.limits)
-    elif suite in _FREE_SUITES:
-        report = Report(tuple(sorted(_FREE_SUITES[suite](config.limits, {}),
-                                     key=lambda c: c.id)))
+        report = full_report([n], config.limits)
     else:
-        runner, fits = _N_SUITES[suite]
-        if config.n is None:
+        runner, applies = SUITES[suite]
+        if applies is None:
+            if n is not None:
+                return _usage(f"suite {suite} takes no --n")
+            checks = runner(config.limits)
+        elif n is None:
             return _usage(f"--n is required for --suite {suite}")
-        if not fits(config.n):
-            return _usage(f"suite {suite} does not apply at n={config.n}")
-        report = Report(tuple(sorted(runner(config.n, config.limits),
-                                     key=lambda c: c.id)))
+        elif not applies(n):
+            return _usage(f"suite {suite} does not apply at n={n}")
+        else:
+            checks = runner(n, config.limits)
+        report = Report(tuple(sorted(checks, key=lambda c: c.id)))
     if out is not None:
         _write_atomic(out, report.to_json() + "\n")
     if config.output == "machine":
@@ -178,7 +154,7 @@ def cmd_order(config: Config, expr: str) -> int:
     return 0
 
 
-def cmd_enumerate(config: Config, subgroup: str | None) -> int:
+def cmd_enumerate(config: Config, flavor: str, subgroup: str | None) -> int:
     n = config.n
     try:
         subgens = tuple(parse_expression(part, n)
@@ -186,7 +162,7 @@ def cmd_enumerate(config: Config, subgroup: str | None) -> int:
                         if part.strip())
     except ParseError as exc:
         return _parse_fail(exc)
-    pres = build_presentation(n, config.flavor)
+    pres = build_presentation(n, flavor)
     try:
         result = enumerate_cosets(pres, subgens, config.limits.max_cosets,
                                   config.limits.max_time)
@@ -204,10 +180,10 @@ def cmd_enumerate(config: Config, subgroup: str | None) -> int:
     return 0
 
 
-def cmd_dump(config: Config) -> int:
-    pres = build_presentation(config.n, config.flavor)
+def cmd_dump(config: Config, flavor: str) -> int:
+    pres = build_presentation(config.n, flavor)
     print(format_presentation(pres))
-    for name in ("a0", "a1", "a2", "a", "b", "y", "z", "w", "c", "phi"):
+    for name in NAME_HEADS:
         try:
             print(f"{name} = {format_word(named_word(name, config.n))}")
         except ParseError:
@@ -224,13 +200,9 @@ def _build_parser() -> _Parser:
     def common(p, need_n=False):
         p.add_argument("--n", type=int, required=need_n,
                        help="number of punctures")
-        p.add_argument("--flavor", choices=("oriented", "extended"),
-                       default="extended")
         p.add_argument("--max-cosets", type=positive_count, default=10**6)
         p.add_argument("--max-time", type=positive_seconds, default=60.0)
         p.add_argument("--order-cap", type=positive_count, default=None)
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved for sampled checks")
 
     verify = sub.add_parser("verify", help="run a verification suite")
     common(verify)
@@ -256,6 +228,8 @@ def _build_parser() -> _Parser:
 
     dump = sub.add_parser("dump", help="print the presentation and named words")
     common(dump, need_n=True)
+    for p in (enum, dump):
+        p.add_argument("--flavor", choices=FLAVORS, default="extended")
     return parser
 
 
@@ -263,8 +237,7 @@ def _config(args) -> Config:
     limits = Limits(max_cosets=args.max_cosets, max_time=args.max_time,
                     order_cap=args.order_cap)
     output = "machine" if getattr(args, "machine", False) else "human"
-    return Config(n=args.n, flavor=args.flavor, limits=limits,
-                  output=output, seed=args.seed)
+    return Config(n=args.n, limits=limits, output=output)
 
 
 def main(argv=None) -> int:
@@ -274,7 +247,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     config = _config(args)
-    if config.n is not None and config.n < 3 and args.command != "verify":
+    if config.n is not None and config.n < 3:
         return _usage(f"need n >= 3, got {config.n}")
     if args.command == "verify":
         return cmd_verify(config, args.suite, args.out)
@@ -283,7 +256,7 @@ def main(argv=None) -> int:
     if args.command == "order":
         return cmd_order(config, args.expr)
     if args.command == "enumerate":
-        return cmd_enumerate(config, args.subgroup)
+        return cmd_enumerate(config, args.flavor, args.subgroup)
     if args.command == "dump":
-        return cmd_dump(config)
+        return cmd_dump(config, args.flavor)
     return _usage(f"unknown command {args.command}")

@@ -19,16 +19,7 @@ import re
 import time
 from dataclasses import dataclass
 
-from .action import (
-    ResourceLimitError,
-    compose,
-    equal_with_witness,
-    identity_aut,
-    is_inner,
-    order_of,
-    validate_action,
-    word_to_aut,
-)
+from .action import ResourceLimitError, equal_with_witness, order_of, validate_action
 from .coset import enumerate_cosets
 from .homs import (
     MAT_ID,
@@ -50,7 +41,7 @@ from .words import EPSILON, T_LETTER, Word, concat, format_word, invert, power
 
 VERSION = "0.1.0"
 
-STATUSES = ("pass", "fail", "overflow", "skipped")
+STATUSES = ("pass", "fail", "overflow")
 
 
 @dataclass(frozen=True)
@@ -68,7 +59,6 @@ class Limits:
     max_time: float = 60.0
     aut_guard: int = 10**6
     order_cap: int | None = None
-    witness_search_len: int = 0
 
 
 @dataclass(frozen=True)
@@ -118,8 +108,12 @@ def _tolerated(check_id: str) -> bool:
 
 
 class _Recorder:
-    def __init__(self, limits: Limits):
-        self.limits = limits
+    """Runs one suite's checks under the run's limits; index checks share
+    their enumerations through the cache, when one is given."""
+
+    def __init__(self, limits: Limits | None, cache: dict | None):
+        self.limits = limits or Limits()
+        self.cache = cache
         self.checks: list[CheckResult] = []
 
     def run(self, check_id: str, statement: str, body) -> None:
@@ -158,9 +152,10 @@ class _Recorder:
         self.run(check_id, statement, body)
 
     def index(self, check_id: str, statement: str, n: int, subgens: tuple[Word, ...],
-              expected: int, cache: dict | None) -> None:
+              expected: int) -> None:
         def body():
             key = ("index", n, subgens)
+            cache = self.cache
             result = cache.get(key) if cache is not None else None
             if result is None:
                 pres = build_presentation(n, "extended")
@@ -178,9 +173,11 @@ class _Recorder:
         self.run(check_id, statement, body)
 
 
-def verify_presentation(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
+def verify_presentation(n: int, limits: Limits | None = None,
+                        cache: dict | None = None) -> tuple[CheckResult, ...]:
     """All relators act trivially; invariant assignments kill all relators."""
-    rec = _Recorder(limits or Limits())
+    _require("presentation", n)
+    rec = _Recorder(limits, cache)
     for flavor in ("oriented", "extended"):
         pres = build_presentation(n, flavor)
         for label, rel in zip(pres.labels, pres.relators):
@@ -208,12 +205,12 @@ def verify_presentation(n: int, limits: Limits | None = None) -> tuple[CheckResu
     return tuple(rec.checks)
 
 
-def verify_prop22(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
+def verify_prop22(n: int, limits: Limits | None = None,
+                  cache: dict | None = None) -> tuple[CheckResult, ...]:
     """Orders of the rotations, the boundary inverse form, and the
     half-twist and rotation conjugation rules."""
-    if n < 4:
-        raise ValueError(f"suite needs n >= 4, got {n}")
-    rec = _Recorder(limits or Limits())
+    _require("prop22", n)
+    rec = _Recorder(limits, cache)
     for j in range(3):
         word = named_word(f"a{j}", n)
         rec.order(f"n{n}.prop22.order.a{j}", f"order(a{j}) = {n - j} at n={n}",
@@ -236,11 +233,11 @@ def verify_prop22(n: int, limits: Limits | None = None) -> tuple[CheckResult, ..
     return tuple(rec.checks)
 
 
-def verify_section3(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
+def verify_section3(n: int, limits: Limits | None = None,
+                    cache: dict | None = None) -> tuple[CheckResult, ...]:
     """Reflection interactions with the rotations and the resulting orders."""
-    if n < 4:
-        raise ValueError(f"suite needs n >= 4, got {n}")
-    rec = _Recorder(limits or Limits())
+    _require("section3", n)
+    rec = _Recorder(limits, cache)
     t = (T_LETTER,)
     a0 = named_word("a0", n)
     a2 = named_word("a2", n)
@@ -264,11 +261,6 @@ def verify_section3(n: int, limits: Limits | None = None) -> tuple[CheckResult, 
     return tuple(rec.checks)
 
 
-def _require_even(n: int) -> None:
-    if n < 6 or n % 2:
-        raise ValueError(f"suite needs even n >= 6, got {n}")
-
-
 def _gamma_in_ab(j: int, n: int, x4_ab: Word, a: Word) -> Word:
     """The odd-index triple product with subscript j as a word in a, b,
     conjugating the chain output by the even rotation power that shifts
@@ -277,20 +269,26 @@ def _gamma_in_ab(j: int, n: int, x4_ab: Word, a: Word) -> Word:
     return concat(power(a, 2 * m), x4_ab, power(a, -2 * m))
 
 
-def verify_lemma_y(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
-    """The five-step chain from b^-2 a b down to a triple product, the
-    even-power shift closing the odd-index cycle, and the product
-    assembling s1 s3 .. s(n-1) from subgroup words."""
-    _require_even(n)
-    rec = _Recorder(limits or Limits())
-    a = named_word("a", n)
-    b = named_word("b", n)
-    a0 = named_word("a0", n)
+def _chain(a: Word, b: Word) -> tuple[Word, ...]:
+    """The five-step chain x0 .. x4 from b^-2 a b, as words in a and b."""
     x0 = concat(invert(b), invert(b), a, b)
     x1 = concat(x0, a, invert(x0))
     x2 = concat(x1, invert(a))
     x3 = concat(x2, invert(b))
     x4 = concat(x3, a)
+    return x0, x1, x2, x3, x4
+
+
+def verify_lemma_y(n: int, limits: Limits | None = None,
+                   cache: dict | None = None) -> tuple[CheckResult, ...]:
+    """The five-step chain from b^-2 a b down to a triple product, the
+    even-power shift closing the odd-index cycle, and the product
+    assembling s1 s3 .. s(n-1) from subgroup words."""
+    _require("lemma-y", n)
+    rec = _Recorder(limits, cache)
+    a = named_word("a", n)
+    a0 = named_word("a0", n)
+    x0, x1, x2, x3, x4 = _chain(a, named_word("b", n))
     x0_s = (-(n - 2), -(n - 3), n - 5, n - 4, n - 2)
     sigma_forms = {
         "x0": (x0, x0_s),
@@ -319,11 +317,12 @@ def verify_lemma_y(n: int, limits: Limits | None = None) -> tuple[CheckResult, .
     return tuple(rec.checks)
 
 
-def verify_lemma_z(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
+def verify_lemma_z(n: int, limits: Limits | None = None,
+                   cache: dict | None = None) -> tuple[CheckResult, ...]:
     """The ab normal forms, the shift of the adjacent triple products,
     their telescoping product, and the power landing on z."""
-    _require_even(n)
-    rec = _Recorder(limits or Limits())
+    _require("lemma-z", n)
+    rec = _Recorder(limits, cache)
     a = named_word("a", n)
     b = named_word("b", n)
     a0 = named_word("a0", n)
@@ -353,50 +352,16 @@ def verify_lemma_z(n: int, limits: Limits | None = None) -> tuple[CheckResult, .
     return tuple(rec.checks)
 
 
-def _search_talpha(n: int, max_len: int, guard: int) -> Word | None:
-    """Breadth-first search for a word in a, b equal to t a0, pruned by
-    the permutation and abelianization images before the oracle runs."""
-    a = named_word("a", n)
-    b = named_word("b", n)
-    target = concat((T_LETTER,), named_word("a0", n))
-    target_perm = perm_image(target, n)
-    target_psi = abelianization_image(target)
-    target_inv_aut = word_to_aut(invert(target), n, guard)
-    steps = (("a", a), ("a^-1", invert(a)), ("b", b), ("b^-1", invert(b)))
-    step_auts = {name: word_to_aut(w, n, guard) for name, w in steps}
-    frontier: list[tuple[tuple[str, ...], Word, object]] = [((), EPSILON, identity_aut(n))]
-    seen = {frontier[0][2]}
-    for _ in range(max_len):
-        nxt = []
-        for name_seq, word, aut in frontier:
-            for name, w in steps:
-                new_aut = compose(aut, step_auts[name], guard)
-                if new_aut in seen:
-                    continue
-                seen.add(new_aut)
-                new_word = concat(word, w)
-                new_names = name_seq + (name,)
-                if (perm_image(new_word, n) == target_perm
-                        and abelianization_image(new_word) == target_psi
-                        and is_inner(compose(new_aut, target_inv_aut, guard)) is not None):
-                    return new_names
-                nxt.append((new_names, new_word, new_aut))
-        frontier = nxt
-    return None
-
-
 def verify_main_even(n: int, limits: Limits | None = None,
                      cache: dict | None = None) -> tuple[CheckResult, ...]:
     """The closing identities of the even-n generation proof and the
     enumeration certificate itself."""
-    _require_even(n)
-    limits = limits or Limits()
-    rec = _Recorder(limits)
+    _require("main", n)
+    rec = _Recorder(limits, cache)
     a = named_word("a", n)
     b = named_word("b", n)
     a0 = named_word("a0", n)
-    x0 = concat(invert(b), invert(b), a, b)
-    x4_ab = concat(x0, a, invert(x0), invert(a), invert(b), a)
+    x4_ab = _chain(a, b)[4]
     y_ab = concat(*(_gamma_in_ab(j, n, x4_ab, a) for j in range(1, n, 2)))
     z_ab = power(concat(a, b), n // 2 - 1)
     g_ab = _gamma_in_ab((n - 3) % n, n, x4_ab, a)
@@ -416,20 +381,7 @@ def verify_main_even(n: int, limits: Limits | None = None,
            f"a (t a0)^-1 = s{n - 3} s{n - 2} (n={n})",
            concat(a, invert(concat((T_LETTER,), a0))), (n - 3, n - 2), n)
     rec.index(f"n{n}.main.index", f"subgroup <a, b> has index 1 (n={n})",
-              n, (a, b), 1, cache)
-
-    def witness_body():
-        depth = limits.witness_search_len
-        if depth <= 0:
-            return "skipped", "search disabled"
-        found = _search_talpha(n, depth, limits.aut_guard)
-        if found is None:
-            return "skipped", f"not found within length {depth}"
-        return "pass", " ".join(found)
-
-    rec.run(f"n{n}.main.talpha_witness",
-            f"bounded search for a subgroup word equal to t a0 (n={n})",
-            witness_body)
+              n, (a, b), 1)
     return tuple(rec.checks)
 
 
@@ -437,10 +389,8 @@ def verify_odd(n: int, limits: Limits | None = None,
                cache: dict | None = None) -> tuple[CheckResult, ...]:
     """Odd-puncture generation: the reflection appears as a power, and
     the two-element certificate closes at index 1."""
-    if n < 5 or n % 2 == 0:
-        raise ValueError(f"suite needs odd n >= 5, got {n}")
-    limits = limits or Limits()
-    rec = _Recorder(limits)
+    _require("odd", n)
+    rec = _Recorder(limits, cache)
     t = (T_LETTER,)
     a0 = named_word("a0", n)
     ta0 = concat(t, a0)
@@ -450,7 +400,7 @@ def verify_odd(n: int, limits: Limits | None = None,
     rec.order(f"n{n}.odd.order.ts1", f"order(t s1) = 2 (n={n})", ts1, n, 2)
     rec.order(f"n{n}.odd.order.ta0", f"order(t a0) = {2 * n} (n={n})", ta0, n, 2 * n)
     rec.index(f"n{n}.odd.index", f"subgroup <t s1, t a0> has index 1 (n={n})",
-              n, (ts1, ta0), 1, cache)
+              n, (ts1, ta0), 1)
     return tuple(rec.checks)
 
 
@@ -463,8 +413,7 @@ def verify_n4(limits: Limits | None = None,
     """The four-puncture projective model: relator validation, the
     commutator identity, surjectivity witnesses, torsion orders, and the
     three-element generation certificate."""
-    limits = limits or Limits()
-    rec = _Recorder(limits)
+    rec = _Recorder(limits, cache)
 
     def relators_body():
         results = validate_hom(build_presentation(4, "extended"), "pgl2")
@@ -497,7 +446,7 @@ def verify_n4(limits: Limits | None = None,
     rec.order("n4.order.ts1", "order(t s1) = 2 (n=4)", (T_LETTER, 1), 4, 2)
     rec.order("n4.order.a0", "order(a0) = 4 (n=4)", named_word("a0", 4), 4, 4)
     rec.index("n4.index3gen", "subgroup <t, t s1, a0> has index 1 (n=4)",
-              4, ((T_LETTER,), (T_LETTER, 1), named_word("a0", 4)), 1, cache)
+              4, ((T_LETTER,), (T_LETTER, 1), named_word("a0", 4)), 1)
     return tuple(rec.checks)
 
 
@@ -505,8 +454,7 @@ def verify_sigma2(limits: Limits | None = None,
                   cache: dict | None = None) -> tuple[CheckResult, ...]:
     """The mod-2 data feeding the genus-two lifting argument: images of
     the two generators, their span, and the n=6 certificate they sit on."""
-    limits = limits or Limits()
-    rec = _Recorder(limits)
+    rec = _Recorder(limits, cache)
     a = named_word("a", 6)
     b = named_word("b", 6)
     for name, word, want in (("a", a, (1, 1)), ("b", b, (0, 1))):
@@ -523,7 +471,7 @@ def verify_sigma2(limits: Limits | None = None,
 
     rec.run("sigma2.span", "the two images span (Z/2)^2", span_body)
     rec.index("sigma2.generation", "subgroup <a, b> has index 1 (n=6)",
-              6, (a, b), 1, cache)
+              6, (a, b), 1)
 
     def conclusion_body():
         wanted = ("sigma2.psi.a", "sigma2.psi.b", "sigma2.span", "sigma2.generation")
@@ -538,25 +486,48 @@ def verify_sigma2(limits: Limits | None = None,
     return tuple(rec.checks)
 
 
+def _even(n: int) -> bool:
+    return n >= 6 and n % 2 == 0
+
+
+# suite token -> (runner, applies): applies(n) says whether the suite runs
+# at n, and is None for the suites that take no n.  Listed in the order
+# full_report runs them, which moves peak memory through heap layout.  The
+# values stay plain tuples because bench/tracer.py rebinds the runners
+# inside tuple values of module-level dicts.
+SUITES = {
+    "presentation": (verify_presentation, lambda n: n >= 3),
+    "prop22": (verify_prop22, lambda n: n >= 4),
+    "section3": (verify_section3, lambda n: n >= 4),
+    "lemma-y": (verify_lemma_y, _even),
+    "lemma-z": (verify_lemma_z, _even),
+    "main": (verify_main_even, _even),
+    "odd": (verify_odd, lambda n: n >= 5 and n % 2 == 1),
+    "n4": (verify_n4, None),
+    "sigma2": (verify_sigma2, None),
+}
+
+
+def _require(suite: str, n: int) -> None:
+    if not SUITES[suite][1](n):
+        raise ValueError(f"suite {suite} does not apply at n={n}")
+
+
 def full_report(n_list, limits: Limits | None = None) -> Report:
     """Run every suite applicable to each n, plus the n-independent
     suites, and aggregate sorted by check id."""
-    limits = limits or Limits()
     cache: dict = {}
     checks: list[CheckResult] = []
     for n in sorted(set(n_list)):
-        checks.extend(verify_presentation(n, limits))
-        if n >= 4:
-            checks.extend(verify_prop22(n, limits))
-            checks.extend(verify_section3(n, limits))
-        if n >= 6 and n % 2 == 0:
-            checks.extend(verify_lemma_y(n, limits))
-            checks.extend(verify_lemma_z(n, limits))
-            checks.extend(verify_main_even(n, limits, cache))
-        if n >= 5 and n % 2 == 1:
-            checks.extend(verify_odd(n, limits, cache))
-    checks.extend(verify_n4(limits, cache))
-    checks.extend(verify_sigma2(limits, cache))
+        runners = [run for run, applies in SUITES.values()
+                   if applies is not None and applies(n)]
+        if not runners:
+            raise ValueError(f"no suite applies at n={n}")
+        for run in runners:
+            checks.extend(run(n, limits, cache))
+    for run, applies in SUITES.values():
+        if applies is None:
+            checks.extend(run(limits, cache))
     ids = [c.id for c in checks]
     if len(set(ids)) != len(ids):
         raise RuntimeError("duplicate check ids in report")

@@ -13,7 +13,7 @@ from math import lcm
 from typing import Iterable
 
 from .presentation import Presentation, build_presentation
-from .words import T_LETTER, Word, invert
+from .words import T_LETTER, Word
 
 Perm = tuple[int, ...]
 GF2Vec = tuple[int, int]
@@ -156,18 +156,17 @@ _S_PARABOLIC_LOWER: Mat2 = (1, 0, -1, 1)
 
 @lru_cache(maxsize=None)
 def _pgl2_gens() -> dict[int, Mat2]:
-    """Generator matrices at n=4, with the reflection image selected by
-    validating the extended relators projectively."""
-    twists = {1: _S_PARABOLIC, 2: _S_PARABOLIC_LOWER, 3: _S_PARABOLIC}
-    for d in ((1, 0, 0, -1), (-1, 0, 0, 1)):
-        gens = dict(twists)
-        gens[T_LETTER] = d
-        pres = build_presentation(4, "extended")
-        full = {**{k: v for k, v in gens.items()},
-                **{-k: mat_inv(v) for k, v in gens.items()}}
-        if all(proj_eq(_fold(rel, full), MAT_ID) for rel in pres.relators):
-            return full
-    raise RuntimeError("no reflection matrix validates the relators at n=4")
+    """Generator matrices at n=4, the reflection being diag(1, -1),
+    refused unless every extended relator maps to the identity
+    projectively."""
+    gens = {1: _S_PARABOLIC, 2: _S_PARABOLIC_LOWER, 3: _S_PARABOLIC,
+            T_LETTER: (1, 0, 0, -1)}
+    full = {**gens, **{-k: mat_inv(v) for k, v in gens.items()}}
+    pres = build_presentation(4, "extended")
+    for label, rel in zip(pres.labels, pres.relators):
+        if not proj_eq(_fold(rel, full), MAT_ID):
+            raise RuntimeError(f"relator {label} does not map to the identity at n=4")
+    return full
 
 
 def _fold(word: Iterable[int], gens: dict[int, Mat2]) -> Mat2:

@@ -16,7 +16,6 @@ from .words import (
     Word,
     concat,
     format_word,
-    invert,
     parse_word,
     power,
     reduce,
@@ -149,7 +148,8 @@ def named_word(name: str, n: int) -> Word:
     raise ParseError(f"unknown element name {name!r}")
 
 
-_NAME_HEADS = ("a0", "a1", "a2", "a", "b", "y", "z", "w", "c", "phi")
+# The fixed element names (g<k> and d<k> aside), in the order dump prints them.
+NAME_HEADS = ("a0", "a1", "a2", "a", "b", "y", "z", "w", "c", "phi")
 
 
 def parse_expression(text: str, n: int) -> Word:
@@ -167,27 +167,10 @@ def parse_expression(text: str, n: int) -> Word:
                 raise ParseError(f"bad power suffix in {token!r}") from None
         else:
             exp = 1
-        if base in _NAME_HEADS or (base[:1] in ("g", "d") and base[1:].isdigit()):
+        if base in NAME_HEADS or (base[:1] in ("g", "d") and base[1:].isdigit()):
             word = named_word(base, n)
         else:
             word = parse_word(base, n)
         out = concat(out, power(word, exp))
     return out
 
-
-def t_normal_form(word: Word) -> tuple[int, Word]:
-    """Rewrite a word as t^parity * (twist word) using only t^2 = 1
-    and t si t = si^-1.
-
-    Returns (parity, twist_word) with parity in {0, 1} and twist_word
-    free of t.
-    """
-    t_count = 0
-    twists: list[int] = []
-    for letter in reversed(word):
-        if abs(letter) == T_LETTER:
-            t_count += 1
-        else:
-            twists.append(-letter if t_count % 2 else letter)
-    twists.reverse()
-    return t_count % 2, reduce(twists)

@@ -76,42 +76,6 @@ def cyclic_reduce(word: Iterable[int]) -> tuple[Word, Word]:
     return w[k:len(w) - k], w[:k]
 
 
-def solve_conjugacy(u: Iterable[int], v: Iterable[int]) -> Word | None:
-    """Find w with u = w v w^-1 in the free group, or None.
-
-    Conjugacy classes of a free group are cyclic rotations of cyclically
-    reduced cores, so it suffices to rotate v's core onto u's.
-    """
-    u_core, p = cyclic_reduce(u)
-    v_core, q = cyclic_reduce(v)
-    if len(u_core) != len(v_core):
-        return None
-    if not u_core:
-        return EPSILON
-    for k in range(len(v_core)):
-        if v_core[k:] + v_core[:k] == u_core:
-            # u_core = r^-1 v_core r for r = v_core[:k], so
-            # u = p u_core p^-1 = (p r^-1 q^-1) v (p r^-1 q^-1)^-1.
-            return concat(p, invert(v_core[:k]), invert(q))
-    return None
-
-
-def substitute(word: Iterable[int], images: dict[int, Word]) -> Word:
-    """Apply the homomorphism sending letter k to images[k].
-
-    Images need only be given for positive letters; inverses are derived.
-    Missing letters raise ValueError.
-    """
-    out: list[int] = []
-    for letter in word:
-        gen = abs(letter)
-        if gen not in images:
-            raise ValueError(f"no image for generator {gen}")
-        image = images[gen]
-        out.extend(image if letter > 0 else invert(image))
-    return reduce(out)
-
-
 def parse_word(text: str, n: int) -> Word:
     """Parse whitespace-separated tokens into a reduced word.
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spheremcg import action
 from spheremcg.action import (
     FreeAut,
     ResourceLimitError,
@@ -63,10 +64,16 @@ class TestValidateAction:
     def test_oriented_flavor(self):
         assert validate_action(5, "oriented").ok
 
-    def test_alternate_scan_reports_rows(self):
-        report = validate_action(4, "extended", scan_alternates=True)
-        assert report.ok
-        assert report.alternates is not None
+    def test_broken_generator_table_is_refused(self, monkeypatch):
+        # xi -> xi^-1 breaks t si t = si^-1 with the standard half-twists
+        monkeypatch.setattr(action, "_prefix_reflect",
+                            lambda images: [invert(img) for img in images])
+        action._gen_auts.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="does not act trivially"):
+                equal_in_group((T, 1, T), (-1,), 6)
+        finally:
+            action._gen_auts.cache_clear()
 
 
 class TestIsInner:
@@ -215,3 +222,18 @@ class TestResourceGuard:
 
     def test_guard_not_triggered_on_short_words(self):
         word_to_aut(power((1, 2), 3), 6, guard=10**6)
+
+    # The least guard each call passes under: the most letters it holds
+    # after any one letter.  One less must trip.
+    @pytest.mark.parametrize("call, least", [
+        (lambda g: word_to_aut(power((1, 2), 50), 6, guard=g), 257),
+        (lambda g: equal_with_witness(
+            concat(power(named_word("a", 10), 7), power(named_word("b", 10), -5)),
+            EPSILON, 10, g), 124),
+        (lambda g: equal_with_witness(
+            power(concat((T,), named_word("a0", 13)), 13), (T,), 13, g), 150),
+    ], ids=["twists", "a7b-5", "ta0^13"])
+    def test_guard_trips_at_the_pinned_letter_count(self, call, least):
+        call(least)
+        with pytest.raises(ResourceLimitError):
+            call(least - 1)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from spheremcg.cli import main
+from spheremcg.harness import SUITES
 
 
 def run(capsys, *argv):
@@ -62,6 +63,20 @@ class TestVerify:
     def test_unknown_suite_token(self, capsys):
         code, _, _ = run(capsys, "verify", "--n", "6", "--suite", "lemma-q")
         assert code == 64
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_n_outside_the_suite_range_is_usage_error(self, capsys, suite):
+        runner, applies = SUITES[suite]
+        if applies is None:
+            assert run(capsys, "verify", "--suite", suite, "--n", "6")[0] == 64
+            return
+        n = max(n for n in range(2, 12) if not applies(n))
+        assert run(capsys, "verify", "--suite", suite, "--n", str(n))[0] == 64
+        with pytest.raises(ValueError):
+            runner(n)
+
+    def test_flavor_is_not_a_verify_flag(self, capsys):
+        assert run(capsys, "verify", "--n", "6", "--flavor", "oriented")[0] == 64
 
 
 class TestEval:
@@ -194,6 +209,5 @@ class TestUsage:
     def test_bad_flag_value(self, capsys):
         assert run(capsys, "order", "--n", "six", "s1")[0] == 64
 
-    def test_seed_accepted(self, capsys):
-        code, _, _ = run(capsys, "order", "--n", "6", "--seed", "7", "t")
-        assert code == 0
+    def test_seed_is_not_a_flag(self, capsys):
+        assert run(capsys, "order", "--n", "6", "--seed", "7", "t")[0] == 64

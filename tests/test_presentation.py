@@ -1,15 +1,12 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from spheremcg.presentation import (
     build_presentation,
     format_presentation,
     named_word,
     parse_expression,
-    t_normal_form,
 )
-from spheremcg.words import EPSILON, ParseError, T_LETTER, concat, invert, power, reduce
+from spheremcg.words import EPSILON, ParseError, T_LETTER, invert, power, reduce
 
 T = T_LETTER
 
@@ -142,30 +139,3 @@ class TestParseExpression:
         with pytest.raises(ParseError):
             parse_expression("nope", 6)
 
-
-EXT_LETTERS = st.sampled_from([1, 2, 3, 4, 5, -1, -2, -3, -4, -5, T])
-
-
-class TestTNormalForm:
-    def test_two_reflections_cancel(self):
-        assert t_normal_form((T, 1, T, 2)) == (0, (-1, 2))
-
-    def test_bare_reflection(self):
-        assert t_normal_form((T,)) == (1, EPSILON)
-
-    def test_trailing_reflection(self):
-        assert t_normal_form((1, T)) == (1, (-1,))
-
-    @given(st.lists(EXT_LETTERS, max_size=16).map(reduce))
-    def test_parity_counts_reflections(self, word):
-        parity, twists = t_normal_form(word)
-        assert parity == sum(1 for x in word if abs(x) == T) % 2
-        assert all(abs(x) != T for x in twists)
-
-    @given(st.lists(EXT_LETTERS, max_size=10).map(reduce))
-    def test_preserves_group_element(self, word):
-        from spheremcg.action import equal_in_group
-
-        parity, twists = t_normal_form(word)
-        rebuilt = concat((T,) * parity, twists)
-        assert equal_in_group(word, rebuilt, 6)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from spheremcg.words import (
@@ -14,8 +14,6 @@ from spheremcg.words import (
     parse_word,
     power,
     reduce,
-    solve_conjugacy,
-    substitute,
 )
 
 LETTERS = st.sampled_from([1, 2, 3, 4, 5, -1, -2, -3, -4, -5])
@@ -93,50 +91,6 @@ class TestCyclicReduce:
         core, conj = cyclic_reduce(raw)
         assert conjugate(core, conj) == reduce(raw)
         assert not (len(core) >= 2 and core[0] == -core[-1])
-
-
-class TestSolveConjugacy:
-    def test_basic(self):
-        assert solve_conjugacy((1, 2, -1), (2,)) == (1,)
-
-    def test_tie_break_identity(self):
-        assert solve_conjugacy((2,), (2,)) == EPSILON
-
-    def test_distinct_letters(self):
-        assert solve_conjugacy((1,), (2,)) is None
-
-    def test_unequal_core_lengths(self):
-        assert solve_conjugacy((1, 2), (1,)) is None
-
-    @settings(max_examples=1000, deadline=None)
-    @given(WORDS, WORDS)
-    def test_planted_conjugator_is_found(self, v, w):
-        u = conjugate(v, w)
-        found = solve_conjugacy(u, v)
-        assert found is not None
-        assert conjugate(v, found) == u
-
-
-class TestSubstitute:
-    def test_defining(self):
-        assert substitute((1,), {1: (1, 2, -1)}) == (1, 2, -1)
-
-    def test_inverse_letter(self):
-        assert substitute((-1,), {1: (1, 2, -1)}) == (1, -2, -1)
-
-    def test_swap(self):
-        assert substitute((1, 2), {1: (2,), 2: (1,)}) == (2, 1)
-
-    def test_missing_image(self):
-        with pytest.raises(ValueError):
-            substitute((3,), {1: (1,)})
-
-    @given(WORDS, WORDS)
-    def test_homomorphic(self, u, v):
-        images = {1: (2, 1), 2: (-3,), 3: (1, 3, 2), 4: EPSILON, 5: (5,)}
-        assert substitute(concat(u, v), images) == concat(
-            substitute(u, images), substitute(v, images)
-        )
 
 
 class TestTextFormat:
