@@ -1,14 +1,12 @@
 """Verified computations in mapping class groups of punctured spheres."""
 
 from .action import (
-    ActionReport,
     FreeAut,
     ResourceLimitError,
     equal_in_group,
     equal_with_witness,
     is_inner,
     order_of,
-    validate_action,
     word_to_aut,
 )
 from .coset import CosetTable, EnumerationResult, EnumerationStats, enumerate_cosets

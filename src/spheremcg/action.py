@@ -27,7 +27,8 @@ reflection are not forced by the algebra.  The convention is fixed:
 standard half-twists and the prefix reflection
 xi -> x1..x(i-1) xi^-1 (x1..x(i-1))^-1.  It is not assumed correct: the
 generators are checked against every extended relator once per n before
-any answer is given, and validate_action reports the same check.
+any answer is given, and the harness reports that check as the
+convention rows.
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ class FreeAut:
 
     n: int
     images: tuple[Word, ...]
-
-
-def identity_aut(n: int) -> FreeAut:
-    return FreeAut(n, tuple((i,) for i in range(1, n)))
 
 
 def _mul(u: Word, v: Word) -> Word:
@@ -112,15 +109,15 @@ def _sigma_pair(i: int, n: int) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
     return tuple(fwd), tuple(inv)
 
 
-def _t_images(n: int) -> tuple[Word, ...]:
-    """The prefix reflection: xi -> ci xi^-1 ci^-1 with ci = x1..x(i-1)."""
-    return tuple(concat(range(1, i), (-i,), invert(range(1, i))) for i in range(1, n))
+# The generator convention fixed here, as the convention rows report it.
+CONVENTION = "sigma=standard reflection=prefix"
 
 
 @dataclass(frozen=True)
 class _Gens:
-    """Generator automorphisms by letter, with the basis indices each one
-    moves."""
+    """Half-twist automorphisms by letter, and the basis indices each
+    generator moves; t moves every index and is applied by
+    _prefix_reflect, the one statement of the reflection."""
 
     auts: dict[int, FreeAut]
     moved: dict[int, tuple[int, ...]]
@@ -192,7 +189,8 @@ def _inner_witness(word: Iterable[int], gens: _Gens, n: int,
 @lru_cache(maxsize=None)
 def _gen_auts(n: int) -> _Gens:
     """The generator automorphisms at n, refused unless every extended
-    relator acts as an inner automorphism."""
+    relator acts as an inner automorphism.  The oriented relators are
+    among them, so this one check is what every convention row reports."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     auts: dict[int, FreeAut] = {}
@@ -200,9 +198,9 @@ def _gen_auts(n: int) -> _Gens:
         fwd, inv = _sigma_pair(i, n)
         auts[i] = FreeAut(n, fwd)
         auts[-i] = FreeAut(n, inv)
-    auts[T_LETTER] = auts[-T_LETTER] = FreeAut(n, _t_images(n))
     moved = {letter: tuple(i for i, img in enumerate(aut.images) if img != (i + 1,))
              for letter, aut in auts.items()}
+    moved[T_LETTER] = moved[-T_LETTER] = tuple(range(n - 1))
     gens = _Gens(auts, moved)
     pres = build_presentation(n, "extended")
     for label, rel in zip(pres.labels, pres.relators):
@@ -280,46 +278,11 @@ def order_of(u: Iterable[int], n: int, cap: int | None = None,
     step = perm_order(perm_image(word, n))
     if any(abelianization_image(word)):
         step = step if step % 2 == 0 else 2 * step
-    f = FreeAut(n, tuple(_evaluate(word, _gen_auts(n), n, guard)[0]))
-    g = identity_aut(n)
+    f = g = FreeAut(n, tuple(_evaluate(word, _gen_auts(n), n, guard)[0]))
     for k in range(1, cap + 1):
-        g = compose(g, f, guard)
+        if k > 1:
+            g = compose(g, f, guard)
         if k % step == 0 and is_inner(g) is not None:
             return k
     return None
 
-
-@dataclass(frozen=True)
-class RelatorCheck:
-    label: str
-    word: Word
-    ok: bool
-    witness: Word | None
-
-
-@dataclass(frozen=True)
-class ActionReport:
-    n: int
-    flavor: str
-    sigma_convention: str
-    t_convention: str
-    checks: tuple[RelatorCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def validate_action(n: int, flavor: str = "extended") -> ActionReport:
-    """Check every relator acts trivially up to conjugation.
-
-    This is the soundness certificate for the whole module: once it
-    passes, word_to_aut factors through the group and the equality and
-    order routines answer questions about the group itself.
-    """
-    pres = build_presentation(n, flavor)
-    checks = []
-    for label, rel in zip(pres.labels, pres.relators):
-        witness = _inner_witness(rel, _gen_auts(n), n)
-        checks.append(RelatorCheck(label, rel, witness is not None, witness))
-    return ActionReport(n, flavor, "standard", "prefix", tuple(checks))

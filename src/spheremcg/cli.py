@@ -12,7 +12,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from .action import equal_in_group, order_of
 from .coset import enumerate_cosets
@@ -30,13 +29,6 @@ from .words import ParseError, format_word
 
 USAGE_EXIT = 64
 PARSE_EXIT = 65
-
-
-@dataclass(frozen=True)
-class Config:
-    n: int | None
-    limits: Limits
-    output: str
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,42 +88,41 @@ def _write_atomic(path: str, text: str) -> None:
 SUITE_TOKENS = tuple(SUITES) + ("all",)
 
 
-def cmd_verify(config: Config, suite: str, out: str | None = None) -> int:
-    n = config.n
+def cmd_verify(n: int | None, limits: Limits, suite: str, machine: bool = False,
+               out: str | None = None) -> int:
     if suite == "all":
         if n is None:
             return _usage("--n is required for --suite all")
-        report = full_report([n], config.limits)
+        report = full_report([n], limits)
     else:
         runner, applies = SUITES[suite]
         if applies is None:
             if n is not None:
                 return _usage(f"suite {suite} takes no --n")
-            checks = runner(config.limits)
+            checks = runner(limits)
         elif n is None:
             return _usage(f"--n is required for --suite {suite}")
         elif not applies(n):
             return _usage(f"suite {suite} does not apply at n={n}")
         else:
-            checks = runner(n, config.limits)
+            checks = runner(n, limits)
         report = Report(tuple(sorted(checks, key=lambda c: c.id)))
     if out is not None:
         _write_atomic(out, report.to_json() + "\n")
-    if config.output == "machine":
+    if machine:
         sys.stdout.write(report.to_json() + "\n")
     else:
         sys.stdout.write(report.human() + "\n")
     return report.exit_code
 
 
-def cmd_eval(config: Config, left: str, right: str) -> int:
-    n = config.n
+def cmd_eval(n: int, limits: Limits, left: str, right: str) -> int:
     try:
         u = parse_expression(left, n)
         v = parse_expression(right, n)
     except ParseError as exc:
         return _parse_fail(exc)
-    equal = equal_in_group(u, v, n, config.limits.aut_guard)
+    equal = equal_in_group(u, v, n, limits.aut_guard)
     print(f"equal: {'yes' if equal else 'no'}")
     print(f"perm: {format_perm(perm_image(u, n))} vs {format_perm(perm_image(v, n))}")
     pu, pv = abelianization_image(u), abelianization_image(v)
@@ -139,14 +130,13 @@ def cmd_eval(config: Config, left: str, right: str) -> int:
     return 0 if equal else 1
 
 
-def cmd_order(config: Config, expr: str) -> int:
-    n = config.n
+def cmd_order(n: int, limits: Limits, expr: str) -> int:
     try:
         word = parse_expression(expr, n)
     except ParseError as exc:
         return _parse_fail(exc)
-    cap = config.limits.order_cap if config.limits.order_cap is not None else 4 * n
-    got = order_of(word, n, cap, config.limits.aut_guard)
+    cap = limits.order_cap if limits.order_cap is not None else 4 * n
+    got = order_of(word, n, cap, limits.aut_guard)
     if got is None:
         print(f"exceeds cap {cap}")
         return 2
@@ -154,8 +144,7 @@ def cmd_order(config: Config, expr: str) -> int:
     return 0
 
 
-def cmd_enumerate(config: Config, flavor: str, subgroup: str | None) -> int:
-    n = config.n
+def cmd_enumerate(n: int, limits: Limits, flavor: str, subgroup: str | None) -> int:
     try:
         subgens = tuple(parse_expression(part, n)
                         for part in (subgroup.split(",") if subgroup else ())
@@ -164,31 +153,35 @@ def cmd_enumerate(config: Config, flavor: str, subgroup: str | None) -> int:
         return _parse_fail(exc)
     pres = build_presentation(n, flavor)
     try:
-        result = enumerate_cosets(pres, subgens, config.limits.max_cosets,
-                                  config.limits.max_time)
+        result = enumerate_cosets(pres, subgens, limits.max_cosets, limits.max_time)
     except ValueError as exc:
         return _usage(str(exc))
     s = result.stats
-    if result.status == "overflow":
-        print("OVERFLOW")
-        print(f"stats: defined={s.defined} max_alive={s.max_alive} "
-              f"collapses={s.collapses} seconds={s.seconds:.2f}")
-        return 2
-    print(f"index {result.index}")
+    overflow = result.status == "overflow"
+    print("OVERFLOW" if overflow else f"index {result.index}")
     print(f"stats: defined={s.defined} max_alive={s.max_alive} "
           f"collapses={s.collapses} seconds={s.seconds:.2f}")
-    return 0
+    return 2 if overflow else 0
 
 
-def cmd_dump(config: Config, flavor: str) -> int:
-    pres = build_presentation(config.n, flavor)
+def cmd_dump(n: int, flavor: str) -> int:
+    pres = build_presentation(n, flavor)
     print(format_presentation(pres))
     for name in NAME_HEADS:
         try:
-            print(f"{name} = {format_word(named_word(name, config.n))}")
+            print(f"{name} = {format_word(named_word(name, n))}")
         except ParseError:
             pass
     return 0
+
+
+# Each limit flag with its type; a subcommand takes only the flags it
+# reads, and a flag left out keeps its Limits default.
+LIMIT_FLAGS = {
+    "max_cosets": ("--max-cosets", positive_count),
+    "max_time": ("--max-time", positive_seconds),
+    "order_cap": ("--order-cap", positive_count),
+}
 
 
 def _build_parser() -> _Parser:
@@ -197,47 +190,37 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def common(p, need_n=False):
+    def command(name, summary, limits=(), need_n=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--n", type=int, required=need_n,
                        help="number of punctures")
-        p.add_argument("--max-cosets", type=positive_count, default=10**6)
-        p.add_argument("--max-time", type=positive_seconds, default=60.0)
-        p.add_argument("--order-cap", type=positive_count, default=None)
+        for limit in limits:
+            flag, kind = LIMIT_FLAGS[limit]
+            p.add_argument(flag, type=kind, default=argparse.SUPPRESS)
+        return p
 
-    verify = sub.add_parser("verify", help="run a verification suite")
-    common(verify)
+    verify = command("verify", "run a verification suite", LIMIT_FLAGS, need_n=False)
     verify.add_argument("--suite", choices=SUITE_TOKENS, default="all")
     verify.add_argument("--machine", action="store_true",
                         help="emit the JSON report on stdout")
     verify.add_argument("--out", default=None,
                         help="also write the JSON report to this path")
 
-    ev = sub.add_parser("eval", help="decide equality of two expressions")
-    common(ev, need_n=True)
+    ev = command("eval", "decide equality of two expressions")
     ev.add_argument("left")
     ev.add_argument("right")
 
-    order = sub.add_parser("order", help="order of an expression")
-    common(order, need_n=True)
+    order = command("order", "order of an expression", ("order_cap",))
     order.add_argument("expr")
 
-    enum = sub.add_parser("enumerate", help="coset enumeration")
-    common(enum, need_n=True)
+    enum = command("enumerate", "coset enumeration", ("max_cosets", "max_time"))
     enum.add_argument("--subgroup", default=None,
                       help="comma-separated generator expressions")
 
-    dump = sub.add_parser("dump", help="print the presentation and named words")
-    common(dump, need_n=True)
+    dump = command("dump", "print the presentation and named words")
     for p in (enum, dump):
         p.add_argument("--flavor", choices=FLAVORS, default="extended")
     return parser
-
-
-def _config(args) -> Config:
-    limits = Limits(max_cosets=args.max_cosets, max_time=args.max_time,
-                    order_cap=args.order_cap)
-    output = "machine" if getattr(args, "machine", False) else "human"
-    return Config(n=args.n, limits=limits, output=output)
 
 
 def main(argv=None) -> int:
@@ -246,17 +229,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
-    config = _config(args)
-    if config.n is not None and config.n < 3:
-        return _usage(f"need n >= 3, got {config.n}")
+    n = args.n
+    if n is not None and n < 3:
+        return _usage(f"need n >= 3, got {n}")
+    limits = Limits(**{k: v for k, v in vars(args).items() if k in LIMIT_FLAGS})
     if args.command == "verify":
-        return cmd_verify(config, args.suite, args.out)
+        return cmd_verify(n, limits, args.suite, args.machine, args.out)
     if args.command == "eval":
-        return cmd_eval(config, args.left, args.right)
+        return cmd_eval(n, limits, args.left, args.right)
     if args.command == "order":
-        return cmd_order(config, args.expr)
+        return cmd_order(n, limits, args.expr)
     if args.command == "enumerate":
-        return cmd_enumerate(config, args.flavor, args.subgroup)
+        return cmd_enumerate(n, limits, args.flavor, args.subgroup)
     if args.command == "dump":
-        return cmd_dump(config, args.flavor)
+        return cmd_dump(n, args.flavor)
     return _usage(f"unknown command {args.command}")

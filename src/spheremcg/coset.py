@@ -300,8 +300,6 @@ class _Enumerator:
             for cols in sub_cols:
                 self.scan(self.find(0), cols, fill=True)
             for coset in self.live_cosets():
-                if self.parent[coset] != coset:
-                    continue
                 for cols in rel_cols:
                     self.scan(self.find(coset), cols, fill=True)
                     if self.parent[coset] != coset:

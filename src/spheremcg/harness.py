@@ -15,11 +15,11 @@ diffing reports across versions; statements carry the mathematical claim.
 from __future__ import annotations
 
 import json
-import re
 import time
 from dataclasses import dataclass
 
-from .action import ResourceLimitError, equal_with_witness, order_of, validate_action
+from .action import (CONVENTION, ResourceLimitError, _gen_auts, equal_with_witness,
+                     order_of)
 from .coset import enumerate_cosets
 from .homs import (
     MAT_ID,
@@ -51,6 +51,8 @@ class CheckResult:
     status: str
     witness: str | int | None
     millis: int
+    # an overflow here still lets the report pass (best-effort index checks)
+    tolerated: bool = False
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class Report:
     def overall(self) -> str:
         if any(c.status == "fail" for c in self.checks):
             return "fail"
-        if any(c.status == "overflow" and not _tolerated(c.id) for c in self.checks):
+        if any(c.status == "overflow" and not c.tolerated for c in self.checks):
             return "overflow"
         return "pass"
 
@@ -101,12 +103,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _tolerated(check_id: str) -> bool:
-    """Enumeration overflow is acceptable only for the best-effort range."""
-    m = re.match(r"n(\d+)\.", check_id)
-    return bool(m) and int(m.group(1)) > 6 and ".index" in check_id
-
-
 class _Recorder:
     """Runs one suite's checks under the run's limits; index checks share
     their enumerations through the cache, when one is given."""
@@ -116,7 +112,7 @@ class _Recorder:
         self.cache = cache
         self.checks: list[CheckResult] = []
 
-    def run(self, check_id: str, statement: str, body) -> None:
+    def run(self, check_id: str, statement: str, body, tolerated: bool = False) -> None:
         t0 = time.perf_counter()
         try:
             status, witness = body()
@@ -125,7 +121,8 @@ class _Recorder:
         except Exception as exc:  # a crashed check is a failed check
             status, witness = "fail", f"error: {exc!r}"
         millis = int((time.perf_counter() - t0) * 1000)
-        self.checks.append(CheckResult(check_id, statement, status, witness, millis))
+        self.checks.append(CheckResult(check_id, statement, status, witness, millis,
+                                       tolerated))
 
     def eq(self, check_id: str, statement: str, lhs: Word, rhs: Word, n: int) -> None:
         guard = self.limits.aut_guard
@@ -170,7 +167,8 @@ class _Recorder:
                                     f"collapses={s.collapses}")
             return ("pass" if result.index == expected else "fail"), result.index
 
-        self.run(check_id, statement, body)
+        # enumeration overflow is acceptable only for the best-effort range
+        self.run(check_id, statement, body, tolerated=n > 6)
 
 
 def verify_presentation(n: int, limits: Limits | None = None,
@@ -185,10 +183,9 @@ def verify_presentation(n: int, limits: Limits | None = None,
                    f"relator {label} is trivial (n={n}, {flavor})",
                    rel, EPSILON, n)
 
-        def conv_body(flavor=flavor):
-            report = validate_action(n, flavor)
-            witness = f"sigma={report.sigma_convention} reflection={report.t_convention}"
-            return ("pass" if report.ok else "fail"), witness
+        def conv_body():
+            _gen_auts(n)  # raises unless every relator acts trivially
+            return "pass", CONVENTION
 
         rec.run(f"n{n}.pres.{flavor}.convention",
                 f"selected generator convention satisfies all relators (n={n}, {flavor})",

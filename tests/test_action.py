@@ -4,21 +4,29 @@ from hypothesis import strategies as st
 
 from spheremcg import action
 from spheremcg.action import (
+    CONVENTION,
     FreeAut,
     ResourceLimitError,
     compose,
     equal_in_group,
     equal_with_witness,
-    identity_aut,
     is_inner,
     order_of,
-    validate_action,
     word_to_aut,
 )
 from spheremcg.presentation import build_presentation, named_word, parse_expression
 from spheremcg.words import EPSILON, T_LETTER, concat, conjugate, invert, power, reduce
 
 T = T_LETTER
+
+
+def identity_aut(n):
+    return FreeAut(n, tuple((i,) for i in range(1, n)))
+
+
+def prefix_reflection(n):
+    """The reference images of t: xi -> (x1..x(i-1)) xi^-1 (x1..x(i-1))^-1."""
+    return tuple(concat(range(1, i), (-i,), invert(range(1, i))) for i in range(1, n))
 
 
 class TestGeneratorImages:
@@ -34,6 +42,10 @@ class TestGeneratorImages:
         assert aut.images[4] == (-4, -3, -2, -1, -5)
         inv = word_to_aut((-5,), 6)
         assert inv.images[4] == (-5, -4, -3, -2, -1)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_reflection_matches_prefix_formula(self, n):
+        assert word_to_aut((T,), n).images == prefix_reflection(n)
 
     def test_reflection_involutes(self):
         aut = word_to_aut((T, T), 6)
@@ -51,18 +63,15 @@ class TestGeneratorImages:
 class TestValidateAction:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_all_relators_inner(self, n):
-        report = validate_action(n, "extended")
-        assert report.ok
-        assert all(check.ok for check in report.checks)
-        assert len(report.checks) == len(build_presentation(n, "extended").relators)
+        for rel in build_presentation(n, "extended").relators:
+            assert equal_in_group(rel, EPSILON, n)
 
     def test_convention_is_pinned(self):
-        report = validate_action(6, "extended")
-        assert report.sigma_convention == "standard"
-        assert report.t_convention == "prefix"
+        assert CONVENTION == "sigma=standard reflection=prefix"
 
     def test_oriented_flavor(self):
-        assert validate_action(5, "oriented").ok
+        for rel in build_presentation(5, "oriented").relators:
+            assert equal_in_group(rel, EPSILON, 5)
 
     def test_broken_generator_table_is_refused(self, monkeypatch):
         # xi -> xi^-1 breaks t si t = si^-1 with the standard half-twists

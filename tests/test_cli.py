@@ -147,6 +147,11 @@ class TestEnumerate:
         code, _, _ = run(capsys, "enumerate", "--n", "6", "--subgroup", "a,q9")
         assert code == 65
 
+    def test_time_limit_is_read(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--n", "5", "--subgroup", "t s1, t a0",
+                           "--max-time", "30")
+        assert (code, out.splitlines()[0]) == (0, "index 1")
+
     def test_alphabet_mismatch_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "enumerate", "--n", "6", "--flavor",
                          "oriented", "--subgroup", "t s1")
@@ -167,6 +172,18 @@ class TestDump:
         assert not any(line.startswith("b =") for line in out.splitlines())
 
 
+LIMIT_FLAGS = ("--max-cosets", "--max-time", "--order-cap")
+# the limit flags each subcommand reads; every other one is a usage error
+READ_LIMITS = {
+    "verify": LIMIT_FLAGS,
+    "order": ("--order-cap",),
+    "enumerate": ("--max-cosets", "--max-time"),
+    "eval": (),
+    "dump": (),
+}
+POSITIONALS = {"order": ("t a0",), "eval": ("s1", "s1")}
+
+
 class TestLimits:
     """Invalid limits are usage errors, rejected before any work starts."""
 
@@ -177,6 +194,8 @@ class TestLimits:
         monkeypatch.setattr("spheremcg.cli.enumerate_cosets", refuse)
         monkeypatch.setattr("spheremcg.cli.order_of", refuse)
         monkeypatch.setattr("spheremcg.cli.full_report", refuse)
+        monkeypatch.setattr("spheremcg.cli.equal_in_group", refuse)
+        monkeypatch.setattr("spheremcg.cli.build_presentation", refuse)
 
     @pytest.mark.parametrize("value", ("0", "-1"))
     def test_max_cosets_below_one(self, capsys, no_work, value):
@@ -197,6 +216,16 @@ class TestLimits:
                            "t a0")
         assert code == 64
         assert "--order-cap" in err
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in READ_LIMITS for flag in LIMIT_FLAGS
+        if flag not in READ_LIMITS[command]])
+    def test_limit_flag_not_read_is_usage_error(self, capsys, no_work, command, flag):
+        code, out, err = run(capsys, command, "--n", "5", flag, "1",
+                             *POSITIONALS.get(command, ()))
+        assert code == 64
+        assert out == ""
+        assert flag in err
 
 
 class TestUsage:

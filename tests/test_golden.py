@@ -2,7 +2,8 @@
 with the per-check `millis` removed, must match the checked-in files in
 tests/golden/ byte for byte.  Reports are deterministic apart from
 `millis`, so any difference is a changed verdict, witness, statement or
-check id.
+check id.  Each run's exit code is pinned too: n=6 exits 1 on the
+documented `n6.main.c` erratum, every other n exits 0.
 
 `n16-oracle.json` holds the five oracle-only suites at n=16, keyed by
 suite.  Their identity chains run long words through the free-group
@@ -27,30 +28,34 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 NS = range(3, 11)
 ORACLE_N = 16
 ORACLE_SUITES = ("presentation", "prop22", "section3", "lemma-y", "lemma-z")
+EXIT_CODES = {3: 0, 4: 0, 5: 0, 6: 1, 7: 0, 8: 0, 9: 0, 10: 0}
 
 
-def stripped_payload(n: int, suite: str) -> dict:
+def stripped_payload(n: int, suite: str) -> tuple[int, dict]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        main(["verify", "--n", str(n), "--suite", suite, "--machine"])
+        code = main(["verify", "--n", str(n), "--suite", suite, "--machine"])
     payload = json.loads(out.getvalue())
     for check in payload["checks"]:
         del check["millis"]
-    return payload
+    return code, payload
 
 
-def stripped_report(n: int) -> str:
-    return json.dumps(stripped_payload(n, "all"), indent=2) + "\n"
+def stripped_report(n: int) -> tuple[int, str]:
+    code, payload = stripped_payload(n, "all")
+    return code, json.dumps(payload, indent=2) + "\n"
 
 
 def oracle_report() -> str:
-    payloads = {suite: stripped_payload(ORACLE_N, suite) for suite in ORACLE_SUITES}
+    payloads = {suite: stripped_payload(ORACLE_N, suite)[1] for suite in ORACLE_SUITES}
     return json.dumps(payloads, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("n", NS)
 def test_report_matches_golden(n):
-    assert stripped_report(n) == (GOLDEN / f"n{n}.json").read_text()
+    code, report = stripped_report(n)
+    assert report == (GOLDEN / f"n{n}.json").read_text()
+    assert code == EXIT_CODES[n]
 
 
 def test_deep_oracle_reports_match_golden():
@@ -60,5 +65,5 @@ def test_deep_oracle_reports_match_golden():
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for n in NS:
-        (GOLDEN / f"n{n}.json").write_text(stripped_report(n))
+        (GOLDEN / f"n{n}.json").write_text(stripped_report(n)[1])
     (GOLDEN / f"n{ORACLE_N}-oracle.json").write_text(oracle_report())

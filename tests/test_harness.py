@@ -211,26 +211,37 @@ class TestSuiteRegistry:
         assert calls == ["verify_prop22"]
 
 
-def synthetic(check_id, status):
-    return CheckResult(check_id, "synthetic", status, None, 0)
+def synthetic(check_id, status, tolerated=False):
+    return CheckResult(check_id, "synthetic", status, None, 0, tolerated)
+
+
+def limited_run(capsys, *argv):
+    """Exit code and non-pass rows of a verify run at --max-cosets 50."""
+    code = cli.main(["verify", *argv, "--max-cosets", "50", "--machine"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    return code, {c["id"]: c["status"] for c in checks if c["status"] != "pass"}
 
 
 class TestOverallRules:
     def test_any_fail_wins(self):
         report = Report((synthetic("a", "pass"), synthetic("b", "fail"),
-                         synthetic("n8.main.index", "overflow")))
+                         synthetic("n8.main.index", "overflow", tolerated=True)))
         assert report.overall == "fail"
         assert report.exit_code == 1
 
-    def test_overflow_blocks_pass_at_small_n(self):
-        report = Report((synthetic("n6.main.index", "overflow"),
-                         synthetic("x", "pass")))
-        assert report.overall == "overflow"
-        assert report.exit_code == 2
+    def test_overflow_blocks_pass_at_small_n(self, capsys):
+        assert limited_run(capsys, "--n", "5", "--suite", "odd") == (
+            2, {"n5.odd.index": "overflow"})
 
-    def test_best_effort_overflow_tolerated(self):
-        report = Report((synthetic("n8.main.index", "overflow"),
-                         synthetic("n10.main.index", "overflow"),
-                         synthetic("x", "pass")))
-        assert report.overall == "pass"
-        assert report.exit_code == 0
+    def test_best_effort_overflow_tolerated(self, capsys):
+        assert limited_run(capsys, "--n", "8", "--suite", "main") == (
+            0, {"n8.main.index": "overflow"})
+        assert limited_run(capsys, "--n", "7", "--suite", "odd") == (
+            0, {"n7.odd.index": "overflow"})
+
+    def test_generation_overflow_not_tolerated(self, capsys):
+        assert limited_run(capsys, "--suite", "sigma2") == (
+            1, {"sigma2.generation": "overflow", "sigma2.conclusion": "fail"})
+        generation = [c for c in verify_sigma2(Limits(max_cosets=50))
+                      if c.id == "sigma2.generation"]
+        assert Report(tuple(generation)).exit_code == 2
