@@ -10,10 +10,10 @@ from .action import (
     word_to_aut,
 )
 from .coset import CosetTable, EnumerationResult, EnumerationStats, enumerate_cosets
+from .harness import VERSION as __version__
 from .harness import CheckResult, Limits, Report, full_report
 from .homs import (
     abelianization_image,
-    find_pgl2_word,
     format_gf2,
     format_mat2,
     format_perm,
@@ -36,7 +36,6 @@ from .words import (
     T_LETTER,
     Word,
     concat,
-    conjugate,
     cyclic_reduce,
     format_word,
     invert,
@@ -44,5 +43,3 @@ from .words import (
     power,
     reduce,
 )
-
-__version__ = "0.1.0"

@@ -27,8 +27,8 @@ reflection are not forced by the algebra.  The convention is fixed:
 standard half-twists and the prefix reflection
 xi -> x1..x(i-1) xi^-1 (x1..x(i-1))^-1.  It is not assumed correct: the
 generators are checked against every extended relator once per n before
-any answer is given, and the harness reports that check as the
-convention rows.
+any answer is given, and the harness reports that check, with the
+conjugator found for each relator, as the convention and relator rows.
 """
 
 from __future__ import annotations
@@ -117,10 +117,13 @@ CONVENTION = "sigma=standard reflection=prefix"
 class _Gens:
     """Half-twist automorphisms by letter, and the basis indices each
     generator moves; t moves every index and is applied by
-    _prefix_reflect, the one statement of the reflection."""
+    _prefix_reflect, the one statement of the reflection.  witnesses
+    holds, by relator label, the conjugator each extended relator acts
+    by, as the relator validation found it."""
 
     auts: dict[int, FreeAut]
     moved: dict[int, tuple[int, ...]]
+    witnesses: dict[str, Word]
 
 
 def _prefix_reflect(images: list[Word]) -> list[Word]:
@@ -190,7 +193,8 @@ def _inner_witness(word: Iterable[int], gens: _Gens, n: int,
 def _gen_auts(n: int) -> _Gens:
     """The generator automorphisms at n, refused unless every extended
     relator acts as an inner automorphism.  The oriented relators are
-    among them, so this one check is what every convention row reports."""
+    among them, so this one check, with the conjugators it keeps, is what
+    every convention row and every per-relator row reports."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     auts: dict[int, FreeAut] = {}
@@ -201,11 +205,13 @@ def _gen_auts(n: int) -> _Gens:
     moved = {letter: tuple(i for i, img in enumerate(aut.images) if img != (i + 1,))
              for letter, aut in auts.items()}
     moved[T_LETTER] = moved[-T_LETTER] = tuple(range(n - 1))
-    gens = _Gens(auts, moved)
+    gens = _Gens(auts, moved, {})
     pres = build_presentation(n, "extended")
     for label, rel in zip(pres.labels, pres.relators):
-        if _inner_witness(rel, gens, n) is None:
+        witness = _inner_witness(rel, gens, n)
+        if witness is None:
             raise RuntimeError(f"relator {label} does not act trivially at n={n}")
+        gens.witnesses[label] = witness
     return gens
 
 

@@ -25,7 +25,7 @@ from .presentation import (
     named_word,
     parse_expression,
 )
-from .words import ParseError, format_word
+from .words import T_LETTER, ParseError, format_word
 
 USAGE_EXIT = 64
 PARSE_EXIT = 65
@@ -108,7 +108,10 @@ def cmd_verify(n: int | None, limits: Limits, suite: str, machine: bool = False,
             checks = runner(n, limits)
         report = Report(tuple(sorted(checks, key=lambda c: c.id)))
     if out is not None:
-        _write_atomic(out, report.to_json() + "\n")
+        try:
+            _write_atomic(out, report.to_json() + "\n")
+        except OSError as exc:
+            return _usage(f"cannot write --out: {exc}")
     if machine:
         sys.stdout.write(report.to_json() + "\n")
     else:
@@ -232,6 +235,9 @@ def main(argv=None) -> int:
     n = args.n
     if n is not None and n < 3:
         return _usage(f"need n >= 3, got {n}")
+    if n is not None and n > T_LETTER:
+        # s<k> with k = T_LETTER would read as the reflection letter
+        return _usage(f"need n <= {T_LETTER}, got {n}")
     limits = Limits(**{k: v for k, v in vars(args).items() if k in LIMIT_FLAGS})
     if args.command == "verify":
         return cmd_verify(n, limits, args.suite, args.machine, args.out)

@@ -23,8 +23,8 @@ from .action import (CONVENTION, ResourceLimitError, _gen_auts, equal_with_witne
 from .coset import enumerate_cosets
 from .homs import (
     MAT_ID,
+    _pgl2_gens,
     abelianization_image,
-    find_pgl2_word,
     format_gf2,
     format_mat2,
     gf2_rank,
@@ -33,6 +33,7 @@ from .homs import (
     mat_neg,
     perm_image,
     pgl2_image,
+    proj_eq,
     span_gf2,
     validate_hom,
 )
@@ -104,12 +105,11 @@ class Report:
 
 
 class _Recorder:
-    """Runs one suite's checks under the run's limits; index checks share
-    their enumerations through the cache, when one is given."""
+    """Runs one suite's checks under the run's limits; every check,
+    index checks included, computes its own verdict."""
 
-    def __init__(self, limits: Limits | None, cache: dict | None):
+    def __init__(self, limits: Limits | None):
         self.limits = limits or Limits()
-        self.cache = cache
         self.checks: list[CheckResult] = []
 
     def run(self, check_id: str, statement: str, body, tolerated: bool = False) -> None:
@@ -151,16 +151,8 @@ class _Recorder:
     def index(self, check_id: str, statement: str, n: int, subgens: tuple[Word, ...],
               expected: int) -> None:
         def body():
-            key = ("index", n, subgens)
-            cache = self.cache
-            result = cache.get(key) if cache is not None else None
-            if result is None:
-                pres = build_presentation(n, "extended")
-                result = enumerate_cosets(pres, subgens,
-                                          self.limits.max_cosets,
-                                          self.limits.max_time)
-                if cache is not None:
-                    cache[key] = result
+            result = enumerate_cosets(build_presentation(n, "extended"), subgens,
+                                      self.limits.max_cosets, self.limits.max_time)
             if result.status == "overflow":
                 s = result.stats
                 return "overflow", (f"defined={s.defined} max_alive={s.max_alive} "
@@ -171,17 +163,22 @@ class _Recorder:
         self.run(check_id, statement, body, tolerated=n > 6)
 
 
-def verify_presentation(n: int, limits: Limits | None = None,
-                        cache: dict | None = None) -> tuple[CheckResult, ...]:
-    """All relators act trivially; invariant assignments kill all relators."""
+def verify_presentation(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
+    """All relators act trivially; invariant assignments kill all relators.
+
+    The relator rows read the conjugators of the one relator validation
+    in _gen_auts, so each relator is evaluated once per n."""
     _require("presentation", n)
-    rec = _Recorder(limits, cache)
+    rec = _Recorder(limits)
     for flavor in ("oriented", "extended"):
         pres = build_presentation(n, flavor)
-        for label, rel in zip(pres.labels, pres.relators):
-            rec.eq(f"n{n}.pres.{flavor}.{label}",
-                   f"relator {label} is trivial (n={n}, {flavor})",
-                   rel, EPSILON, n)
+        for label in pres.labels:
+            def relator_body(label=label):
+                return "pass", format_word(_gen_auts(n).witnesses[label]) or "exact"
+
+            rec.run(f"n{n}.pres.{flavor}.{label}",
+                    f"relator {label} is trivial (n={n}, {flavor})",
+                    relator_body)
 
         def conv_body():
             _gen_auts(n)  # raises unless every relator acts trivially
@@ -202,12 +199,11 @@ def verify_presentation(n: int, limits: Limits | None = None,
     return tuple(rec.checks)
 
 
-def verify_prop22(n: int, limits: Limits | None = None,
-                  cache: dict | None = None) -> tuple[CheckResult, ...]:
+def verify_prop22(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
     """Orders of the rotations, the boundary inverse form, and the
     half-twist and rotation conjugation rules."""
     _require("prop22", n)
-    rec = _Recorder(limits, cache)
+    rec = _Recorder(limits)
     for j in range(3):
         word = named_word(f"a{j}", n)
         rec.order(f"n{n}.prop22.order.a{j}", f"order(a{j}) = {n - j} at n={n}",
@@ -230,11 +226,10 @@ def verify_prop22(n: int, limits: Limits | None = None,
     return tuple(rec.checks)
 
 
-def verify_section3(n: int, limits: Limits | None = None,
-                    cache: dict | None = None) -> tuple[CheckResult, ...]:
+def verify_section3(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
     """Reflection interactions with the rotations and the resulting orders."""
     _require("section3", n)
-    rec = _Recorder(limits, cache)
+    rec = _Recorder(limits)
     t = (T_LETTER,)
     a0 = named_word("a0", n)
     a2 = named_word("a2", n)
@@ -276,13 +271,12 @@ def _chain(a: Word, b: Word) -> tuple[Word, ...]:
     return x0, x1, x2, x3, x4
 
 
-def verify_lemma_y(n: int, limits: Limits | None = None,
-                   cache: dict | None = None) -> tuple[CheckResult, ...]:
+def verify_lemma_y(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
     """The five-step chain from b^-2 a b down to a triple product, the
     even-power shift closing the odd-index cycle, and the product
     assembling s1 s3 .. s(n-1) from subgroup words."""
     _require("lemma-y", n)
-    rec = _Recorder(limits, cache)
+    rec = _Recorder(limits)
     a = named_word("a", n)
     a0 = named_word("a0", n)
     x0, x1, x2, x3, x4 = _chain(a, named_word("b", n))
@@ -314,12 +308,11 @@ def verify_lemma_y(n: int, limits: Limits | None = None,
     return tuple(rec.checks)
 
 
-def verify_lemma_z(n: int, limits: Limits | None = None,
-                   cache: dict | None = None) -> tuple[CheckResult, ...]:
+def verify_lemma_z(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
     """The ab normal forms, the shift of the adjacent triple products,
     their telescoping product, and the power landing on z."""
     _require("lemma-z", n)
-    rec = _Recorder(limits, cache)
+    rec = _Recorder(limits)
     a = named_word("a", n)
     b = named_word("b", n)
     a0 = named_word("a0", n)
@@ -349,12 +342,11 @@ def verify_lemma_z(n: int, limits: Limits | None = None,
     return tuple(rec.checks)
 
 
-def verify_main_even(n: int, limits: Limits | None = None,
-                     cache: dict | None = None) -> tuple[CheckResult, ...]:
+def verify_main_even(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
     """The closing identities of the even-n generation proof and the
     enumeration certificate itself."""
     _require("main", n)
-    rec = _Recorder(limits, cache)
+    rec = _Recorder(limits)
     a = named_word("a", n)
     b = named_word("b", n)
     a0 = named_word("a0", n)
@@ -382,12 +374,11 @@ def verify_main_even(n: int, limits: Limits | None = None,
     return tuple(rec.checks)
 
 
-def verify_odd(n: int, limits: Limits | None = None,
-               cache: dict | None = None) -> tuple[CheckResult, ...]:
+def verify_odd(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
     """Odd-puncture generation: the reflection appears as a power, and
     the two-element certificate closes at index 1."""
     _require("odd", n)
-    rec = _Recorder(limits, cache)
+    rec = _Recorder(limits)
     t = (T_LETTER,)
     a0 = named_word("a0", n)
     ta0 = concat(t, a0)
@@ -403,19 +394,19 @@ def verify_odd(n: int, limits: Limits | None = None,
 
 _PGL_X = (0, 1, 1, 0)
 _PGL_Y = (-1, 0, 0, 1)
+# A generator word mapping onto each of x and y projectively.
+_PGL_WITNESSES = (("x", _PGL_X, (1, 2, 1, T_LETTER)), ("y", _PGL_Y, (T_LETTER,)))
 
 
-def verify_n4(limits: Limits | None = None,
-              cache: dict | None = None) -> tuple[CheckResult, ...]:
+def verify_n4(limits: Limits | None = None) -> tuple[CheckResult, ...]:
     """The four-puncture projective model: relator validation, the
     commutator identity, surjectivity witnesses, torsion orders, and the
     three-element generation certificate."""
-    rec = _Recorder(limits, cache)
+    rec = _Recorder(limits)
 
     def relators_body():
-        results = validate_hom(build_presentation(4, "extended"), "pgl2")
-        bad = [label for label, ok in results if not ok]
-        return ("pass", f"{len(results)} relators") if not bad else ("fail", ", ".join(bad))
+        _pgl2_gens()  # raises unless every relator maps to the identity
+        return "pass", f"{len(build_presentation(4, 'extended').relators)} relators"
 
     rec.run("n4.pgl2.relators", "2x2 projective assignment kills every relator (n=4)",
             relators_body)
@@ -427,13 +418,9 @@ def verify_n4(limits: Limits | None = None,
 
     rec.run("n4.pgl2.commutator", "[x, y] = -Id as an exact matrix identity",
             commutator_body)
-    for name, target in (("x", _PGL_X), ("y", _PGL_Y)):
-        def witness_body(name=name, target=target):
-            word = find_pgl2_word(target)
-            if word is None:
-                return "fail", None
-            back = pgl2_image(word, 4)
-            ok = back in (target, mat_neg(target))
+    for name, target, word in _PGL_WITNESSES:
+        def witness_body(target=target, word=word):
+            ok = proj_eq(pgl2_image(word), target)
             return ("pass" if ok else "fail"), format_word(word)
 
         rec.run(f"n4.pgl2.witness.{name}",
@@ -447,11 +434,10 @@ def verify_n4(limits: Limits | None = None,
     return tuple(rec.checks)
 
 
-def verify_sigma2(limits: Limits | None = None,
-                  cache: dict | None = None) -> tuple[CheckResult, ...]:
+def verify_sigma2(limits: Limits | None = None) -> tuple[CheckResult, ...]:
     """The mod-2 data feeding the genus-two lifting argument: images of
     the two generators, their span, and the n=6 certificate they sit on."""
-    rec = _Recorder(limits, cache)
+    rec = _Recorder(limits)
     a = named_word("a", 6)
     b = named_word("b", 6)
     for name, word, want in (("a", a, (1, 1)), ("b", b, (0, 1))):
@@ -513,7 +499,6 @@ def _require(suite: str, n: int) -> None:
 def full_report(n_list, limits: Limits | None = None) -> Report:
     """Run every suite applicable to each n, plus the n-independent
     suites, and aggregate sorted by check id."""
-    cache: dict = {}
     checks: list[CheckResult] = []
     for n in sorted(set(n_list)):
         runners = [run for run, applies in SUITES.values()
@@ -521,10 +506,10 @@ def full_report(n_list, limits: Limits | None = None) -> Report:
         if not runners:
             raise ValueError(f"no suite applies at n={n}")
         for run in runners:
-            checks.extend(run(n, limits, cache))
+            checks.extend(run(n, limits))
     for run, applies in SUITES.values():
         if applies is None:
-            checks.extend(run(limits, cache))
+            checks.extend(run(limits))
     ids = [c.id for c in checks]
     if len(set(ids)) != len(ids):
         raise RuntimeError("duplicate check ids in report")

@@ -13,7 +13,7 @@ from math import lcm
 from typing import Iterable
 
 from .presentation import Presentation, build_presentation
-from .words import T_LETTER, Word
+from .words import T_LETTER
 
 Perm = tuple[int, ...]
 GF2Vec = tuple[int, int]
@@ -24,11 +24,6 @@ MAT_ID: Mat2 = (1, 0, 0, 1)
 
 def perm_identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
-
-
-def perm_compose(p: Perm, q: Perm) -> Perm:
-    """p after q."""
-    return tuple(p[q[i] - 1] for i in range(len(p)))
 
 
 def perm_order(p: Perm) -> int:
@@ -140,16 +135,6 @@ def proj_eq(a: Mat2, b: Mat2) -> bool:
     return a == b or a == mat_neg(b)
 
 
-def pgl2_class(m: Mat2) -> Mat2:
-    """Sign-normalized representative of {m, -m}."""
-    for entry in m:
-        if entry > 0:
-            return m
-        if entry < 0:
-            return mat_neg(m)
-    return m
-
-
 _S_PARABOLIC: Mat2 = (1, 1, 0, 1)
 _S_PARABOLIC_LOWER: Mat2 = (1, 0, -1, 1)
 
@@ -176,10 +161,8 @@ def _fold(word: Iterable[int], gens: dict[int, Mat2]) -> Mat2:
     return m
 
 
-def pgl2_image(word: Iterable[int], n: int = 4) -> Mat2:
-    """Image in the projective 2x2 model; defined only at n=4."""
-    if n != 4:
-        raise ValueError("the 2x2 projective model exists only at n=4")
+def pgl2_image(word: Iterable[int]) -> Mat2:
+    """Image of an n=4 word in the projective 2x2 model."""
     gens = _pgl2_gens()
     try:
         return _fold(word, gens)
@@ -190,7 +173,7 @@ def pgl2_image(word: Iterable[int], n: int = 4) -> Mat2:
 def validate_hom(pres: Presentation, kind: str) -> tuple[tuple[str, bool], ...]:
     """Check each relator dies under the chosen invariant.
 
-    kind is one of perm, psi, pgl2; the last requires n=4.
+    kind is perm or psi.
     """
     results = []
     for label, rel in zip(pres.labels, pres.relators):
@@ -198,34 +181,8 @@ def validate_hom(pres: Presentation, kind: str) -> tuple[tuple[str, bool], ...]:
             ok = perm_image(rel, pres.n) == perm_identity(pres.n)
         elif kind == "psi":
             ok = abelianization_image(rel) == (0, 0)
-        elif kind == "pgl2":
-            ok = proj_eq(pgl2_image(rel, pres.n), MAT_ID)
         else:
             raise ValueError(f"unknown invariant kind {kind!r}")
         results.append((label, ok))
     return tuple(results)
 
-
-def find_pgl2_word(target: Mat2, max_len: int = 8) -> Word | None:
-    """Shortest word over the n=4 generators hitting target projectively."""
-    gens = _pgl2_gens()
-    letters = (1, -1, 2, -2, 3, -3, T_LETTER)
-    target_class = pgl2_class(target)
-    frontier: list[tuple[Word, Mat2]] = [((), MAT_ID)]
-    seen = {pgl2_class(MAT_ID)}
-    if target_class in seen:
-        return ()
-    for _ in range(max_len):
-        nxt: list[tuple[Word, Mat2]] = []
-        for word, m in frontier:
-            for letter in letters:
-                m2 = mat_mul(m, gens[letter])
-                cls = pgl2_class(m2)
-                if cls in seen:
-                    continue
-                if cls == target_class:
-                    return word + (letter,)
-                seen.add(cls)
-                nxt.append((word + (letter,), m2))
-        frontier = nxt
-    return None

@@ -2,8 +2,8 @@
 
 A word is a tuple of nonzero ints.  Letter k > 0 is a generator, -k its
 inverse.  Half-twist generators are 1, 2, 3, ...; the orientation-reversing
-generator gets its own letter far above any twist index so the two ranges
-never collide.
+generator gets its own letter far above any twist index in use, so the two
+ranges do not collide.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ Word = tuple[int, ...]
 
 EPSILON: Word = ()
 
-# Letter reserved for the reflection generator.  Twist indices are bounded
-# by the number of punctures, so 2**20 is unreachable by any s<k> token.
+# Letter reserved for the reflection generator.  A twist index k < n
+# would collide with it from n > 2**20 on, so the CLI refuses such n.
 T_LETTER = 1 << 20
 
 
@@ -55,12 +55,6 @@ def power(word: Iterable[int], k: int) -> Word:
         base = invert(base)
         k = -k
     return reduce(base * k)
-
-
-def conjugate(word: Iterable[int], by: Iterable[int]) -> Word:
-    """w u w^-1 for u=word, w=by."""
-    by = tuple(by)
-    return concat(by, word, invert(by))
 
 
 def cyclic_reduce(word: Iterable[int]) -> tuple[Word, Word]:

@@ -1,6 +1,20 @@
 import pytest
 
-from spheremcg import EPSILON, T_LETTER, concat, equal_in_group
+from spheremcg import EPSILON, T_LETTER, concat, equal_in_group, invert
+
+
+# Reference helpers the library itself has no use for; test modules
+# import them with `from conftest import ...`.
+
+def conjugate(word, by):
+    """w u w^-1 for u=word, w=by."""
+    by = tuple(by)
+    return concat(by, word, invert(by))
+
+
+def perm_compose(p, q):
+    """p after q, for permutations given as tuples of images."""
+    return tuple(p[q[i] - 1] for i in range(len(p)))
 
 
 def cayley_order(n: int) -> int:

@@ -12,6 +12,7 @@ the actual value of c at n=6.
 import random
 import time
 
+from conftest import conjugate
 from spheremcg.action import (
     compose,
     equal_in_group,
@@ -31,7 +32,6 @@ from spheremcg.words import (
     EPSILON,
     T_LETTER,
     concat,
-    conjugate,
     invert,
     power,
     reduce,

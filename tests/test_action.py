@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import conjugate
 from spheremcg import action
 from spheremcg.action import (
     CONVENTION,
@@ -15,7 +16,7 @@ from spheremcg.action import (
     word_to_aut,
 )
 from spheremcg.presentation import build_presentation, named_word, parse_expression
-from spheremcg.words import EPSILON, T_LETTER, concat, conjugate, invert, power, reduce
+from spheremcg.words import EPSILON, T_LETTER, concat, invert, power, reduce
 
 T = T_LETTER
 

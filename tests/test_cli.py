@@ -4,6 +4,7 @@ import pytest
 
 from spheremcg.cli import main
 from spheremcg.harness import SUITES
+from spheremcg.words import T_LETTER
 
 
 def run(capsys, *argv):
@@ -54,6 +55,21 @@ class TestVerify:
         assert code == 0
         assert json.loads(target.read_text())["version"]
         assert not list(tmp_path.glob(".report-*"))
+
+    @pytest.mark.parametrize("where", ("missing-dir", "directory"))
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
+        # a missing directory fails before the temporary file exists; a
+        # directory as the target fails after it, which must remove it
+        target = tmp_path / "dir"
+        if where == "missing-dir":
+            target = target / "report.json"
+        else:
+            target.mkdir()
+        code, out, err = run(capsys, "verify", "--suite", "n4", "--out", str(target))
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error: cannot write --out")
+        assert not list(tmp_path.rglob(".report-*"))
 
     def test_missing_n_for_scoped_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "prop22")
@@ -216,6 +232,15 @@ class TestLimits:
                            "t a0")
         assert code == 64
         assert "--order-cap" in err
+
+    @pytest.mark.parametrize("command", READ_LIMITS)
+    def test_n_beyond_the_reflection_letter(self, capsys, no_work, command):
+        # from this n on, the twist token s<T_LETTER> would parse as t
+        code, out, err = run(capsys, command, "--n", str(T_LETTER + 1),
+                             *POSITIONALS.get(command, ()))
+        assert code == 64
+        assert out == ""
+        assert f"need n <= {T_LETTER}" in err
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command in READ_LIMITS for flag in LIMIT_FLAGS

@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from spheremcg import cli, harness
+from spheremcg import action, cli, harness
+from spheremcg.action import equal_with_witness
 from spheremcg.harness import (
     STATUSES,
     SUITES,
@@ -21,6 +22,8 @@ from spheremcg.harness import (
     verify_section3,
     verify_sigma2,
 )
+from spheremcg.presentation import build_presentation
+from spheremcg.words import EPSILON, format_word, invert
 
 
 def ids(checks):
@@ -38,6 +41,45 @@ class TestSuiteShapes:
         assert all(c.status == "pass" for c in checks)
         assert "n6.pres.extended.t.twist.3" in ids(checks)
         assert "n6.pres.hom.extended.psi" in ids(checks)
+
+    def test_relator_rows_read_the_one_validation(self, monkeypatch):
+        # once _gen_auts has validated every relator, the rows evaluate none
+        action._gen_auts(8)
+        calls = []
+        real = action._inner_witness
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(action, "_inner_witness", counting)
+        checks = verify_presentation(8)
+        assert calls == []
+        monkeypatch.undo()
+        rows = {c.id: c for c in checks}
+        for flavor in ("oriented", "extended"):
+            pres = build_presentation(8, flavor)
+            for label, rel in zip(pres.labels, pres.relators):
+                row = rows[f"n8.pres.{flavor}.{label}"]
+                ok, conj = equal_with_witness(rel, EPSILON, 8)
+                assert ok and row.status == "pass"
+                assert row.witness == (format_word(conj) or "exact")
+
+    def test_failed_validation_fails_every_relator_row(self, monkeypatch):
+        # xi -> xi^-1 breaks t si t = si^-1 with the standard half-twists
+        monkeypatch.setattr(action, "_prefix_reflect",
+                            lambda images: [invert(img) for img in images])
+        action._gen_auts.cache_clear()
+        try:
+            checks = verify_presentation(5)
+        finally:
+            action._gen_auts.cache_clear()
+        for c in checks:
+            if ".hom." in c.id:
+                assert c.status == "pass"
+            else:
+                assert c.status == "fail"
+                assert "does not act trivially" in c.witness
 
     def test_prop22(self):
         checks = verify_prop22(6)

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import perm_compose
 from spheremcg.homs import (
     MAT_ID,
     abelianization_image,
-    find_pgl2_word,
     format_gf2,
     format_mat2,
     format_perm,
@@ -13,15 +13,15 @@ from spheremcg.homs import (
     mat_inv,
     mat_mul,
     mat_neg,
-    perm_compose,
     perm_image,
-    pgl2_class,
     pgl2_image,
+    proj_eq,
     span_gf2,
     validate_hom,
 )
+from spheremcg.harness import verify_n4
 from spheremcg.presentation import build_presentation, named_word
-from spheremcg.words import T_LETTER, concat, reduce
+from spheremcg.words import T_LETTER, concat, parse_word, reduce
 
 T = T_LETTER
 
@@ -109,18 +109,18 @@ class TestSpan:
 
 class TestPgl2:
     def test_defining_images(self):
-        assert pgl2_class(pgl2_image((1,))) == (1, 1, 0, 1)
-        assert pgl2_class(pgl2_image((2,))) == (1, 0, -1, 1)
-        assert pgl2_class(pgl2_image((3,))) == pgl2_class(pgl2_image((1,)))
+        assert proj_eq(pgl2_image((1,)), (1, 1, 0, 1))
+        assert proj_eq(pgl2_image((2,)), (1, 0, -1, 1))
+        assert proj_eq(pgl2_image((3,)), pgl2_image((1,)))
 
     def test_reflection_image_is_det_minus_one_involution(self):
         m = pgl2_image((T,))
         assert m[0] * m[3] - m[1] * m[2] == -1
-        assert pgl2_class(mat_mul(m, m)) == MAT_ID
+        assert proj_eq(mat_mul(m, m), MAT_ID)
 
     def test_full_twist_collapses(self):
         word = (1, 2, 3) * 4
-        assert pgl2_class(pgl2_image(word)) == MAT_ID
+        assert proj_eq(pgl2_image(word), MAT_ID)
 
     def test_commutator_is_minus_identity(self):
         x, y = (0, 1, 1, 0), (-1, 0, 0, 1)
@@ -135,19 +135,14 @@ class TestPgl2:
             m = pgl2_image(word)
             assert m[0] * m[3] - m[1] * m[2] == 1
 
-    def test_wrong_puncture_count(self):
-        with pytest.raises(ValueError):
-            pgl2_image((1,), 6)
-
     def test_surjectivity_witnesses(self):
-        for target in ((0, 1, 1, 0), (-1, 0, 0, 1)):
-            word = find_pgl2_word(target)
-            assert word is not None
-            assert pgl2_class(pgl2_image(word)) == pgl2_class(target)
-
-    def test_unreachable_class_not_found(self):
-        # determinant 2 is outside the group
-        assert find_pgl2_word((2, 0, 0, 1), max_len=3) is None
+        # the words the n=4 suite reports as witnesses hit x and y
+        rows = {c.id: c for c in verify_n4()}
+        for name, target in (("x", (0, 1, 1, 0)), ("y", (-1, 0, 0, 1))):
+            row = rows[f"n4.pgl2.witness.{name}"]
+            assert row.status == "pass"
+            assert proj_eq(pgl2_image(parse_word(row.witness, 4)), target)
+        assert not proj_eq(pgl2_image(parse_word("t", 4)), (0, 1, 1, 0))
 
 
 class TestValidateHom:
@@ -160,12 +155,14 @@ class TestValidateHom:
         assert all(ok for _, ok in results)
 
     def test_projective_assignment(self):
-        results = validate_hom(build_presentation(4, "extended"), "pgl2")
-        assert all(ok for _, ok in results)
+        for rel in build_presentation(4, "extended").relators:
+            assert proj_eq(pgl2_image(rel), MAT_ID)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            validate_hom(build_presentation(4, "extended"), "torsion")
+        # the projective model is checked once, where its generators are built
+        for kind in ("torsion", "pgl2"):
+            with pytest.raises(ValueError):
+                validate_hom(build_presentation(4, "extended"), kind)
 
 
 class TestFormatting:

@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import conjugate
 from spheremcg.words import (
     EPSILON,
     ParseError,
     T_LETTER,
     concat,
-    conjugate,
     cyclic_reduce,
     format_word,
     invert,
