@@ -1,8 +1,8 @@
 """Command-line front end: verification suites, ad-hoc equality and
 order queries, coset enumeration, and presentation dumps.
 
-Exit codes: 0 pass/equal, 1 fail/not equal, 2 overflow or cap exceeded,
-64 usage error, 65 expression parse error.
+Exit codes: 0 pass/equal, 1 fail/not equal, 2 overflow, cap exceeded or
+a tripped automorphism guard, 64 usage error, 65 expression parse error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import os
 import sys
 import tempfile
 
-from .action import equal_in_group, order_of
+from .action import ResourceLimitError, equal_in_group, order_of
 from .coset import enumerate_cosets
 from .harness import SUITES, Limits, Report, full_report
 from .homs import abelianization_image, format_gf2, format_perm, perm_image
@@ -90,6 +90,8 @@ SUITE_TOKENS = tuple(SUITES) + ("all",)
 
 def cmd_verify(n: int | None, limits: Limits, suite: str, machine: bool = False,
                out: str | None = None) -> int:
+    if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        return _usage(f"cannot write --out: no directory for {out}")
     if suite == "all":
         if n is None:
             return _usage("--n is required for --suite all")
@@ -241,10 +243,14 @@ def main(argv=None) -> int:
     limits = Limits(**{k: v for k, v in vars(args).items() if k in LIMIT_FLAGS})
     if args.command == "verify":
         return cmd_verify(n, limits, args.suite, args.machine, args.out)
-    if args.command == "eval":
-        return cmd_eval(n, limits, args.left, args.right)
-    if args.command == "order":
-        return cmd_order(n, limits, args.expr)
+    try:
+        if args.command == "eval":
+            return cmd_eval(n, limits, args.left, args.right)
+        if args.command == "order":
+            return cmd_order(n, limits, args.expr)
+    except ResourceLimitError as exc:  # verify reports a trip as an overflow row
+        print(f"inconclusive: {exc}")
+        return 2
     if args.command == "enumerate":
         return cmd_enumerate(n, limits, args.flavor, args.subgroup)
     if args.command == "dump":

@@ -198,12 +198,12 @@ class _Enumerator:
         if self.ticks % 1024 == 0 and time.monotonic() > self.deadline:
             raise _Overflow
 
-    def scan(self, coset: int, cols: tuple[int, ...], fill: bool) -> None:
-        """Trace one relation cycle at a coset, filling if asked.
+    def scan(self, coset: int, cols: tuple[int, ...]) -> None:
+        """Trace one relation cycle at a coset, filling as it goes.
 
         Forward and backward pointers advance over defined entries; the
         gap is either closed by one deduction, reported as a coincidence,
-        or (with fill) plugged by defining a coset at the first hole.
+        or plugged by defining a coset at the first hole.
         """
         table, width = self.table, self.width
         i, j = 0, len(cols) - 1
@@ -237,8 +237,6 @@ class _Enumerator:
                 table[b * width + (cols[i] ^ 1)] = f
                 self.events += 1
                 self.tick()
-                return
-            if not fill:
                 return
             f = self.define(f, cols[i])
             table = self.table
@@ -298,10 +296,10 @@ class _Enumerator:
         while True:
             self.events = 0
             for cols in sub_cols:
-                self.scan(self.find(0), cols, fill=True)
+                self.scan(self.find(0), cols)
             for coset in self.live_cosets():
                 for cols in rel_cols:
-                    self.scan(self.find(coset), cols, fill=True)
+                    self.scan(self.find(coset), cols)
                     if self.parent[coset] != coset:
                         break
             if self.events:
@@ -357,16 +355,15 @@ def enumerate_cosets(pres: Presentation, subgens: tuple[Word, ...] = (),
     enum = _Enumerator(pres, tuple(subgens), max_cosets, max_time)
     try:
         enum.run()
+        table = enum.standardized()
     except _IndexOne:
         table = CosetTable(enum.letters, ((0,) * enum.width,))
     except _Overflow:
-        stats = EnumerationStats(enum.defined, enum.max_alive, enum.collapses,
-                                 time.monotonic() - start)
-        return EnumerationResult("overflow", None, None, stats)
-    else:
-        table = enum.standardized()
+        table = None
     stats = EnumerationStats(enum.defined, enum.max_alive, enum.collapses,
                              time.monotonic() - start)
+    if table is None:
+        return EnumerationResult("overflow", None, None, stats)
     if not table.verify(pres, tuple(subgens)):
         raise RuntimeError("finished table failed verification")
     return EnumerationResult("finished", table.index, table, stats)

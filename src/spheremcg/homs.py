@@ -1,15 +1,14 @@
 """Cheap invariant homomorphisms: puncture permutations, mod-2 letter
 counts, and the projective 2x2 integer representation at four punctures.
 
-These give fast necessary conditions for equality and order questions,
-and at n=4 an independent exact model of the quotient by the hyperelliptic
-involution.
+The first two decide "not equal" without touching the free group, and
+at n=4 the third is an independent exact model of the quotient by the
+hyperelliptic involution.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
 from typing import Iterable
 
 from .presentation import Presentation, build_presentation
@@ -24,22 +23,6 @@ MAT_ID: Mat2 = (1, 0, 0, 1)
 
 def perm_identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
-
-
-def perm_order(p: Perm) -> int:
-    order = 1
-    seen = [False] * len(p)
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = p[i] - 1
-            length += 1
-        order = lcm(order, length)
-    return order
 
 
 def perm_image(word: Iterable[int], n: int) -> Perm:

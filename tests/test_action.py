@@ -237,12 +237,14 @@ class TestResourceGuard:
     # after any one letter.  One less must trip.
     @pytest.mark.parametrize("call, least", [
         (lambda g: word_to_aut(power((1, 2), 50), 6, guard=g), 257),
+        # a^10 = b^8 = 1 at n = 10, so both quotients vanish on the
+        # difference and the word is evaluated
         (lambda g: equal_with_witness(
-            concat(power(named_word("a", 10), 7), power(named_word("b", 10), -5)),
-            EPSILON, 10, g), 124),
+            concat(power(named_word("a", 10), 10), power(named_word("b", 10), -8)),
+            EPSILON, 10, g), 143),
         (lambda g: equal_with_witness(
             power(concat((T,), named_word("a0", 13)), 13), (T,), 13, g), 150),
-    ], ids=["twists", "a7b-5", "ta0^13"])
+    ], ids=["twists", "a10b-8", "ta0^13"])
     def test_guard_trips_at_the_pinned_letter_count(self, call, least):
         call(least)
         with pytest.raises(ResourceLimitError):

@@ -121,6 +121,22 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "s1", "s1")
         assert code == 64
 
+    def test_quotients_decide_without_evaluating(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the word was evaluated")
+        monkeypatch.setattr("spheremcg.action._evaluate", refuse)
+        code, out, _ = run(capsys, "eval", "--n", "6", "s1^100000", "s1")
+        assert code == 1
+        assert out.splitlines() == ["equal: no", "perm: id vs (1 2)",
+                                    "psi: (0,0) vs (1,0)"]
+
+    def test_guard_trip_is_inconclusive(self, capsys):
+        # (s1 S2)^30 has the quotient images of the empty word, so only
+        # the free group can decide, and its images outgrow the guard
+        code, out, _ = run(capsys, "eval", "--n", "12", " ".join(["s1 S2"] * 30), "")
+        assert code == 2
+        assert out.startswith("inconclusive: automorphism images exceed")
+
 
 class TestOrder:
     def test_even_reflected_rotation(self, capsys):
@@ -143,6 +159,11 @@ class TestOrder:
     def test_parse_error(self, capsys):
         code, _, _ = run(capsys, "order", "--n", "6", "nope")
         assert code == 65
+
+    def test_guard_trip_is_inconclusive(self, capsys):
+        code, out, _ = run(capsys, "order", "--n", "12", "s1 S2")
+        assert code == 2
+        assert out.startswith("inconclusive: automorphism images exceed")
 
 
 class TestEnumerate:
@@ -232,6 +253,13 @@ class TestLimits:
                            "t a0")
         assert code == 64
         assert "--order-cap" in err
+
+    def test_out_without_a_directory_is_refused_first(self, capsys, no_work, tmp_path):
+        code, out, err = run(capsys, "verify", "--n", "6", "--suite", "all",
+                             "--out", str(tmp_path / "missing-dir" / "r.json"))
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error: cannot write --out")
 
     @pytest.mark.parametrize("command", READ_LIMITS)
     def test_n_beyond_the_reflection_letter(self, capsys, no_work, command):

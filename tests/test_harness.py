@@ -81,6 +81,18 @@ class TestSuiteShapes:
                 assert c.status == "fail"
                 assert "does not act trivially" in c.witness
 
+    def test_quotients_refuse_what_a_broken_oracle_accepts(self, monkeypatch):
+        # an is_inner that accepts everything calls every evaluated pair
+        # equal; s1 and s2 differ in the puncture permutation, so neither
+        # the oracle nor the row that reads it may say so
+        monkeypatch.setattr(action, "is_inner", lambda f: EPSILON)
+        assert equal_with_witness((1, 1), EPSILON, 6)[0]
+        assert equal_with_witness((1,), (2,), 6) == (False, None)
+        rec = harness._Recorder(None)
+        rec.eq("broken.s1_s2", "s1 = s2 (n=6)", (1,), (2,), 6)
+        [row] = rec.checks
+        assert (row.status, row.witness) == ("fail", None)
+
     def test_prop22(self):
         checks = verify_prop22(6)
         assert statuses(checks)["n6.prop22.order.a0"] == "pass"
