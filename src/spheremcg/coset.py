@@ -9,6 +9,22 @@ resume.  The run ends on a sweep with no events over a complete table:
 that clean sweep doubles as a verification pass, since it has re-traced
 every relator cycle and subgroup generator on the finished table.
 
+A deduction pass (Felsch-style deduction processing inside HLT) follows
+every scan of a sweep.  Each table entry a coincidence writes goes on a
+stack; for a stacked entry (k, c) -> t the pass traces at k, without
+defining, every relator cycle (a cyclic conjugate of a relator or its
+inverse) that begins with column c.  A gap of one is a deduction, which
+is stacked in turn; a closed trace with two different ends is a
+coincidence.  Definitions and scan deductions are not stacked: the
+sweeps trace them anyway, and stacking them cost more than it saved.
+Each fact the pass derives is a consequence of a relator cycle traced
+from a coset, the same kind of fact a scan derives, so results stay
+sound; completeness still rests on the final clean sweep.  The cycles
+through an entry that start at its other end are the inverses of
+cycles that start with c at k, so one direction suffices.  On the
+even-n <a, b> certificates the pass cuts the cosets defined about
+37-fold (12,091 instead of 449,287 at n = 12).
+
 Index-1 runs close early.  Every table entry is a consequence
 (H w_i g = H w_j), so once every generator maps coset 0 to itself, every
 generator lies in H and H is the whole group; the enumeration stops right
@@ -28,9 +44,10 @@ import mmap
 import time
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .presentation import Presentation
-from .words import Word
+from .words import Word, invert
 
 UNDEF = -1
 
@@ -45,6 +62,23 @@ def _anonymous_map(size: int) -> mmap.mmap:
     if hasattr(mmap, "MAP_PRIVATE"):
         return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
     return mmap.mmap(-1, size)
+
+
+@lru_cache(maxsize=64)
+def _cycles(generators: tuple[int, ...],
+            relators: tuple[Word, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every distinct cyclic conjugate of a relator or its inverse, as
+    table columns, bucketed by first column."""
+    letters = tuple(g for gen in generators for g in (gen, -gen))
+    col = {letter: k for k, letter in enumerate(letters)}
+    buckets: list[dict[tuple[int, ...], None]] = [{} for _ in letters]
+    for rel in relators:
+        for word in (rel, invert(rel)):
+            cols = tuple(col[letter] for letter in word)
+            for s in range(len(cols)):
+                cycle = cols[s:] + cols[:s]
+                buckets[cycle[0]][cycle] = None
+    return tuple(tuple(bucket) for bucket in buckets)
 
 
 @dataclass(frozen=True)
@@ -125,7 +159,8 @@ class _Enumerator:
         self.table: array | memoryview = self.blank_row * INITIAL_ROWS
         self.mapping: mmap.mmap | None = None
         self.parent = array("i", [0])
-        self.count = 1
+        self.cycles = _cycles(pres.generators, pres.relators)
+        self.stack: list[tuple[int, int]] = []
         self.alive = 1
         self.defined = 1
         self.max_alive = 1
@@ -143,8 +178,7 @@ class _Enumerator:
     def define(self, coset: int, c: int) -> int:
         if self.alive >= self.max_cosets:
             raise _Overflow
-        new = self.count
-        self.count += 1
+        new = self.defined
         width = self.width
         row = new * width
         if row + width > len(self.table):
@@ -173,7 +207,7 @@ class _Enumerator:
         layout earlier work had left.  Small tables stay on the heap,
         since every fresh mapping page costs a page fault.  Without
         mremap the rows are copied into a new mapping.  Rows past
-        self.count hold stale entries until define() blanks them.
+        self.defined hold stale entries until define() blanks them.
         """
         size = 2 * len(self.table) * self.blank_row.itemsize
         if size <= SMALL_TABLE_BYTES:
@@ -243,7 +277,9 @@ class _Enumerator:
             i += 1
 
     def coincide(self, a: int, b: int) -> None:
-        table, width = self.table, self.width
+        """Merge two cosets and every pair their rows force together,
+        stacking each entry written for the deduction pass."""
+        table, width, deduced = self.table, self.width, self.stack.append
         stack = [(a, b)]
         while stack:
             x, y = stack.pop()
@@ -265,11 +301,13 @@ class _Enumerator:
                 e = table[x * width + c]
                 if e == UNDEF:
                     table[x * width + c] = d
+                    deduced((x, c))
                 elif self.find(e) != d:
                     stack.append((e, d))
                 m = table[d * width + (c ^ 1)]
                 if m == UNDEF:
                     table[d * width + (c ^ 1)] = x
+                    deduced((d, c ^ 1))
                 elif self.find(m) != x:
                     stack.append((m, x))
             # coset 0 is always a root, since merges keep the smaller number
@@ -278,8 +316,57 @@ class _Enumerator:
                 raise _IndexOne
             self.tick()
 
+    def deduce(self) -> None:
+        """Drain the deduction stack.
+
+        For a stacked entry (k, c) -> t, trace at k every relator cycle
+        that begins with column c, from t at its second letter, without
+        defining: a gap of one is a deduction, which is stacked in turn;
+        a closed trace with two different ends is a coincidence.
+        """
+        table, width, stack = self.table, self.width, self.stack
+        parent, find = self.parent, self.find
+        while stack:
+            k, c = stack.pop()
+            t = table[k * width + c]
+            if t == UNDEF:  # k has since been merged away
+                continue
+            if parent[t] != t:
+                t = find(t)
+            krow, trow = k * width, t * width
+            for cols in self.cycles[c]:
+                j = len(cols) - 1
+                if (j > 1 and table[trow + cols[1]] == UNDEF
+                        and table[krow + (cols[j] ^ 1)] == UNDEF):
+                    continue  # a gap of two or more yields nothing
+                f, i = t, 1
+                while i <= j:
+                    e = table[f * width + cols[i]]
+                    if e == UNDEF:
+                        break
+                    f = e if parent[e] == e else find(e)
+                    i += 1
+                b = k
+                while j >= i:
+                    e = table[b * width + (cols[j] ^ 1)]
+                    if e == UNDEF:
+                        break
+                    b = e if parent[e] == e else find(e)
+                    j -= 1
+                if j < i:
+                    if f != b:
+                        self.coincide(f, b)
+                        self.events += 1
+                        break
+                elif i == j:
+                    table[f * width + cols[i]] = b
+                    table[b * width + (cols[i] ^ 1)] = f
+                    stack.append((f, cols[i]))
+                    self.events += 1
+                    self.tick()
+
     def live_cosets(self):
-        for i in range(self.count):
+        for i in range(self.defined):
             if self.parent[i] == i:
                 yield i
 
@@ -293,13 +380,20 @@ class _Enumerator:
                     for rel in self.pres.relators]
         sub_cols = [tuple(self.col[letter] for letter in w)
                     for w in self.subgens]
+        # only coincidences stack entries, so a fill-pass definition
+        # leaves nothing for the deduction pass
+        stack = self.stack
         while True:
             self.events = 0
             for cols in sub_cols:
                 self.scan(self.find(0), cols)
+                if stack:
+                    self.deduce()
             for coset in self.live_cosets():
                 for cols in rel_cols:
                     self.scan(self.find(coset), cols)
+                    if stack:
+                        self.deduce()
                     if self.parent[coset] != coset:
                         break
             if self.events:

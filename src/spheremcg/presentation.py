@@ -148,6 +148,10 @@ def named_word(name: str, n: int) -> Word:
     raise ParseError(f"unknown element name {name!r}")
 
 
+# Longest word one powered token may flatten to, the default automorphism
+# guard's letter count: a larger power is refused before it is built.
+MAX_POWER_LETTERS = 10**6
+
 # The fixed element names (g<k> and d<k> aside), in the order dump prints them.
 NAME_HEADS = ("a0", "a1", "a2", "a", "b", "y", "z", "w", "c", "phi")
 
@@ -155,7 +159,8 @@ NAME_HEADS = ("a0", "a1", "a2", "a", "b", "y", "z", "w", "c", "phi")
 def parse_expression(text: str, n: int) -> Word:
     """Parse a product of word tokens and named elements into a reduced word.
 
-    Any token may carry an integer power suffix: a0^-1, s2^3, b^2.
+    Any token may carry an integer power suffix: a0^-1, s2^3, b^2.  A token
+    whose power would flatten past MAX_POWER_LETTERS letters is refused.
     """
     out: Word = EPSILON
     for token in text.split():
@@ -171,6 +176,8 @@ def parse_expression(text: str, n: int) -> Word:
             word = named_word(base, n)
         else:
             word = parse_word(base, n)
+        if len(word) * abs(exp) > MAX_POWER_LETTERS:
+            raise ParseError(f"{token!r} flattens past {MAX_POWER_LETTERS} letters")
         out = concat(out, power(word, exp))
     return out
 

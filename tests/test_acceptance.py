@@ -179,15 +179,17 @@ def test_criterion_5_generation_certificates(order_of_smallest_group):
     small = enumerate_cosets(build_presentation(3, "extended"))
     if small.index != 12 or small.index != order_of_smallest_group:
         failures.append("n=3 total order vs Cayley closure")
-    for n in (8, 10):
-        best = enumerate_cosets(
+    # the deduction pass certifies these far inside the default limits;
+    # plain HLT needs 449,287 cosets at n=12 and overflows at n=16
+    for n in (8, 10, 12, 14, 16):
+        result = enumerate_cosets(
             build_presentation(n, "extended"),
             (named_word("a", n), named_word("b", n)),
         )
-        if best.status == "finished" and best.index != 1:
-            failures.append(f"n={n} certificate index {best.index}")
-        if best.status == "overflow":
-            print(f"note: n={n} certificate overflowed (best-effort, tolerated)")
+        if result.status != "finished" or result.index != 1:
+            failures.append(f"n={n} certificate {result.status} index {result.index}")
+        elif n >= 12 and result.stats.defined >= 10**5:
+            failures.append(f"n={n} certificate defined {result.stats.defined} cosets")
     _criterion(5, "generation certificates", failures, t0)
 
 

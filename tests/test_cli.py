@@ -160,6 +160,16 @@ class TestOrder:
         code, _, _ = run(capsys, "order", "--n", "6", "nope")
         assert code == 65
 
+    @pytest.mark.parametrize("expr", ["s1^99999999", "a0^-200001"])
+    def test_power_past_the_letter_bound_is_refused_unbuilt(self, capsys, monkeypatch, expr):
+        # s1^99999999 would flatten to 10^8 letters, a0^-200001 (five letters) to 10^6 + 5
+        def refuse(*args, **kwargs):
+            raise AssertionError("the power was built")
+        monkeypatch.setattr("spheremcg.presentation.power", refuse)
+        code, _, err = run(capsys, "order", "--n", "6", expr)
+        assert code == 65
+        assert "flattens past 1000000 letters" in err
+
     def test_guard_trip_is_inconclusive(self, capsys):
         code, out, _ = run(capsys, "order", "--n", "12", "s1 S2")
         assert code == 2
@@ -173,6 +183,10 @@ class TestEnumerate:
         lines = out.splitlines()
         assert lines[0] == "index 1"
         assert lines[1].startswith("stats: defined=")
+
+    def test_sixteen_puncture_certificate_under_default_limits(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--n", "16", "--subgroup", "a,b")
+        assert (code, out.splitlines()[0]) == (0, "index 1")
 
     def test_overflow(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "6",

@@ -1,6 +1,8 @@
 import mmap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheremcg import coset
 from spheremcg.coset import enumerate_cosets
@@ -107,6 +109,63 @@ class TestGenerationCertificates:
         assert result.index == order_of_smallest_group
 
 
+# finite groups with faithful permutation images of their generators:
+# S4 as a Coxeter group on the transpositions (1 2), (2 3), (3 4), and A5
+# as <a, b | a^2, b^3, (ab)^5> with a = (1 2)(3 4), b = (1 3 5)
+SYM_4 = toy((1, 2, 3), [(1, 1), (2, 2), (3, 3), (1, 2) * 3, (2, 3) * 3, (1, 3) * 2])
+ALT_5 = toy((1, 2), [(1, 1), (2, 2, 2), (1, 2) * 5])
+PERMUTATION_GROUPS = {
+    "S4": (SYM_4, 24, {1: (1, 0, 2, 3), 2: (0, 2, 1, 3), 3: (0, 1, 3, 2)}),
+    "A5": (ALT_5, 60, {1: (1, 0, 3, 2, 4), 2: (2, 1, 4, 3, 0)}),
+}
+
+
+def perm_of(word, images):
+    """The permutation a word induces, letters acting left to right."""
+    degree = len(next(iter(images.values())))
+    perm = tuple(range(degree))
+    for letter in word:
+        image = images[abs(letter)]
+        if letter < 0:
+            image = tuple(image.index(i) for i in range(degree))
+        perm = tuple(image[p] for p in perm)
+    return perm
+
+
+def closure_order(generators, degree):
+    """Order of the permutation group the given permutations generate."""
+    identity = tuple(range(degree))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for g in generators:
+                q = tuple(g[i] for i in p)
+                if q not in seen:
+                    seen.add(q)
+                    fresh.append(q)
+        frontier = fresh
+    return len(seen)
+
+
+@pytest.mark.parametrize("name", PERMUTATION_GROUPS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_index_matches_permutation_closure(name, data):
+    pres, order, images = PERMUTATION_GROUPS[name]
+    degree = len(images[1])
+    identity = tuple(range(degree))
+    assert all(perm_of(rel, images) == identity for rel in pres.relators)
+    assert closure_order(list(images.values()), degree) == order
+    letters = sorted(pres.alphabet())
+    subgens = tuple(map(tuple, data.draw(st.lists(
+        st.lists(st.sampled_from(letters), min_size=1, max_size=6), max_size=3))))
+    result = enumerate_cosets(pres, subgens)
+    assert result.status == "finished"
+    subgroup = closure_order([perm_of(w, images) for w in subgens], degree)
+    assert result.index == order // subgroup
+
+
 class TestTableInvariants:
     def test_relators_close_at_every_coset(self):
         pres = build_presentation(3, "extended")
@@ -156,6 +215,14 @@ class TestLimits:
         assert result.index is None
         assert result.table is None
         assert result.stats.defined <= 4
+
+    @pytest.mark.parametrize("n, subgens", [(6, ((1,),)), (5, ())])
+    def test_infinite_index_overflows(self, n, subgens):
+        # <s1> at n = 6 and the trivial subgroup at n = 5 have infinite
+        # index: no deduction or coincidence may close the table
+        result = enumerate_cosets(build_presentation(n, "extended"), subgens,
+                                  max_cosets=20000)
+        assert (result.status, result.table) == ("overflow", None)
 
     def test_time_budget_overflow(self):
         pres = build_presentation(6, "extended")

@@ -10,6 +10,9 @@ suite.  Their identity chains run long words through the free-group
 action, so they exercise long carried conjugators that the small-n
 reports never produce.
 
+`n16-main.json` holds `verify --n 16 --suite main`, whose `<a, b>`
+index-1 certificate is the largest in the golden set.
+
 Regenerate (only when a report change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -28,6 +31,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 NS = range(3, 11)
 ORACLE_N = 16
 ORACLE_SUITES = ("presentation", "prop22", "section3", "lemma-y", "lemma-z")
+MAIN_N = 16
 EXIT_CODES = {3: 0, 4: 0, 5: 0, 6: 1, 7: 0, 8: 0, 9: 0, 10: 0}
 
 
@@ -41,8 +45,8 @@ def stripped_payload(n: int, suite: str) -> tuple[int, dict]:
     return code, payload
 
 
-def stripped_report(n: int) -> tuple[int, str]:
-    code, payload = stripped_payload(n, "all")
+def stripped_report(n: int, suite: str = "all") -> tuple[int, str]:
+    code, payload = stripped_payload(n, suite)
     return code, json.dumps(payload, indent=2) + "\n"
 
 
@@ -62,8 +66,15 @@ def test_deep_oracle_reports_match_golden():
     assert oracle_report() == (GOLDEN / f"n{ORACLE_N}-oracle.json").read_text()
 
 
+def test_main_suite_report_matches_golden():
+    code, report = stripped_report(MAIN_N, "main")
+    assert report == (GOLDEN / f"n{MAIN_N}-main.json").read_text()
+    assert code == 0
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for n in NS:
         (GOLDEN / f"n{n}.json").write_text(stripped_report(n)[1])
     (GOLDEN / f"n{ORACLE_N}-oracle.json").write_text(oracle_report())
+    (GOLDEN / f"n{MAIN_N}-main.json").write_text(stripped_report(MAIN_N, "main")[1])

@@ -1,6 +1,7 @@
 import pytest
 
 from spheremcg.presentation import (
+    MAX_POWER_LETTERS,
     build_presentation,
     format_presentation,
     named_word,
@@ -139,3 +140,11 @@ class TestParseExpression:
         with pytest.raises(ParseError):
             parse_expression("nope", 6)
 
+
+    def test_power_letter_bound(self):
+        # the bound is on one token's flattened length, checked before building
+        assert len(parse_expression(f"a0^{MAX_POWER_LETTERS // 5}", 6)) == MAX_POWER_LETTERS
+        with pytest.raises(ParseError):
+            parse_expression(f"a0^{MAX_POWER_LETTERS // 5 + 1}", 6)
+        with pytest.raises(ParseError):
+            parse_expression(f"s1^-{MAX_POWER_LETTERS + 1}", 6)
