@@ -17,10 +17,21 @@ the stored image of x1 is taken out of every stored image and appended
 to c, so inner parts never pile up in the images.  The free group of
 rank n-1 >= 2 has trivial centre, so an inner automorphism has exactly
 one conjugator: c followed by the conjugator of the stored part is the
-very word the unnormalized automorphism would give as witness.  Orders
-are taken on the stored part alone, which differs from the word's
-automorphism by an inner one; inner automorphisms form a normal
-subgroup, so the same powers of both are inner.
+very word the unnormalized automorphism would give as witness.  A
+half-twist si with i < n-1 moves only xi and x(i+1), and its two new
+images are written directly from the old ones; only s(n-1), whose new
+image of x(n-1) reads every image, goes through the generic substitution.
+
+Orders are found at the quotient step first.  The order of a word is a
+multiple of the order m of its image under the puncture permutation and
+the mod-2 abelianization, so a word with m above the cap is answered
+without evaluation, and otherwise only the powers m, 2m, ... up to the
+cap get the inner test.  They are taken on the stored part alone, which
+differs from the word's automorphism by an inner one, raised to the m-th
+power by squaring.  Each product is peeled like a letter that moves x1,
+which composes it with one more inner automorphism; inner automorphisms
+form a normal subgroup, so a power built this way is inner exactly when
+the same power of the word's automorphism is.
 
 Handedness of the half-twists and the basepoint position for the
 reflection are not forced by the algebra.  The convention is fixed:
@@ -35,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Sequence
 
 from .homs import abelianization_image, perm_identity, perm_image
@@ -90,24 +102,16 @@ def compose(f: FreeAut, g: FreeAut, guard: int = DEFAULT_LENGTH_GUARD) -> FreeAu
     return FreeAut(f.n, images)
 
 
-def _sigma_pair(i: int, n: int) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
-    """Images of the i-th half-twist and its inverse on x1 .. x(n-1).
+def _last_twist(n: int) -> dict[int, Word]:
+    """Image of x(n-1) under s(n-1) and under its inverse, by letter.
 
-    For i < n-1 the twist swaps adjacent loops, conjugating one by the
-    other.  The last twist wraps through the eliminated loop xn.
+    The last twist wraps through the eliminated loop xn, so its new image
+    of x(n-1) reads every image; it is the one twist _evaluate applies
+    through _apply.  It fixes x1 .. x(n-2).
     """
-    fwd: list[Word] = [(j,) for j in range(1, n)]
-    inv: list[Word] = [(j,) for j in range(1, n)]
-    if i < n - 1:
-        fwd[i - 1] = (i, i + 1, -i)
-        fwd[i] = (i,)
-        inv[i - 1] = (i + 1,)
-        inv[i] = (-(i + 1), i, i + 1)
-    else:
-        # xn = (x1...x(n-1))^-1 substituted into the adjacent-swap images
-        fwd[n - 2] = tuple(range(-(n - 2), 0)) + (-(n - 1),)
-        inv[n - 2] = tuple(-j for j in range(n - 1, 0, -1))
-    return tuple(fwd), tuple(inv)
+    # xn = (x1...x(n-1))^-1 substituted into the adjacent-swap images
+    return {n - 1: tuple(range(-(n - 2), 0)) + (-(n - 1),),
+            -(n - 1): tuple(-j for j in range(n - 1, 0, -1))}
 
 
 # The generator convention fixed here, as the convention rows report it.
@@ -116,14 +120,13 @@ CONVENTION = "sigma=standard reflection=prefix"
 
 @dataclass(frozen=True)
 class _Gens:
-    """Half-twist automorphisms by letter, and the basis indices each
-    generator moves; t moves every index and is applied by
-    _prefix_reflect, the one statement of the reflection.  witnesses
-    holds, by relator label, the conjugator each extended relator acts
-    by, as the relator validation found it."""
+    """The image of x(n-1) under s(n-1)^+-1, by letter; the other
+    half-twists are applied by _evaluate and t by _prefix_reflect, the
+    one statement of each.  witnesses holds, by relator label, the
+    conjugator each extended relator acts by, as the relator validation
+    found it."""
 
-    auts: dict[int, FreeAut]
-    moved: dict[int, tuple[int, ...]]
+    last: dict[int, Word]
     witnesses: dict[str, Word]
 
 
@@ -142,35 +145,54 @@ def _prefix_reflect(images: list[Word]) -> list[Word]:
     return out
 
 
+def _peel(images: list[Word]) -> tuple[list[Word], Word]:
+    """The images conjugated by w0^-1, and w0, the peeled conjugator of
+    the image of x1: the automorphism composed with an inner one, so
+    that the image of x1 comes out cyclically reduced."""
+    _, w0 = cyclic_reduce(images[0])
+    if not w0:
+        return images, w0
+    w0_inv = invert(w0)
+    return [_mul(_mul(w0_inv, img), w0) for img in images], w0
+
+
 def _evaluate(word: Iterable[int], gens: _Gens, n: int,
               guard: int) -> tuple[list[Word], Word]:
     """Normalized automorphism of the word, letters applied right to left:
     stored images and a conjugator c, the automorphism being
     x -> c stored(x) c^-1.  The guard bounds the letters held, stored
     images plus c, after every letter; the stored letters are counted as
-    they change and recounted only where every image is rewritten."""
+    they change and recounted only where every image is rewritten.
+
+    A half-twist si^+-1 with i < n-1 rewrites the images A, B of xi and
+    x(i+1) directly, as (A B A^-1, A) or (B, B^-1 A B); s(n-1)^+-1 goes
+    through _apply, because its new image of x(n-1) reads every image.
+    """
     images: list[Word] = [(i,) for i in range(1, n)]
     stored = n - 1
     conj: list[int] = []
     for letter in word:
-        try:
-            moved = gens.moved[letter]
-        except KeyError:
-            raise ValueError(f"letter {letter} outside the alphabet for n={n}") from None
-        if abs(letter) == T_LETTER:
+        i = abs(letter)
+        if i == T_LETTER:
             images = _prefix_reflect(images)
             stored = sum(map(len, images))
+        elif 1 <= i < n - 1:
+            a, b = images[i - 1], images[i]
+            if letter > 0:
+                new_a, new_b = _mul(_mul(a, b), invert(a)), a
+            else:
+                new_a, new_b = b, _mul(_mul(invert(b), a), b)
+            stored += len(new_a) + len(new_b) - len(a) - len(b)
+            images[i - 1], images[i] = new_a, new_b
+        elif i == n - 1:
+            img = _apply(images, gens.last[letter])
+            stored += len(img) - len(images[-1])
+            images[-1] = img
         else:
-            g = gens.auts[letter].images
-            new = [_apply(images, g[i]) for i in moved]
-            for i, img in zip(moved, new):
-                stored += len(img) - len(images[i])
-                images[i] = img
-        if moved[0] == 0:  # x1 moved: peel its image's conjugator into c
-            _, w0 = cyclic_reduce(images[0])
+            raise ValueError(f"letter {letter} outside the alphabet for n={n}")
+        if i == 1 or i == T_LETTER:  # x1 moved: peel its image's conjugator into c
+            images, w0 = _peel(images)
             if w0:
-                w0_inv = invert(w0)
-                images = [_mul(_mul(w0_inv, img), w0) for img in images]
                 stored = sum(map(len, images))
                 for x in w0:
                     if conj and conj[-1] == -x:
@@ -198,15 +220,7 @@ def _gen_auts(n: int) -> _Gens:
     every convention row and every per-relator row reports."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    auts: dict[int, FreeAut] = {}
-    for i in range(1, n):
-        fwd, inv = _sigma_pair(i, n)
-        auts[i] = FreeAut(n, fwd)
-        auts[-i] = FreeAut(n, inv)
-    moved = {letter: tuple(i for i, img in enumerate(aut.images) if img != (i + 1,))
-             for letter, aut in auts.items()}
-    moved[T_LETTER] = moved[-T_LETTER] = tuple(range(n - 1))
-    gens = _Gens(auts, moved, {})
+    gens = _Gens(_last_twist(n), {})
     pres = build_presentation(n, "extended")
     for label, rel in zip(pres.labels, pres.relators):
         witness = _inner_witness(rel, gens, n)
@@ -272,23 +286,71 @@ def equal_in_group(u: Iterable[int], v: Iterable[int], n: int,
     return equal_with_witness(u, v, n, guard)[0]
 
 
+def default_order_cap(n: int) -> int:
+    """The cap order_of uses when none is given."""
+    return 4 * n
+
+
+def _quotient_order(word: Word, n: int) -> int:
+    """Order of the word's image under the puncture permutation and the
+    mod-2 abelianization together: the lcm of the permutation's cycle
+    lengths, doubled to even if the mod-2 image is nonzero."""
+    perm = perm_image(word, n)
+    m, seen = 1, [False] * n
+    for start in range(n):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i] - 1
+            length += 1
+        if length:
+            m = lcm(m, length)
+    return lcm(m, 2) if any(abelianization_image(word)) else m
+
+
+def _peeled_product(f: FreeAut, g: FreeAut, guard: int) -> FreeAut:
+    """f after g, with the x1 conjugator peeled off as _evaluate peels it."""
+    return FreeAut(f.n, tuple(_peel(list(compose(f, g, guard).images))[0]))
+
+
+def _power(f: FreeAut, k: int, guard: int) -> FreeAut:
+    """f^k for k >= 1 by squaring, every product peeled."""
+    if k == 1:
+        return f
+    half = _power(f, k // 2, guard)
+    square = _peeled_product(half, half, guard)
+    return _peeled_product(square, f, guard) if k % 2 else square
+
+
 def order_of(u: Iterable[int], n: int, cap: int | None = None,
              guard: int = DEFAULT_LENGTH_GUARD) -> int | None:
     """Order of u in the extended group, or None if it exceeds the cap.
 
-    Every power up to the cap gets the exact inner test.  The powers are
-    those of the stored part of the normalized automorphism, which has
-    the same inner powers as u's own.
+    The puncture permutation and the mod-2 abelianization are
+    homomorphisms of the extended group, so u's order is a multiple of
+    the order m of its image in both.  If m exceeds the cap the answer
+    is None, given without evaluating the word.  Otherwise the stored
+    part f of u's normalized automorphism is raised to the m-th power by
+    squaring, and only f^m, f^2m, ... up to the cap get the exact inner
+    test.  f differs from u's automorphism by an inner one, and each
+    product is peeled of its x1 conjugator, which composes it with one
+    more inner automorphism.  Inner automorphisms form a normal
+    subgroup, so every power built this way is inner exactly when the
+    same power of u's automorphism is.
     """
     word = reduce(u)
     if cap is None:
-        cap = 4 * n
+        cap = default_order_cap(n)
     if word == EPSILON:
         return 1
-    f = g = FreeAut(n, tuple(_evaluate(word, _gen_auts(n), n, guard)[0]))
-    for k in range(1, cap + 1):
-        if k > 1:
-            g = compose(g, f, guard)
+    m = _quotient_order(word, n)
+    if m > cap:
+        return None
+    f = FreeAut(n, tuple(_evaluate(word, _gen_auts(n), n, guard)[0]))
+    fm = g = _power(f, m, guard)
+    for k in range(m, cap + 1, m):
+        if k > m:
+            g = _peeled_product(g, fm, guard)
         if is_inner(g) is not None:
             return k
     return None

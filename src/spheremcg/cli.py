@@ -13,7 +13,7 @@ import os
 import sys
 import tempfile
 
-from .action import ResourceLimitError, equal_in_group, order_of
+from .action import ResourceLimitError, default_order_cap, equal_in_group, order_of
 from .coset import enumerate_cosets
 from .harness import SUITES, Limits, Report, full_report
 from .homs import abelianization_image, format_gf2, format_perm, perm_image
@@ -140,7 +140,7 @@ def cmd_order(n: int, limits: Limits, expr: str) -> int:
         word = parse_expression(expr, n)
     except ParseError as exc:
         return _parse_fail(exc)
-    cap = limits.order_cap if limits.order_cap is not None else 4 * n
+    cap = limits.order_cap if limits.order_cap is not None else default_order_cap(n)
     got = order_of(word, n, cap, limits.aut_guard)
     if got is None:
         print(f"exceeds cap {cap}")

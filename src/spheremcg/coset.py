@@ -44,7 +44,7 @@ import mmap
 import time
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .presentation import Presentation
 from .words import Word, invert
@@ -100,8 +100,13 @@ class CosetTable:
     def index(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def col(self) -> dict[int, int]:
+        """Column of each generator letter, built once per table."""
+        return {letter: k for k, letter in enumerate(self.letters)}
+
     def trace(self, coset: int, word: Word) -> int:
-        col = {letter: k for k, letter in enumerate(self.letters)}
+        col = self.col
         for letter in word:
             coset = self.rows[coset][col[letter]]
         return coset
@@ -113,7 +118,7 @@ class CosetTable:
         relator and subgroup generator closes.  This says nothing for a
         one-row table, where every trace returns to coset 0.
         """
-        col = {letter: k for k, letter in enumerate(self.letters)}
+        col = self.col
         for row in self.rows:
             if any(not 0 <= t < len(self.rows) for t in row):
                 return False

@@ -45,6 +45,18 @@ class TestGeneratorImages:
         assert inv.images[4] == (-5, -4, -3, -2, -1)
 
     @pytest.mark.parametrize("n", range(3, 10))
+    def test_half_twists_match_adjacent_swap(self, n):
+        # si: xi -> xi x(i+1) xi^-1, x(i+1) -> xi; si^-1: xi -> x(i+1),
+        # x(i+1) -> x(i+1)^-1 xi x(i+1); every other loop is fixed
+        for i in range(1, n - 1):
+            fwd = [(j,) for j in range(1, n)]
+            inv = list(fwd)
+            fwd[i - 1:i + 1] = (i, i + 1, -i), (i,)
+            inv[i - 1:i + 1] = (i + 1,), (-(i + 1), i, i + 1)
+            assert word_to_aut((i,), n).images == tuple(fwd)
+            assert word_to_aut((-i,), n).images == tuple(inv)
+
+    @pytest.mark.parametrize("n", range(3, 10))
     def test_reflection_matches_prefix_formula(self, n):
         assert word_to_aut((T,), n).images == prefix_reflection(n)
 
@@ -179,6 +191,57 @@ class TestOrders:
         assert order_of(power(ta0, 3), 6) == 2
         assert order_of((T,), 6) == 2
 
+    def test_quotient_order_above_cap_is_not_evaluated(self, monkeypatch):
+        # the puncture permutation is a 5-cycle times a 7-cycle, so the
+        # order is a multiple of 35 and a cap of 30 decides it unevaluated
+        def refuse(*args):
+            raise AssertionError("word evaluated")
+
+        monkeypatch.setattr(action, "_evaluate", refuse)
+        assert order_of((1, 2, 3, 4, 6, 7, 8, 9, 10, 11), 12, cap=30) is None
+
+    @given(st.integers(3, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.sampled_from([T, n - 1, 1 - n, n - 2, 2 - n, 1, -1]), max_size=8),
+        st.sampled_from(["a0", "a1", "t a0", "t", "s1", "t s1", "a0 a1"]
+                        + ["a2", f"t s{n - 1}^-1 a2"] * (n >= 4)),
+        st.lists(st.sampled_from([T, n - 1, 1 - n, n - 2, 2 - n]), max_size=2))))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_power_by_power_reference(self, case):
+        # v p r v^-1: a conjugate of a periodic element p when r is
+        # empty, and mostly of infinite order otherwise
+        n, v, p, r = case
+        word = concat(v, parse_expression(p, n), r, invert(v))
+        guard = 20_000
+
+        def reference(cap):
+            # every power up to the cap, one compose per step
+            if reduce(word) == EPSILON:
+                return 1
+            gens = action._gen_auts(n)
+            f = g = FreeAut(n, tuple(action._evaluate(reduce(word), gens, n, guard)[0]))
+            for k in range(1, cap + 1):
+                if k > 1:
+                    g = compose(g, f, guard)
+                if is_inner(g) is not None:
+                    return k
+            return None
+
+        def both(cap):
+            try:
+                return reference(cap), order_of(word, n, cap, guard)
+            except ResourceLimitError:
+                return None
+
+        got = both(4 * n)
+        if got is None:
+            return
+        assert got[0] == got[1]
+        if got[0] is not None:
+            for cap in (got[0] - 1, got[0]):
+                pair = both(cap)
+                assert pair is None or pair[0] == pair[1]
+
 
 class TestHomomorphism:
     @given(st.lists(st.sampled_from([1, 2, 3, 4, -1, -2, -3, -4, T]),
@@ -244,7 +307,10 @@ class TestResourceGuard:
             EPSILON, 10, g), 143),
         (lambda g: equal_with_witness(
             power(concat((T,), named_word("a0", 13)), 13), (T,), 13, g), 150),
-    ], ids=["twists", "a10b-8", "ta0^13"])
+        (lambda g: order_of(named_word("a0", 10), 10, guard=g), 24),
+        # m = 18: the permutation's 9-cycle, doubled by the reflection
+        (lambda g: order_of(concat((T,), named_word("a0", 9)), 9, guard=g), 64),
+    ], ids=["twists", "a10b-8", "ta0^13", "order-a0", "order-ta0"])
     def test_guard_trips_at_the_pinned_letter_count(self, call, least):
         call(least)
         with pytest.raises(ResourceLimitError):

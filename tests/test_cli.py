@@ -156,6 +156,12 @@ class TestOrder:
                            "t a0")
         assert (code, out.strip()) == (2, "exceeds cap 5")
 
+    def test_quotient_order_above_cap(self, capsys):
+        # a 5-cycle times a 7-cycle: the order is a multiple of 35
+        code, out, _ = run(capsys, "order", "--n", "12", "--order-cap", "30",
+                           "s1 s2 s3 s4 s6 s7 s8 s9 s10 s11")
+        assert (code, out.strip()) == (2, "exceeds cap 30")
+
     def test_parse_error(self, capsys):
         code, _, _ = run(capsys, "order", "--n", "6", "nope")
         assert code == 65
