@@ -49,9 +49,10 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
-from .homs import abelianization_image, perm_identity, perm_image
+from .homs import abelianization_image, perm_cycles, perm_identity, perm_image
 from .presentation import build_presentation
-from .words import EPSILON, T_LETTER, Word, concat, cyclic_reduce, invert, reduce
+from .words import (EPSILON, T_LETTER, Word, concat, cyclic_reduce, invert, reduce,
+                    require_punctures)
 
 DEFAULT_LENGTH_GUARD = 10**6
 
@@ -218,8 +219,6 @@ def _gen_auts(n: int) -> _Gens:
     relator acts as an inner automorphism.  The oriented relators are
     among them, so this one check, with the conjugators it keeps, is what
     every convention row and every per-relator row reports."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
     gens = _Gens(_last_twist(n), {})
     pres = build_presentation(n, "extended")
     for label, rel in zip(pres.labels, pres.relators):
@@ -272,6 +271,7 @@ def equal_with_witness(u: Iterable[int], v: Iterable[int], n: int,
     homomorphisms of the extended group, so a nontrivial image of u v^-1
     is an unconditional "not equal", given without evaluating the word.
     """
+    require_punctures(n)
     diff = concat(reduce(u), invert(reduce(v)))
     if diff == EPSILON:
         return True, EPSILON
@@ -295,16 +295,7 @@ def _quotient_order(word: Word, n: int) -> int:
     """Order of the word's image under the puncture permutation and the
     mod-2 abelianization together: the lcm of the permutation's cycle
     lengths, doubled to even if the mod-2 image is nonzero."""
-    perm = perm_image(word, n)
-    m, seen = 1, [False] * n
-    for start in range(n):
-        length, i = 0, start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i] - 1
-            length += 1
-        if length:
-            m = lcm(m, length)
+    m = lcm(*map(len, perm_cycles(perm_image(word, n))))
     return lcm(m, 2) if any(abelianization_image(word)) else m
 
 
@@ -326,18 +317,11 @@ def order_of(u: Iterable[int], n: int, cap: int | None = None,
              guard: int = DEFAULT_LENGTH_GUARD) -> int | None:
     """Order of u in the extended group, or None if it exceeds the cap.
 
-    The puncture permutation and the mod-2 abelianization are
-    homomorphisms of the extended group, so u's order is a multiple of
-    the order m of its image in both.  If m exceeds the cap the answer
-    is None, given without evaluating the word.  Otherwise the stored
-    part f of u's normalized automorphism is raised to the m-th power by
-    squaring, and only f^m, f^2m, ... up to the cap get the exact inner
-    test.  f differs from u's automorphism by an inner one, and each
-    product is peeled of its x1 conjugator, which composes it with one
-    more inner automorphism.  Inner automorphisms form a normal
-    subgroup, so every power built this way is inner exactly when the
-    same power of u's automorphism is.
+    Only the multiples of the quotient order m up to the cap get the
+    exact inner test, on powers built by squaring from the stored part
+    of u's normalized automorphism, as the module docstring sets out.
     """
+    require_punctures(n)
     word = reduce(u)
     if cap is None:
         cap = default_order_cap(n)

@@ -25,7 +25,7 @@ from .presentation import (
     named_word,
     parse_expression,
 )
-from .words import T_LETTER, ParseError, format_word
+from .words import ParseError, format_word, require_punctures
 
 USAGE_EXIT = 64
 PARSE_EXIT = 65
@@ -73,7 +73,13 @@ def _parse_fail(exc: ParseError) -> int:
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+    umask = os.umask(0)  # setting the umask is the only way to read it
+    os.umask(umask)
     try:
+        try:  # mkstemp made it 0600; give it the mode open(path, "w") would
+            os.fchmod(fd, os.stat(path).st_mode & 0o7777)
+        except FileNotFoundError:
+            os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -135,12 +141,12 @@ def cmd_eval(n: int, limits: Limits, left: str, right: str) -> int:
     return 0 if equal else 1
 
 
-def cmd_order(n: int, limits: Limits, expr: str) -> int:
+def cmd_order(n: int, limits: Limits, expr: str, cap: int | None) -> int:
     try:
         word = parse_expression(expr, n)
     except ParseError as exc:
         return _parse_fail(exc)
-    cap = limits.order_cap if limits.order_cap is not None else default_order_cap(n)
+    cap = cap or default_order_cap(n)
     got = order_of(word, n, cap, limits.aut_guard)
     if got is None:
         print(f"exceeds cap {cap}")
@@ -180,12 +186,11 @@ def cmd_dump(n: int, flavor: str) -> int:
     return 0
 
 
-# Each limit flag with its type; a subcommand takes only the flags it
-# reads, and a flag left out keeps its Limits default.
+# Each limit flag with its type, read by verify and enumerate and refused
+# by the other subcommands; a flag left out keeps its Limits default.
 LIMIT_FLAGS = {
     "max_cosets": ("--max-cosets", positive_count),
     "max_time": ("--max-time", positive_seconds),
-    "order_cap": ("--order-cap", positive_count),
 }
 
 
@@ -195,16 +200,13 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def command(name, summary, limits=(), need_n=True):
+    def command(name, summary, need_n=True):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--n", type=int, required=need_n,
                        help="number of punctures")
-        for limit in limits:
-            flag, kind = LIMIT_FLAGS[limit]
-            p.add_argument(flag, type=kind, default=argparse.SUPPRESS)
         return p
 
-    verify = command("verify", "run a verification suite", LIMIT_FLAGS, need_n=False)
+    verify = command("verify", "run a verification suite", need_n=False)
     verify.add_argument("--suite", choices=SUITE_TOKENS, default="all")
     verify.add_argument("--machine", action="store_true",
                         help="emit the JSON report on stdout")
@@ -215,14 +217,18 @@ def _build_parser() -> _Parser:
     ev.add_argument("left")
     ev.add_argument("right")
 
-    order = command("order", "order of an expression", ("order_cap",))
+    order = command("order", "order of an expression")
+    order.add_argument("--order-cap", type=positive_count, default=None)
     order.add_argument("expr")
 
-    enum = command("enumerate", "coset enumeration", ("max_cosets", "max_time"))
+    enum = command("enumerate", "coset enumeration")
     enum.add_argument("--subgroup", default=None,
                       help="comma-separated generator expressions")
 
     dump = command("dump", "print the presentation and named words")
+    for p in (verify, enum):
+        for flag, kind in LIMIT_FLAGS.values():
+            p.add_argument(flag, type=kind, default=argparse.SUPPRESS)
     for p in (enum, dump):
         p.add_argument("--flavor", choices=FLAVORS, default="extended")
     return parser
@@ -235,11 +241,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     n = args.n
-    if n is not None and n < 3:
-        return _usage(f"need n >= 3, got {n}")
-    if n is not None and n > T_LETTER:
-        # s<k> with k = T_LETTER would read as the reflection letter
-        return _usage(f"need n <= {T_LETTER}, got {n}")
+    if n is not None:
+        try:
+            require_punctures(n)
+        except ValueError as exc:
+            return _usage(str(exc))
     limits = Limits(**{k: v for k, v in vars(args).items() if k in LIMIT_FLAGS})
     if args.command == "verify":
         return cmd_verify(n, limits, args.suite, args.machine, args.out)
@@ -247,7 +253,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(n, limits, args.left, args.right)
         if args.command == "order":
-            return cmd_order(n, limits, args.expr)
+            return cmd_order(n, limits, args.expr, args.order_cap)
     except ResourceLimitError as exc:  # verify reports a trip as an overflow row
         print(f"inconclusive: {exc}")
         return 2

@@ -42,21 +42,23 @@ def perm_image(word: Iterable[int], n: int) -> Perm:
     return tuple(result)
 
 
-def format_perm(p: Perm) -> str:
+def perm_cycles(p: Perm) -> list[tuple[int, ...]]:
+    """Cycles of length >= 2, each from its least puncture, in order of it."""
     seen = [False] * len(p)
     cycles = []
     for start in range(len(p)):
-        if seen[start] or p[start] == start + 1:
-            seen[start] = True
-            continue
-        cycle = []
-        i = start
+        cycle, i = [], start
         while not seen[i]:
             seen[i] = True
             cycle.append(i + 1)
             i = p[i] - 1
-        cycles.append("(" + " ".join(map(str, cycle)) + ")")
-    return "".join(cycles) if cycles else "id"
+        if len(cycle) > 1:
+            cycles.append(tuple(cycle))
+    return cycles
+
+
+def format_perm(p: Perm) -> str:
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in perm_cycles(p)) or "id"
 
 
 def format_gf2(v: GF2Vec) -> str:

@@ -19,6 +19,7 @@ from .words import (
     parse_word,
     power,
     reduce,
+    require_punctures,
 )
 
 FLAVORS = ("oriented", "extended")
@@ -43,8 +44,7 @@ def build_presentation(n: int, flavor: str = "oriented") -> Presentation:
     relations for adjacent ones, the boundary relator, and the full twist.
     extended: additionally t with t^2 = 1 and t si t = si^-1.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3 punctures, got {n}")
+    require_punctures(n)
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
 

@@ -16,8 +16,16 @@ Word = tuple[int, ...]
 EPSILON: Word = ()
 
 # Letter reserved for the reflection generator.  A twist index k < n
-# would collide with it from n > 2**20 on, so the CLI refuses such n.
+# would collide with it from n > 2**20 on, so such n are refused.
 T_LETTER = 1 << 20
+
+
+def require_punctures(n: int) -> None:
+    """Refuse a puncture count outside 3 <= n <= T_LETTER."""
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    if n > T_LETTER:
+        raise ValueError(f"need n <= {T_LETTER}, got {n}")
 
 
 class ParseError(ValueError):

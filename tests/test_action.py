@@ -243,6 +243,37 @@ class TestOrders:
                 assert pair is None or pair[0] == pair[1]
 
 
+class TestPunctureRange:
+    """n outside 3..T_LETTER is refused at the library boundary, before
+    any quotient step could answer from a meaningless permutation."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: order_of((1,), 2, cap=1),
+        lambda: equal_with_witness((1,), (), 2),
+        lambda: equal_with_witness((1,), (1,), 2),
+    ])
+    def test_too_few_punctures(self, call):
+        with pytest.raises(ValueError, match="need n >= 3, got 2"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda n: order_of((1,), n),
+        lambda n: equal_with_witness((1,), (), n),
+        lambda n: equal_with_witness((1,), (1,), n),
+        lambda n: build_presentation(n, "extended"),
+    ])
+    def test_beyond_the_reflection_letter(self, monkeypatch, call):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started at an out-of-range n")
+        # a relator is reduced as it is added, so a build refused late
+        # would still fail at its first relator, not run to 2^20 punctures
+        monkeypatch.setattr(action, "_gen_auts", refuse)
+        monkeypatch.setattr("spheremcg.presentation.power", refuse)
+        monkeypatch.setattr("spheremcg.presentation.reduce", refuse)
+        with pytest.raises(ValueError, match=f"need n <= {T_LETTER}"):
+            call(T_LETTER + 1)
+
+
 class TestHomomorphism:
     @given(st.lists(st.sampled_from([1, 2, 3, 4, -1, -2, -3, -4, T]),
                     max_size=8).map(reduce),

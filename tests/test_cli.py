@@ -56,6 +56,19 @@ class TestVerify:
         assert json.loads(target.read_text())["version"]
         assert not list(tmp_path.glob(".report-*"))
 
+    @pytest.mark.parametrize("existing_mode", (None, 0o600, 0o640))
+    def test_out_mode_matches_a_plain_write(self, capsys, tmp_path, existing_mode):
+        # open(path, "w") gives a new file 0666 less the umask and keeps
+        # an existing file's mode
+        plain, target = tmp_path / "plain.json", tmp_path / "report.json"
+        for path in (plain, target) if existing_mode is not None else ():
+            path.write_text("stale")
+            path.chmod(existing_mode)
+        with open(plain, "w") as fh:
+            fh.write("{}")
+        assert run(capsys, "verify", "--suite", "n4", "--out", str(target))[0] == 0
+        assert target.stat().st_mode == plain.stat().st_mode
+
     @pytest.mark.parametrize("where", ("missing-dir", "directory"))
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
         # a missing directory fails before the temporary file exists; a
@@ -232,7 +245,7 @@ class TestDump:
 LIMIT_FLAGS = ("--max-cosets", "--max-time", "--order-cap")
 # the limit flags each subcommand reads; every other one is a usage error
 READ_LIMITS = {
-    "verify": LIMIT_FLAGS,
+    "verify": ("--max-cosets", "--max-time"),
     "order": ("--order-cap",),
     "enumerate": ("--max-cosets", "--max-time"),
     "eval": (),

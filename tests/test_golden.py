@@ -13,6 +13,10 @@ reports never produce.
 `n16-main.json` holds `verify --n 16 --suite main`, whose `<a, b>`
 index-1 certificate is the largest in the golden set.
 
+`max-cosets-50.json` holds four runs at `--max-cosets 50`, keyed by
+their arguments: the reports where an index check overflows, tolerated
+(n=8 main, n=7 odd) or not (n=5 odd, sigma2).
+
 Regenerate (only when a report change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -33,16 +37,27 @@ ORACLE_N = 16
 ORACLE_SUITES = ("presentation", "prop22", "section3", "lemma-y", "lemma-z")
 MAIN_N = 16
 EXIT_CODES = {3: 0, 4: 0, 5: 0, 6: 1, 7: 0, 8: 0, 9: 0, 10: 0}
+# each limited run's verify arguments, with its exit code
+LIMITED_RUNS = {
+    "--n 8 --suite main": 0,
+    "--n 7 --suite odd": 0,
+    "--n 5 --suite odd": 2,
+    "--suite sigma2": 1,
+}
 
 
-def stripped_payload(n: int, suite: str) -> tuple[int, dict]:
+def _verify(args: list[str]) -> tuple[int, dict]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["verify", "--n", str(n), "--suite", suite, "--machine"])
+        code = main(["verify", *args, "--machine"])
     payload = json.loads(out.getvalue())
     for check in payload["checks"]:
         del check["millis"]
     return code, payload
+
+
+def stripped_payload(n: int, suite: str) -> tuple[int, dict]:
+    return _verify(["--n", str(n), "--suite", suite])
 
 
 def stripped_report(n: int, suite: str = "all") -> tuple[int, str]:
@@ -53,6 +68,15 @@ def stripped_report(n: int, suite: str = "all") -> tuple[int, str]:
 def oracle_report() -> str:
     payloads = {suite: stripped_payload(ORACLE_N, suite)[1] for suite in ORACLE_SUITES}
     return json.dumps(payloads, indent=2) + "\n"
+
+
+def limited_reports() -> tuple[dict[str, int], str]:
+    """Exit codes and stripped reports of the runs at --max-cosets 50."""
+    runs = {args: _verify([*args.split(), "--max-cosets", "50"])
+            for args in LIMITED_RUNS}
+    codes = {args: code for args, (code, _) in runs.items()}
+    payloads = {args: payload for args, (_, payload) in runs.items()}
+    return codes, json.dumps(payloads, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("n", NS)
@@ -72,9 +96,16 @@ def test_main_suite_report_matches_golden():
     assert code == 0
 
 
+def test_limit_hitting_reports_match_golden():
+    codes, report = limited_reports()
+    assert report == (GOLDEN / "max-cosets-50.json").read_text()
+    assert codes == LIMITED_RUNS
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for n in NS:
         (GOLDEN / f"n{n}.json").write_text(stripped_report(n)[1])
     (GOLDEN / f"n{ORACLE_N}-oracle.json").write_text(oracle_report())
     (GOLDEN / f"n{MAIN_N}-main.json").write_text(stripped_report(MAIN_N, "main")[1])
+    (GOLDEN / "max-cosets-50.json").write_text(limited_reports()[1])

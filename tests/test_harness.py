@@ -202,6 +202,24 @@ class TestFullReport:
                    for line in text.splitlines())
 
 
+class TestOrderRows:
+    def test_each_order_row_caps_at_its_expected_order(self, monkeypatch):
+        caps = []
+
+        def spy(word, n, cap=None, guard=action.DEFAULT_LENGTH_GUARD):
+            caps.append(cap)
+            return action.order_of(word, n, cap, guard)
+
+        monkeypatch.setattr(harness, "order_of", spy)
+        checks = (verify_prop22(6) + verify_section3(5) + verify_lemma_z(6)
+                  + verify_odd(5) + verify_n4())
+        rows = [c for c in checks if ".order." in c.id]
+        assert len(rows) == len(caps) == 11
+        for row, cap in zip(rows, caps):
+            expected = int(re.search(r"\) = (\d+)", row.statement).group(1))
+            assert (row.status, row.witness, cap) == ("pass", expected, expected), row.id
+
+
 # The check ids each registry entry's suite makes, in registry order.
 ID_PATTERNS = {
     "presentation": r"n\d+\.pres\.",

@@ -9,6 +9,7 @@ from spheremcg.homs import (
     format_gf2,
     format_mat2,
     format_perm,
+    perm_cycles,
     gf2_rank,
     mat_inv,
     mat_mul,
@@ -174,3 +175,17 @@ class TestFormatting:
 
     def test_perm_identity(self):
         assert format_perm((1, 2, 3)) == "id"
+
+    def test_perm_cycles_from_least_puncture(self):
+        assert perm_cycles((3, 2, 5, 1, 4, 7, 6)) == [(1, 3, 5, 4), (6, 7)]
+        assert format_perm((3, 2, 5, 1, 4, 7, 6)) == "(1 3 5 4)(6 7)"
+        assert perm_cycles((1, 2, 3)) == []
+
+    @given(st.permutations(range(1, 9)))
+    def test_perm_cycles_follow_the_permutation(self, p):
+        cycles = perm_cycles(tuple(p))
+        moved = [x for c in cycles for x in c]
+        assert sorted(moved) == [x for x in range(1, 9) if p[x - 1] != x]
+        for c in cycles:
+            assert c[0] == min(c)
+            assert all(p[c[k] - 1] == c[(k + 1) % len(c)] for k in range(len(c)))

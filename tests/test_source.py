@@ -9,6 +9,9 @@ The benchmark tracer names the callables it wraps in strings, so the
 dotted parts of its `TARGETS` count as well.  An import counts as used
 when its module names the bound name anywhere; `__init__.py` and
 `from __future__` imports are exempt.
+
+The puncture-range refusal (the `need n ...` messages) is written in one
+package function, which every caller goes through.
 """
 
 import ast
@@ -73,9 +76,25 @@ def unused_imports(root):
     return found
 
 
+def range_refusals(root):
+    """The top-level definition holding each `need n` message, per message."""
+    found = []
+    for path in _package(root):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(stmt, DEFINITIONS):
+                found += [f"{path.name}:{stmt.name}" for node in ast.walk(stmt)
+                          if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                          and node.value.startswith("need n ")]
+    return found
+
+
 def test_every_top_level_definition_is_referenced():
     assert unreferenced(ROOT) == []
 
 
 def test_every_import_is_used():
     assert unused_imports(ROOT) == []
+
+
+def test_puncture_range_is_refused_in_one_place():
+    assert len(set(range_refusals(ROOT))) == 1

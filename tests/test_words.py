@@ -14,11 +14,24 @@ from spheremcg.words import (
     parse_word,
     power,
     reduce,
+    require_punctures,
 )
 
 LETTERS = st.sampled_from([1, 2, 3, 4, 5, -1, -2, -3, -4, -5])
 RAW = st.lists(LETTERS, max_size=24).map(tuple)
 WORDS = RAW.map(reduce)
+
+
+class TestPunctureRange:
+    @pytest.mark.parametrize("n", (3, T_LETTER))
+    def test_bounds_accepted(self, n):
+        require_punctures(n)
+
+    @pytest.mark.parametrize("n, message", ((2, "need n >= 3, got 2"),
+                                            (T_LETTER + 1, f"need n <= {T_LETTER}, got")))
+    def test_outside_refused(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            require_punctures(n)
 
 
 class TestReduce:
