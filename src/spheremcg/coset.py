@@ -40,45 +40,40 @@ overflow as inconclusive.
 
 from __future__ import annotations
 
-import mmap
 import time
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .presentation import Presentation
-from .words import Word, invert
+from .words import Word
 
 UNDEF = -1
 
 # Rows the table holds at first; it doubles as needed.
 INITIAL_ROWS = 64
-# Largest table kept in a heap array; a larger one moves to a mapping.
-SMALL_TABLE_BYTES = 1 << 20
-
-
-def _anonymous_map(size: int) -> mmap.mmap:
-    """Private anonymous memory, allocated page by page as it is written."""
-    if hasattr(mmap, "MAP_PRIVATE"):
-        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
-    return mmap.mmap(-1, size)
 
 
 @lru_cache(maxsize=64)
-def _cycles(generators: tuple[int, ...],
-            relators: tuple[Word, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Every distinct cyclic conjugate of a relator or its inverse, as
-    table columns, bucketed by first column."""
+def _layout(generators: tuple[int, ...], relators: tuple[Word, ...]):
+    """The table's columns for one presentation.
+
+    The letters are each generator followed by its inverse, so column
+    c ^ 1 is the inverse of column c.  Returns the letters, the column of
+    each letter, each relator as columns, and every distinct cyclic
+    conjugate of a relator or its inverse as columns, bucketed by first
+    column.
+    """
     letters = tuple(g for gen in generators for g in (gen, -gen))
     col = {letter: k for k, letter in enumerate(letters)}
+    rel_cols = tuple(tuple(col[letter] for letter in rel) for rel in relators)
     buckets: list[dict[tuple[int, ...], None]] = [{} for _ in letters]
-    for rel in relators:
-        for word in (rel, invert(rel)):
-            cols = tuple(col[letter] for letter in word)
+    for rc in rel_cols:
+        for cols in (rc, tuple(c ^ 1 for c in reversed(rc))):
             for s in range(len(cols)):
                 cycle = cols[s:] + cols[:s]
                 buckets[cycle[0]][cycle] = None
-    return tuple(tuple(bucket) for bucket in buckets)
+    return letters, col, rel_cols, tuple(tuple(bucket) for bucket in buckets)
 
 
 @dataclass(frozen=True)
@@ -153,18 +148,15 @@ class _IndexOne(Exception):
 class _Enumerator:
     def __init__(self, pres: Presentation, subgens: tuple[Word, ...],
                  max_cosets: int, max_time: float):
-        self.pres = pres
         self.subgens = subgens
         self.max_cosets = max_cosets
         self.deadline = time.monotonic() + max_time
-        self.letters = tuple(g for gen in pres.generators for g in (gen, -gen))
-        self.col = {letter: k for k, letter in enumerate(self.letters)}
+        self.letters, self.col, self.rel_cols, self.cycles = _layout(
+            pres.generators, pres.relators)
         self.width = len(self.letters)
         self.blank_row = array("i", [UNDEF]) * self.width
-        self.table: array | memoryview = self.blank_row * INITIAL_ROWS
-        self.mapping: mmap.mmap | None = None
+        self.table = self.blank_row * INITIAL_ROWS
         self.parent = array("i", [0])
-        self.cycles = _cycles(pres.generators, pres.relators)
         self.stack: list[tuple[int, int]] = []
         self.alive = 1
         self.defined = 1
@@ -186,9 +178,13 @@ class _Enumerator:
         new = self.defined
         width = self.width
         row = new * width
-        if row + width > len(self.table):
-            self.grow()
         table = self.table
+        if row + width > len(table):
+            # doubled in place, so every reference to the table stays
+            # valid; the table must never be viewed through a memoryview,
+            # since an exported buffer makes the resize raise BufferError.
+            # The copied rows are stale until this blanks each one.
+            table *= 2
         table[row:row + width] = self.blank_row
         self.parent.append(new)
         self.alive += 1
@@ -200,37 +196,6 @@ class _Enumerator:
         table[row + (c ^ 1)] = coset
         self.tick()
         return new
-
-    def grow(self) -> None:
-        """Double the table; callers re-read self.table after define().
-
-        A table past SMALL_TABLE_BYTES moves from its heap array to an
-        anonymous mapping.  Where the platform has mremap, the mapping
-        doubles in place: its rows are neither copied nor left resident
-        behind it.  A heap buffer grown by realloc sometimes was both, so
-        the peak memory of a large enumeration depended on the heap
-        layout earlier work had left.  Small tables stay on the heap,
-        since every fresh mapping page costs a page fault.  Without
-        mremap the rows are copied into a new mapping.  Rows past
-        self.defined hold stale entries until define() blanks them.
-        """
-        size = 2 * len(self.table) * self.blank_row.itemsize
-        if size <= SMALL_TABLE_BYTES:
-            self.table *= 2
-            return
-        if self.mapping is None:
-            self.mapping = _anonymous_map(size)
-            self.mapping[:size // 2] = self.table
-            self.table = memoryview(self.mapping).cast("i")
-            return
-        self.table.release()
-        try:
-            self.mapping.resize(size)
-        except (OSError, SystemError):
-            old, self.mapping = self.mapping, _anonymous_map(size)
-            self.mapping[:len(old)] = old
-            old.close()
-        self.table = memoryview(self.mapping).cast("i")
 
     def tick(self) -> None:
         self.ticks += 1
@@ -278,7 +243,6 @@ class _Enumerator:
                 self.tick()
                 return
             f = self.define(f, cols[i])
-            table = self.table
             i += 1
 
     def coincide(self, a: int, b: int) -> None:
@@ -381,8 +345,6 @@ class _Enumerator:
         Raises _IndexOne when a coincidence closes coset 0 under every
         generator, and _Overflow when a limit is hit.
         """
-        rel_cols = [tuple(self.col[letter] for letter in rel)
-                    for rel in self.pres.relators]
         sub_cols = [tuple(self.col[letter] for letter in w)
                     for w in self.subgens]
         # only coincidences stack entries, so a fill-pass definition
@@ -395,7 +357,7 @@ class _Enumerator:
                 if stack:
                     self.deduce()
             for coset in self.live_cosets():
-                for cols in rel_cols:
+                for cols in self.rel_cols:
                     self.scan(self.find(coset), cols)
                     if stack:
                         self.deduce()
@@ -432,7 +394,8 @@ class _Enumerator:
                     queue.append(t)
                 row.append(t)
             rows.append(row)
-        assert len(order) == self.alive
+        if len(order) != self.alive:
+            raise RuntimeError("standardized table dropped a live coset")
         final = tuple(tuple(order[t] for t in row) for row in rows)
         return CosetTable(self.letters, final)
 

@@ -86,6 +86,13 @@ def _gamma(k: int, n: int) -> Word:
     return reduce((k, second, -third))
 
 
+# The least n of each named element that needs one, and whether n must be
+# even; g<k> and d<k> stand for every index k.
+_LEAST_N = {"a2": (4, False), "a": (4, False), "b": (4, False),
+            "y": (4, True), "z": (6, True), "w": (6, True), "c": (6, True),
+            "g<k>": (6, True), "d<k>": (6, False)}
+
+
 def named_word(name: str, n: int) -> Word:
     """The distinguished elements, as words in the extended generators.
 
@@ -94,54 +101,43 @@ def named_word(name: str, n: int) -> Word:
     generation argument; g<k> and d<k> the shifted triple products; phi
     the half-twist word reversing the twist indices.
     """
+    indexed = name[:1] in ("g", "d") and name[1:].lstrip("-").isdigit()
+    head = name[0] + "<k>" if indexed else name
+    if head in _LEAST_N:
+        least, even = _LEAST_N[head]
+        if n < least or (even and n % 2):
+            parity = "even " if even else ""
+            raise ParseError(f"{head} needs {parity}n >= {least}, got n={n}")
     if name == "a0":
         return tuple(range(1, n))
     if name == "a1":
         return tuple(range(1, n - 1))
     if name == "a2":
-        if n < 4:
-            raise ParseError(f"a2 needs n >= 4, got n={n}")
         return tuple(range(1, n - 2)) + (n - 2, n - 2)
     if name == "a":
-        if n < 4:
-            raise ParseError(f"a needs n >= 4, got n={n}")
         return reduce((n - 3, T_LETTER) + tuple(range(1, n)) + (-(n - 3),))
     if name == "b":
-        if n < 4:
-            raise ParseError(f"b needs n >= 4, got n={n}")
         return reduce((T_LETTER, -(n - 1)) + named_word("a2", n))
     if name == "y":
-        if n < 4 or n % 2:
-            raise ParseError(f"y needs even n >= 4, got n={n}")
         return tuple(range(1, n, 2))
     if name == "z":
-        if n < 6 or n % 2:
-            raise ParseError(f"z needs even n >= 6, got n={n}")
         return tuple(range(1, n - 4, 2)) + (n - 2,)
     if name == "w":
-        if n < 6 or n % 2:
-            raise ParseError(f"w needs even n >= 6, got n={n}")
         return (-(n - 2), 1)
     if name == "c":
-        if n < 6 or n % 2:
-            raise ParseError(f"c needs even n >= 6, got n={n}")
         return (-(n - 1), 1)
     if name == "phi":
         out: list[int] = []
         for i in range(1, n - 1):
             out.extend(range(i, 0, -1))
         return tuple(out)
-    if name.startswith("g") and name[1:].lstrip("-").isdigit():
+    if head == "g<k>":
         k = int(name[1:])
-        if n < 6 or n % 2:
-            raise ParseError(f"g<k> needs even n >= 6, got n={n}")
         if k % 2 == 0 or not 1 <= k <= n - 1:
             raise ParseError(f"g index must be odd in 1..{n - 1}, got {k}")
         return _gamma(k, n)
-    if name.startswith("d") and name[1:].lstrip("-").isdigit():
+    if head == "d<k>":
         k = int(name[1:])
-        if n < 6:
-            raise ParseError(f"d<k> needs n >= 6, got n={n}")
         if not 1 <= k <= n - 5:
             raise ParseError(f"d index must lie in 1..{n - 5}, got {k}")
         return (k, k + 1, k + 3)

@@ -1,5 +1,3 @@
-import mmap
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -235,11 +233,6 @@ class TestLimits:
             enumerate_cosets(pres, ((T,),))
 
 
-class _NoResize(mmap.mmap):
-    def resize(self, size):
-        raise SystemError("mmap: resizing not available--no mremap()")
-
-
 # the symmetric group S6 as a Coxeter group: 720 cosets of the trivial subgroup
 SYM_6 = toy(range(1, 6), [(i, i) for i in range(1, 6)]
             + [(i, i + 1) * 3 for i in range(1, 5)]
@@ -248,19 +241,42 @@ GROWTH_CASES = [(SYM_6, ()),
                 (build_presentation(6, "extended"), (named_word("a", 6), named_word("b", 6)))]
 
 
-@pytest.mark.parametrize("mapping", [mmap.mmap, _NoResize])
-def test_table_moves_to_a_mapping_past_the_heap_size(monkeypatch, mapping):
-    # a small heap-array limit sends both tables into the mapping; the
-    # subclass stands in for platforms without mremap, whose mappings
-    # cannot be resized in place
+def test_table_doubles_from_one_row(monkeypatch):
+    # from a one-row table both runs double it about ten times, and each
+    # doubling must keep every row written so far
     expected = [enumerate_cosets(p, s) for p, s in GROWTH_CASES]
     assert [r.index for r in expected] == [720, 1]
-    monkeypatch.setattr(coset, "SMALL_TABLE_BYTES", 4096)
-    monkeypatch.setattr(coset, "_anonymous_map",
-                        lambda size: mapping(-1, size, flags=mmap.MAP_PRIVATE))
+    monkeypatch.setattr(coset, "INITIAL_ROWS", 1)
     for (p, s), want in zip(GROWTH_CASES, expected):
         got = enumerate_cosets(p, s)
-        # large enough to move at 4 KiB and then resize the mapping twice
-        assert got.stats.defined * len(got.table.letters) * 4 > 4 * 4096
+        assert got.stats.defined > 2 ** 9
         assert (got.index, got.table) == (want.index, want.table)
         assert got.stats.defined == want.stats.defined
+
+
+def test_table_is_assigned_once_per_run(monkeypatch):
+    # the table grows in place, so references taken before a definition
+    # stay valid: the attribute is never rebound
+    assigned = []
+
+    def spy(self, name, value):
+        if name == "table":
+            assigned.append(len(value))
+        object.__setattr__(self, name, value)
+
+    monkeypatch.setattr(coset, "INITIAL_ROWS", 1)
+    monkeypatch.setattr(coset._Enumerator, "__setattr__", spy)
+    for p, s in GROWTH_CASES:
+        assigned.clear()
+        enumerate_cosets(p, s)
+        assert assigned == [2 * len(p.generators)]
+
+
+def test_standardized_refuses_a_dropped_coset():
+    # the check holds under python -O, where an assert would be stripped
+    enum = coset._Enumerator(SYM_3, ((1,),), max_cosets=1000, max_time=60.0)
+    enum.run()
+    assert enum.standardized().index == 3
+    enum.alive += 1
+    with pytest.raises(RuntimeError):
+        enum.standardized()

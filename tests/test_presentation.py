@@ -118,6 +118,42 @@ class TestNamedWords:
         with pytest.raises(ParseError):
             named_word("z", 4)
 
+    @pytest.mark.parametrize("name, n, message", [
+        ("a2", 3, "a2 needs n >= 4, got n=3"),
+        ("a", 3, "a needs n >= 4, got n=3"),
+        ("b", 0, "b needs n >= 4, got n=0"),
+        ("y", 2, "y needs even n >= 4, got n=2"),
+        ("y", 5, "y needs even n >= 4, got n=5"),
+        ("z", 4, "z needs even n >= 6, got n=4"),
+        ("z", 7, "z needs even n >= 6, got n=7"),
+        ("w", 4, "w needs even n >= 6, got n=4"),
+        ("w", 9, "w needs even n >= 6, got n=9"),
+        ("c", 4, "c needs even n >= 6, got n=4"),
+        ("c", 7, "c needs even n >= 6, got n=7"),
+        ("g1", 7, "g<k> needs even n >= 6, got n=7"),
+        ("g2", 4, "g<k> needs even n >= 6, got n=4"),  # n is checked first
+        ("g2", 8, "g index must be odd in 1..7, got 2"),
+        ("g9", 8, "g index must be odd in 1..7, got 9"),
+        ("d1", 5, "d<k> needs n >= 6, got n=5"),
+        ("d9", 3, "d<k> needs n >= 6, got n=3"),
+        ("d2", 6, "d index must lie in 1..1, got 2"),
+        ("d0", 7, "d index must lie in 1..2, got 0"),
+        ("q", 6, "unknown element name 'q'"),
+        ("g", 6, "unknown element name 'g'"),
+    ])
+    def test_range_messages(self, name, n, message):
+        with pytest.raises(ParseError) as excinfo:
+            named_word(name, n)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("name, n", [
+        ("a2", 4), ("a", 4), ("b", 4), ("b", 5), ("y", 4), ("z", 6), ("w", 6),
+        ("c", 6), ("g1", 6), ("d1", 6), ("d1", 7),
+        ("a0", 0), ("a1", 0), ("phi", 0), ("a0", 3), ("a1", 3), ("phi", 3),
+    ])
+    def test_least_n_builds_a_word(self, name, n):
+        assert isinstance(named_word(name, n), tuple)
+
 
 class TestParseExpression:
     def test_names_and_letters_mix(self):

@@ -6,15 +6,17 @@ A definition counts as used when some other top-level statement names it,
 as a bare name or as an attribute, in a package module other than
 `__init__.py` (whose re-exports use nothing) or in a `bench/*.py` script.
 The benchmark tracer names the callables it wraps in strings, so the
-dotted parts of its `TARGETS` count as well.  An import counts as used
-when its module names the bound name anywhere; `__init__.py` and
-`from __future__` imports are exempt.
+dotted parts of its `TARGETS` count as well, and each of those targets
+must exist, since a traced benchmark run looks every one of them up.  An
+import counts as used when its module names the bound name anywhere;
+`__init__.py` and `from __future__` imports are exempt.
 
 The puncture-range refusal (the `need n ...` messages) is written in one
 package function, which every caller goes through.
 """
 
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -26,14 +28,22 @@ def _names(node):
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def _tracer_targets(tree):
+def _targets(tree):
+    """The value of a module's top-level TARGETS assignment, or None."""
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "TARGETS" for t in stmt.targets):
-            return {part for c in ast.walk(stmt.value)
-                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
-                    for part in c.value.split(".")}
-    return set()
+            return stmt.value
+    return None
+
+
+def _tracer_targets(tree):
+    value = _targets(tree)
+    if value is None:
+        return set()
+    return {part for c in ast.walk(value)
+            if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            for part in c.value.split(".")}
 
 
 def _package(root):
@@ -76,6 +86,23 @@ def unused_imports(root):
     return found
 
 
+def missing_tracer_targets(root):
+    """The `module.attr` and `module.Class.method` entries of the tracer's
+    TARGETS that the package does not define; the tracer reads each one as
+    `vars(owner)[attr]`."""
+    tracer = ast.parse((root / "bench" / "tracer.py").read_text())
+    targets = ast.literal_eval(_targets(tracer))
+    assert targets
+    missing = []
+    for module, attr in targets:
+        owner = importlib.import_module(f"spheremcg.{module}")
+        for part in attr.split("."):
+            owner = vars(owner).get(part) if owner is not None else None
+        if not callable(owner):
+            missing.append(f"{module}.{attr}")
+    return missing
+
+
 def range_refusals(root):
     """The top-level definition holding each `need n` message, per message."""
     found = []
@@ -94,6 +121,10 @@ def test_every_top_level_definition_is_referenced():
 
 def test_every_import_is_used():
     assert unused_imports(ROOT) == []
+
+
+def test_every_tracer_target_exists():
+    assert missing_tracer_targets(ROOT) == []
 
 
 def test_puncture_range_is_refused_in_one_place():
