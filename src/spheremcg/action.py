@@ -22,6 +22,22 @@ half-twist si with i < n-1 moves only xi and x(i+1), and its two new
 images are written directly from the old ones; only s(n-1), whose new
 image of x(n-1) reads every image, goes through the generic substitution.
 
+Identities whose sides share a long factor, or power one, go through the
+product path instead.  Each side is a product of factors, each a word or
+a power of a factor; a Factors cache, owned by the caller for one run,
+evaluates each distinct factor once into its normalized form and
+composes powers by squaring.  Normalized factors compose exactly:
+(c_a F')(c_b G') = c_(a F'(b)) (F' G'), after which the conjugator of the
+image of x1 is peeled into the carried one as after a letter, and the
+guard bounds the letters held after every product.  The sides u and v
+are never composed into u v^-1.  Instead u = c_w v is decided as is_inner
+decides inner automorphisms: v^-1 is applied, through the inverse
+factors, to x1 and x2 alone; u of those two words pins the one candidate
+w; and u(x) = w v(x) w^-1 is checked on every basis letter.  The
+conjugator of an inner automorphism of a free group of rank >= 2 is
+unique, so w is the witness that the flattened difference u v^-1 gives
+on the flat path, which stays for single words.
+
 Orders are found at the quotient step first.  The order of a word is a
 multiple of the order m of its image under the puncture permutation and
 the mod-2 abelianization, so a word with m above the cap is answered
@@ -47,9 +63,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .homs import abelianization_image, perm_cycles, perm_identity, perm_image
+from .homs import (GF2Vec, Perm, abelianization_image, perm_cycles, perm_identity,
+                   perm_image)
 from .presentation import build_presentation
 from .words import (EPSILON, T_LETTER, Word, concat, cyclic_reduce, invert, reduce,
                     require_punctures)
@@ -75,29 +92,41 @@ class FreeAut:
 
 def _mul(u: Word, v: Word) -> Word:
     """Reduced product of two reduced words."""
-    k, last, m = 0, len(u) - 1, min(len(u), len(v))
+    if not u or not v or u[-1] != -v[0]:
+        return u + v
+    k, last, m = 1, len(u) - 1, min(len(u), len(v))
     while k < m and u[last - k] == -v[k]:
         k += 1
     return u[:len(u) - k] + v[k:]
 
 
-def _apply(images: Sequence[Word], word: Iterable[int]) -> Word:
-    """Reduced image of word under the endomorphism with these images."""
+def _signed(images: Sequence[Word]) -> list[Word]:
+    """The images by signed letter: entry i is the image of xi and entry
+    -i, counted from the end, its inverse."""
+    return [EPSILON, *images, *map(invert, reversed(images))]
+
+
+def _apply(table: Sequence[Word] | dict[int, Word], word: Iterable[int]) -> Word:
+    """Reduced image of word under the endomorphism whose image of each
+    signed letter is table[letter], as _signed lays it out."""
     out: list[int] = []
     for letter in word:
-        img = images[letter - 1] if letter > 0 else invert(images[-letter - 1])
-        k, m = 0, min(len(out), len(img))
-        while k < m and out[-1 - k] == -img[k]:
-            k += 1
-        if k:
+        img = table[letter]
+        if out and img and out[-1] == -img[0]:
+            k, m = 1, min(len(out), len(img))
+            while k < m and out[-1 - k] == -img[k]:
+                k += 1
             del out[-k:]
-        out.extend(img[k:])
+            out.extend(img[k:])
+        else:
+            out.extend(img)
     return tuple(out)
 
 
 def compose(f: FreeAut, g: FreeAut, guard: int = DEFAULT_LENGTH_GUARD) -> FreeAut:
     """f after g: the result sends x to f(g(x))."""
-    images = tuple(_apply(f.images, img) for img in g.images)
+    table = _signed(f.images)
+    images = tuple(_apply(table, img) for img in g.images)
     if sum(len(img) for img in images) > guard:
         raise ResourceLimitError(f"automorphism images exceed {guard} letters")
     return FreeAut(f.n, images)
@@ -186,7 +215,7 @@ def _evaluate(word: Iterable[int], gens: _Gens, n: int,
             stored += len(new_a) + len(new_b) - len(a) - len(b)
             images[i - 1], images[i] = new_a, new_b
         elif i == n - 1:
-            img = _apply(images, gens.last[letter])
+            img = _apply(_signed(images), gens.last[letter])
             stored += len(img) - len(images[-1])
             images[-1] = img
         else:
@@ -239,27 +268,37 @@ def word_to_aut(word: Iterable[int], n: int,
     return FreeAut(n, tuple(images))
 
 
-def is_inner(f: FreeAut) -> Word | None:
-    """The word w with f = (x -> w x w^-1), or None.
+def _candidate(h1: Word, h2: Word) -> Word | None:
+    """The one w that can conjugate x1 to h1 and x2 to h2, or None.
 
-    Any such w conjugates x1 to f(x1) = w0 x1 w0^-1, where w0 is the
-    peeled conjugator of f(x1), so w = w0 x1^s for some s.  Then
-    w0^-1 f(x2) w0 = x1^s x2 x1^-s, whose leading run of x1^(+-1) gives
-    s.  The one candidate is checked against every image.
+    Any such w conjugates x1 to h1 = w0 x1 w0^-1, where w0 is the peeled
+    conjugator of h1, so w = w0 x1^s for some s.  Then
+    w0^-1 h2 w0 = x1^s x2 x1^-s, whose leading run of x1^(+-1) gives s.
     """
-    core, w0 = cyclic_reduce(f.images[0])
+    core, w0 = cyclic_reduce(h1)
     if core != (1,):
         return None
-    h = _mul(_mul(invert(w0), f.images[1]), w0)
+    h = _mul(_mul(invert(w0), h2), w0)
     s = 0
     if h and abs(h[0]) == 1:
         while s < len(h) and h[s] == h[0]:
             s += 1
-    w = w0 + h[:s]
+    return w0 + h[:s]
+
+
+def _conjugates(w: Word, images: Iterable[Word], by: Iterable[Word]) -> bool:
+    """Whether each image is w b w^-1 for the matching b."""
     w_inv = invert(w)
-    if all(img == _mul(_mul(w, (i,)), w_inv) for i, img in enumerate(f.images, 1)):
-        return w
-    return None
+    return all(img == _mul(_mul(w, b), w_inv) for img, b in zip(images, by))
+
+
+def is_inner(f: FreeAut) -> Word | None:
+    """The word w with f = (x -> w x w^-1), or None: the one candidate
+    that f(x1) and f(x2) allow, checked against every image."""
+    w = _candidate(f.images[0], f.images[1])
+    if w is None or not _conjugates(w, f.images, ((i,) for i in range(1, f.n))):
+        return None
+    return w
 
 
 def equal_with_witness(u: Iterable[int], v: Iterable[int], n: int,
@@ -286,6 +325,142 @@ def equal_in_group(u: Iterable[int], v: Iterable[int], n: int,
     return equal_with_witness(u, v, n, guard)[0]
 
 
+class Power(NamedTuple):
+    """The factor base^k; a negative k powers the inverse of the base."""
+
+    base: "Factor"
+    k: int
+
+
+# A factor of a product: a word, or a power of a factor.
+Factor = Word | Power
+# A normalized automorphism: stored images and the carried conjugator c,
+# the automorphism being x -> c stored(x) c^-1, as _evaluate returns it.
+_Normal = tuple[Sequence[Word], Word]
+
+
+def _product(f: _Normal, g: _Normal, guard: int) -> _Normal:
+    """f after g, exactly: (c_a F')(c_b G') = c_(a F'(b)) (F' G'), with the
+    conjugator of the image of x1 peeled into the carried one as
+    _evaluate peels it.  The guard bounds the letters held afterwards."""
+    (f_images, a), (g_images, b) = f, g
+    table = _signed(f_images)
+    images, w0 = _peel([_apply(table, img) for img in g_images])
+    conj = _mul(_mul(a, _apply(table, b)), w0)
+    if sum(map(len, images)) + len(conj) > guard:
+        raise ResourceLimitError(f"automorphism images exceed {guard} letters")
+    return images, conj
+
+
+def _act(f: _Normal, word: Word, guard: int) -> Word:
+    """Image of a word under a normalized automorphism, within the guard."""
+    images, conj = f
+    table = {x: images[x - 1] if x > 0 else invert(images[-x - 1]) for x in set(word)}
+    out = _mul(_mul(conj, _apply(table, word)), invert(conj))
+    if len(out) > guard:
+        raise ResourceLimitError(f"automorphism images exceed {guard} letters")
+    return out
+
+
+def _inner_over(f: _Normal, g: _Normal, pre: Sequence[Word], guard: int) -> Word | None:
+    """The word w with f = c_w after g, or None; pre holds g^-1(x1) and
+    g^-1(x2).
+
+    f g^-1 sends x1, x2 to f(pre), which pins the one candidate w as in
+    is_inner.  With f = c_u F' and g = c_v G', f = c_w g holds exactly
+    when F'(x) = r G'(x) r^-1 on every basis letter, r = u^-1 w v.
+    """
+    w = _candidate(*(_act(f, y, guard) for y in pre))
+    if w is None:
+        return None
+    (f_images, u), (g_images, v) = f, g
+    return w if _conjugates(_mul(_mul(invert(u), w), v), f_images, g_images) else None
+
+
+def _inverse(factor: Factor) -> Factor:
+    return Power(factor.base, -factor.k) if isinstance(factor, Power) else invert(factor)
+
+
+class Factors:
+    """The factors of one run's product equalities at one n, each
+    evaluated at most once: its quotient images when first compared, its
+    normalized automorphism when first composed.  The caller owns it, so
+    nothing outlives the run."""
+
+    def __init__(self, n: int, guard: int = DEFAULT_LENGTH_GUARD):
+        require_punctures(n)
+        self.n, self.guard = n, guard
+        self.quotients: dict[Factor, tuple[Perm, GF2Vec]] = {}
+        self.auts: dict[Factor, _Normal] = {}
+
+    def quotient(self, factors: Sequence[Factor]) -> tuple[Perm, GF2Vec]:
+        """The puncture permutation and mod-2 image of a product."""
+        perm, (s, t) = perm_identity(self.n), (0, 0)
+        for factor in factors:
+            p, (ds, dt) = self._quotient(factor)
+            perm, s, t = tuple(perm[i - 1] for i in p), s ^ ds, t ^ dt
+        return perm, (s, t)
+
+    def _quotient(self, factor: Factor) -> tuple[Perm, GF2Vec]:
+        if factor not in self.quotients:
+            if isinstance(factor, Power):
+                base = factor.base if factor.k > 0 else _inverse(factor.base)
+                self.quotients[factor] = self.quotient([base] * abs(factor.k))
+            else:
+                self.quotients[factor] = (perm_image(factor, self.n),
+                                          abelianization_image(factor))
+        return self.quotients[factor]
+
+    def aut(self, factor: Factor) -> _Normal:
+        """The normalized automorphism of a factor; a power is composed by
+        squaring from its base's."""
+        if factor not in self.auts:
+            if not isinstance(factor, Power):
+                self.auts[factor] = _evaluate(reduce(factor), _gen_auts(self.n), self.n,
+                                              self.guard)
+            elif factor.k == 0:
+                self.auts[factor] = [(i,) for i in range(1, self.n)], EPSILON
+            else:
+                base = factor.base if factor.k > 0 else _inverse(factor.base)
+                self.auts[factor] = _power(self.aut(base), abs(factor.k),
+                                           lambda f, g: _product(f, g, self.guard))
+        return self.auts[factor]
+
+    def product(self, factors: Sequence[Factor]) -> _Normal:
+        """The normalized automorphism of a product, factors left to right."""
+        first, *rest = [self.aut(f) for f in factors or [EPSILON]]
+        for f in rest:
+            first = _product(first, f, self.guard)
+        return first
+
+    def preimages(self, factors: Sequence[Factor]) -> list[Word]:
+        """The inverse of a product applied to x1 and x2 alone, through the
+        inverse factors, first factor first."""
+        pre: list[Word] = [(1,), (2,)]
+        for factor in factors:
+            inverse = self.aut(_inverse(factor))
+            pre = [_act(inverse, y, self.guard) for y in pre]
+        return pre
+
+
+def equal_products(lhs: Sequence[Factor], rhs: Sequence[Factor],
+                   factors: Factors) -> tuple[bool, Word | None]:
+    """equal_with_witness for two products of factors, at the n of the
+    factor cache, which evaluates each distinct factor once.
+
+    Each side is composed from its factors' normalized automorphisms, and
+    u = c_w v is decided by _inner_over, with v^-1 applied to x1 and x2
+    alone through the inverse factors; u v^-1 is never composed.  The
+    conjugator of an inner automorphism is unique, so the witness is the
+    one the flattened difference gives.
+    """
+    if factors.quotient(lhs) != factors.quotient(rhs):
+        return False, None
+    witness = _inner_over(factors.product(lhs), factors.product(rhs),
+                          factors.preimages(rhs), factors.guard)
+    return witness is not None, witness
+
+
 def default_order_cap(n: int) -> int:
     """The cap order_of uses when none is given."""
     return 4 * n
@@ -300,17 +475,19 @@ def _quotient_order(word: Word, n: int) -> int:
 
 
 def _peeled_product(f: FreeAut, g: FreeAut, guard: int) -> FreeAut:
-    """f after g, with the x1 conjugator peeled off as _evaluate peels it."""
+    """f after g, with the x1 conjugator peeled off as _evaluate peels it
+    and dropped: whether a power is inner does not depend on it, so
+    order_of carries no conjugator, unlike _product."""
     return FreeAut(f.n, tuple(_peel(list(compose(f, g, guard).images))[0]))
 
 
-def _power(f: FreeAut, k: int, guard: int) -> FreeAut:
-    """f^k for k >= 1 by squaring, every product peeled."""
+def _power(f, k: int, product):
+    """f^k for k >= 1 by squaring, under the given product."""
     if k == 1:
         return f
-    half = _power(f, k // 2, guard)
-    square = _peeled_product(half, half, guard)
-    return _peeled_product(square, f, guard) if k % 2 else square
+    half = _power(f, k // 2, product)
+    square = product(half, half)
+    return product(square, f) if k % 2 else square
 
 
 def order_of(u: Iterable[int], n: int, cap: int | None = None,
@@ -331,7 +508,7 @@ def order_of(u: Iterable[int], n: int, cap: int | None = None,
     if m > cap:
         return None
     f = FreeAut(n, tuple(_evaluate(word, _gen_auts(n), n, guard)[0]))
-    fm = g = _power(f, m, guard)
+    fm = g = _power(f, m, lambda f, g: _peeled_product(f, g, guard))
     for k in range(m, cap + 1, m):
         if k > m:
             g = _peeled_product(g, fm, guard)

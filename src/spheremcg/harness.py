@@ -18,8 +18,8 @@ import json
 import time
 from dataclasses import dataclass
 
-from .action import (CONVENTION, ResourceLimitError, _gen_auts, equal_with_witness,
-                     order_of)
+from .action import (CONVENTION, Factors, Power, ResourceLimitError, _gen_auts,
+                     equal_products, equal_with_witness, order_of)
 from .coset import enumerate_cosets
 from .homs import (
     MAT_ID,
@@ -37,7 +37,7 @@ from .homs import (
     validate_hom,
 )
 from .presentation import build_presentation, named_word
-from .words import EPSILON, T_LETTER, Word, concat, format_word, invert, power
+from .words import EPSILON, T_LETTER, Word, concat, format_word, invert
 
 VERSION = "0.1.0"
 
@@ -104,11 +104,13 @@ class Report:
 
 class _Recorder:
     """Runs one suite's checks under the run's limits; every check,
-    index checks included, computes its own verdict."""
+    index checks included, computes its own verdict.  The factors of the
+    suite's product equalities are evaluated once, into `factors` by n."""
 
     def __init__(self, limits: Limits | None):
         self.limits = limits or Limits()
         self.checks: list[CheckResult] = []
+        self.factors: dict[int, Factors] = {}
 
     def run(self, check_id: str, statement: str, body, tolerated: bool = False) -> None:
         t0 = time.perf_counter()
@@ -122,12 +124,27 @@ class _Recorder:
         self.checks.append(CheckResult(check_id, statement, status, witness, millis,
                                        tolerated))
 
-    def eq(self, check_id: str, statement: str, lhs: Word, rhs: Word, n: int) -> None:
+    def _equality(self, check_id: str, statement: str, decide) -> None:
         def body():
-            ok, conj = equal_with_witness(lhs, rhs, n, self.limits.aut_guard)
+            ok, conj = decide()
             return ("pass", format_word(conj) or "exact") if ok else ("fail", None)
 
         self.run(check_id, statement, body)
+
+    def eq(self, check_id: str, statement: str, lhs: Word, rhs: Word, n: int) -> None:
+        self._equality(check_id, statement, lambda: equal_with_witness(
+            lhs, rhs, n, self.limits.aut_guard))
+
+    def eq_products(self, check_id: str, statement: str, lhs: list, rhs: list,
+                    n: int) -> None:
+        """An equality of two products of factors, for long factors that
+        are shared or powered."""
+        def decide():
+            if n not in self.factors:
+                self.factors[n] = Factors(n, self.limits.aut_guard)
+            return equal_products(lhs, rhs, self.factors[n])
+
+        self._equality(check_id, statement, decide)
 
     def order(self, check_id: str, statement: str, word: Word, n: int,
               expected: int) -> None:
@@ -205,9 +222,9 @@ def verify_prop22(n: int, limits: Limits | None = None) -> tuple[CheckResult, ..
            lhs, tuple(range(n - 2, 0, -1)), n)
     phi = named_word("phi", n)
     for i in range(1, n - 1):
-        rec.eq(f"n{n}.prop22.phi.i{i}",
-               f"phi s{i} phi^-1 = s{n - 1 - i} (n={n})",
-               concat(phi, (i,), invert(phi)), (n - 1 - i,), n)
+        rec.eq_products(f"n{n}.prop22.phi.i{i}",
+                        f"phi s{i} phi^-1 = s{n - 1 - i} (n={n})",
+                        [phi, (i,)], [(n - 1 - i,), phi], n)
     for j in range(3):
         rot = named_word(f"a{j}", n)
         for i in range(1, n - 1 - j):
@@ -244,12 +261,22 @@ def verify_section3(n: int, limits: Limits | None = None) -> tuple[CheckResult, 
     return tuple(rec.checks)
 
 
-def _gamma_in_ab(j: int, n: int, x4_ab: Word, a: Word) -> Word:
-    """The odd-index triple product with subscript j as a word in a, b,
-    conjugating the chain output by the even rotation power that shifts
-    subscripts from n-5 to j."""
-    m = ((j - n + 5) // 2) % (n // 2)
-    return concat(power(a, 2 * m), x4_ab, power(a, -2 * m))
+def _shift(j: int, n: int) -> int:
+    """The m with a^(2m) shifting the chain's subscript n-5 to j."""
+    return ((j - n + 5) // 2) % (n // 2)
+
+
+def _y_factors(n: int, x4_ab: Word, a2: Power) -> list:
+    """The product over odd j of the triple products a^(2m_j) x4 a^(-2m_j),
+    which equals s1 s3 .. s(n-1), as factors: adjacent powers of a^2
+    merge, so the product telescopes to a^(2m_1) x4 a^(2(m_3-m_1)) x4 ..
+    a^(-2m_(n-1))."""
+    factors: list = []
+    m = 0
+    for j in range(1, n, 2):
+        factors += [Power(a2, _shift(j, n) - m), x4_ab]
+        m = _shift(j, n)
+    return factors + [Power(a2, -m)]
 
 
 def _chain(a: Word, b: Word) -> tuple[Word, ...]:
@@ -285,17 +312,15 @@ def verify_lemma_y(n: int, limits: Limits | None = None) -> tuple[CheckResult, .
         rec.eq(f"n{n}.lemY.{name}",
                f"{name} chain line matches its twist form (n={n})",
                ab_side, sigma_side, n)
-    a2w = concat(a, a)
+    a2 = Power(a, 2)
     for j in range(1, n, 2):
         nxt = (j + 2) % n
-        rec.eq(f"n{n}.lemY.gshift.g{j}",
-               f"a^2 (s{j} s{(j + 2) % n} s{(j + 4) % n}^-1) a^-2 shifts the subscript by 2 (n={n})",
-               concat(a2w, named_word(f"g{j}", n), invert(a2w)),
-               named_word(f"g{nxt}", n), n)
-    y_ab = concat(*(_gamma_in_ab(j, n, x4, a) for j in range(1, n, 2)))
-    rec.eq(f"n{n}.lemY.product",
-           f"product of the odd-index triples equals s1 s3 .. s{n - 1} (n={n})",
-           y_ab, named_word("y", n), n)
+        rec.eq_products(f"n{n}.lemY.gshift.g{j}",
+                        f"a^2 (s{j} s{(j + 2) % n} s{(j + 4) % n}^-1) a^-2 shifts the subscript by 2 (n={n})",
+                        [a2, named_word(f"g{j}", n)], [named_word(f"g{nxt}", n), a2], n)
+    rec.eq_products(f"n{n}.lemY.product",
+                    f"product of the odd-index triples equals s1 s3 .. s{n - 1} (n={n})",
+                    _y_factors(n, x4, a2), [named_word("y", n)], n)
     return tuple(rec.checks)
 
 
@@ -308,7 +333,8 @@ def verify_lemma_z(n: int, limits: Limits | None = None) -> tuple[CheckResult, .
     b = named_word("b", n)
     a0 = named_word("a0", n)
     ab = concat(a, b)
-    rot2 = power(concat(a0, (-(n - 1),)), 2)
+    rot = concat(a0, (-(n - 1),))
+    rot2 = concat(rot, rot)
     rec.eq(f"n{n}.lemZ.ab_form",
            f"ab = (a0 s{n - 1}^-1)^2 s{n - 5} s{n - 4} s{n - 2} (n={n})",
            ab, concat(rot2, (n - 5, n - 4, n - 2)), n)
@@ -325,9 +351,9 @@ def verify_lemma_z(n: int, limits: Limits | None = None) -> tuple[CheckResult, .
            f"triple products telescope onto a0 s{n - 1}^-1 s{n - 2}^-1 s{n - 3}^-1 s1^-1 z (n={n})",
            dprod,
            concat(a0, (-(n - 1), -(n - 2), -(n - 3), -1), named_word("z", n)), n)
-    rec.eq(f"n{n}.lemZ.power",
-           f"(ab)^{n // 2 - 1} = s1 s3 .. s{n - 5} s{n - 2} (n={n})",
-           power(ab, n // 2 - 1), named_word("z", n), n)
+    rec.eq_products(f"n{n}.lemZ.power",
+                    f"(ab)^{n // 2 - 1} = s1 s3 .. s{n - 5} s{n - 2} (n={n})",
+                    [Power(ab, n // 2 - 1)], [named_word("z", n)], n)
     rec.order(f"n{n}.lemZ.order.a1", f"order(a1) = {n - 1} (n={n})",
               named_word("a1", n), n, n - 1)
     return tuple(rec.checks)
@@ -342,13 +368,14 @@ def verify_main_even(n: int, limits: Limits | None = None) -> tuple[CheckResult,
     b = named_word("b", n)
     a0 = named_word("a0", n)
     x4_ab = _chain(a, b)[4]
-    y_ab = concat(*(_gamma_in_ab(j, n, x4_ab, a) for j in range(1, n, 2)))
-    z_ab = power(concat(a, b), n // 2 - 1)
-    g_ab = _gamma_in_ab((n - 3) % n, n, x4_ab, a)
-    w_ab = concat(invert(z_ab), y_ab, invert(g_ab))
-    rec.eq(f"n{n}.main.w",
-           f"z^-1 y gamma^-1 assembled from subgroup words = s{n - 2}^-1 s1 (n={n})",
-           w_ab, named_word("w", n), n)
+    m = _shift((n - 3) % n, n)
+    # z^-1 y gamma^-1, with z = (ab)^(n/2-1) and gamma = a^(2m) x4 a^(-2m)
+    a2 = Power(a, 2)
+    w_ab = [Power(concat(a, b), 1 - n // 2), *_y_factors(n, x4_ab, a2),
+            Power(a2, m), invert(x4_ab), Power(a2, -m)]
+    rec.eq_products(f"n{n}.main.w",
+                    f"z^-1 y gamma^-1 assembled from subgroup words = s{n - 2}^-1 s1 (n={n})",
+                    w_ab, [named_word("w", n)], n)
     ainvb = concat(invert(a), b)
     rec.eq(f"n{n}.main.ainvb",
            f"a^-1 b = s{n - 3} s{n - 4} s{n - 2}^-1 s{n - 1}^-1 s{n - 2} (n={n})",
@@ -374,8 +401,8 @@ def verify_odd(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
     a0 = named_word("a0", n)
     ta0 = concat(t, a0)
     ts1 = concat(t, (1,))
-    rec.eq(f"n{n}.odd.reflect_power", f"(t a0)^{n} = t (n={n})",
-           power(ta0, n), t, n)
+    rec.eq_products(f"n{n}.odd.reflect_power", f"(t a0)^{n} = t (n={n})",
+                    [Power(ta0, n)], [t], n)
     rec.order(f"n{n}.odd.order.ts1", f"order(t s1) = 2 (n={n})", ts1, n, 2)
     rec.order(f"n{n}.odd.order.ta0", f"order(t a0) = {2 * n} (n={n})", ta0, n, 2 * n)
     rec.index(f"n{n}.odd.index", f"subgroup <t s1, t a0> has index 1 (n={n})",

@@ -1,15 +1,18 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import conjugate
 from spheremcg import action
 from spheremcg.action import (
     CONVENTION,
+    Factors,
     FreeAut,
+    Power,
     ResourceLimitError,
     compose,
     equal_in_group,
+    equal_products,
     equal_with_witness,
     is_inner,
     order_of,
@@ -132,6 +135,145 @@ class TestIsInner:
         partial = FreeAut(6, ((1,), conjugate((2,), (1, 1, 1)), (3,), (4,), (5,)))
         assert is_inner(partial) is None
         assert is_inner(word_to_aut((2,), 6)) is None
+
+
+def _letters(n):
+    return st.sampled_from([T, -T] + [s * k for k in range(1, n) for s in (1, -1)])
+
+
+def _free_word(n, min_size=0, max_size=8):
+    """A reduced word in the basis letters x1 .. x(n-1)."""
+    letters = st.sampled_from([s * k for k in range(1, n) for s in (1, -1)])
+    return st.lists(letters, min_size=min_size, max_size=max_size).map(reduce)
+
+
+class TestInnerOver:
+    """f = c_w g, decided from f(g^-1(x1)), f(g^-1(x2)) and every image."""
+
+    @staticmethod
+    def decide(f_images, g_word, n):
+        # g normalized, with its carried conjugator, as the product path
+        # holds it; f unnormalized
+        g = Factors(n).aut(g_word)
+        pre = word_to_aut(invert(g_word), n).images[:2]
+        return action._inner_over((f_images, EPSILON), g, pre, action.DEFAULT_LENGTH_GUARD)
+
+    @given(st.integers(3, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(_letters(n), max_size=10).map(reduce),
+        _free_word(n, min_size=1).filter(bool))))
+    @settings(max_examples=80, deadline=None)
+    def test_conjugated_automorphism_gives_exactly_w(self, case):
+        n, g_word, w = case
+        g = word_to_aut(g_word, n)
+        f_images = [conjugate(img, w) for img in g.images]
+        assert self.decide(f_images, g_word, n) == w
+
+    @given(st.integers(3, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(_letters(n), max_size=10).map(reduce),
+        st.lists(_letters(n), min_size=1, max_size=6).map(reduce))))
+    @settings(max_examples=80, deadline=None)
+    def test_non_inner_factor_gives_none(self, case):
+        n, g_word, h_word = case
+        h = word_to_aut(h_word, n)
+        assume(is_inner(h) is None)
+        f = compose(h, word_to_aut(g_word, n))
+        assert self.decide(f.images, g_word, n) is None
+
+    def test_rank_two(self):
+        # n = 3: the free group on x1, x2 alone, so x2 is both the second
+        # pinning letter and the whole rest of the basis
+        g_word = (1, T, -2)
+        g = word_to_aut(g_word, 3)
+        for w in [(1,), (2,), (-1, -1, 2), (2, 1, -2, 1, 1)]:
+            f_images = [conjugate(img, w) for img in g.images]
+            assert self.decide(f_images, g_word, 3) == w
+        for h_word in [(1,), (2,), (T,), (1, 1, 2)]:
+            if is_inner(word_to_aut(h_word, 3)) is None:
+                f = compose(word_to_aut(h_word, 3), g)
+                assert self.decide(f.images, g_word, 3) is None
+        assert is_inner(word_to_aut((1,), 3)) is None
+
+
+def _cut(data, word):
+    """The word as a random product of factors, some written as powers."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(word)), max_size=3)))
+    factors = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(word)]):
+        piece = word[lo:hi]
+        form = data.draw(st.sampled_from(["word", "power", "inverse", "nested"]))
+        factors.append({"word": piece, "power": Power(piece, 1),
+                        "inverse": Power(invert(piece), -1),
+                        "nested": Power(Power(invert(piece), 1), -1)}[form])
+    return factors
+
+
+class TestProducts:
+    """The product path returns what the flat path returns on the
+    flattened words, witness included."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_flat_path(self, data):
+        n = data.draw(st.integers(3, 10))
+        letters = _letters(n)
+        u = reduce(data.draw(st.lists(letters, max_size=12)))
+        kind = data.draw(st.sampled_from(["relator", "non-inner", "random"]))
+        k = data.draw(st.integers(0, len(u)))
+        if kind == "relator":
+            # equal, and killed by both quotients, often with a witness
+            rel = data.draw(st.sampled_from(build_presentation(n, "extended").relators))
+            by = reduce(data.draw(st.lists(letters, max_size=6)))
+            v = concat(u[:k], conjugate(rel, by), u[k:])
+        elif kind == "non-inner":
+            # s_i^2 or [s_i, t]: both quotients vanish, the action need not
+            i = data.draw(st.integers(1, n - 1))
+            extra = data.draw(st.sampled_from([(i, i), (i, T, -i, T)]))
+            v = concat(u[:k], extra, u[k:])
+        else:
+            v = reduce(data.draw(st.lists(letters, max_size=12)))
+        lhs, rhs = _cut(data, u), _cut(data, v)
+        assert equal_products(lhs, rhs, Factors(n)) == equal_with_witness(u, v, n)
+        assert equal_products(rhs, lhs, Factors(n)) == equal_with_witness(v, u, n)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_powers_match_flat_path(self, data):
+        n = data.draw(st.integers(3, 10))
+        letters = _letters(n)
+        base = reduce(data.draw(st.lists(letters, min_size=1, max_size=6)))
+        k = data.draw(st.integers(-7, 7))
+        tail = reduce(data.draw(st.lists(letters, max_size=4)))
+        v = reduce(data.draw(st.lists(letters, max_size=8)))
+        if data.draw(st.booleans()):
+            # a word equal to base^k tail whenever both quotients allow
+            rel = data.draw(st.sampled_from(build_presentation(n, "extended").relators))
+            v = concat(power(base, k), rel, tail)
+        lhs = [Power(base, k), tail]
+        assert equal_products(lhs, _cut(data, v), Factors(n)) == \
+            equal_with_witness(concat(power(base, k), tail), v, n)
+
+    def test_shared_factor_is_evaluated_once(self, monkeypatch):
+        phi = named_word("phi", 8)
+        calls = []
+        evaluate = action._evaluate
+        monkeypatch.setattr(action, "_evaluate",
+                            lambda word, *rest: calls.append(word) or evaluate(word, *rest))
+        factors = Factors(8)
+        for i in range(1, 7):
+            assert equal_products([phi, (i,)], [(7 - i,), phi], factors) == (True, EPSILON)
+        assert calls.count(phi) == 1
+        assert calls.count(invert(phi)) == 1
+
+    def test_different_quotients_are_not_evaluated(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("word evaluated")
+
+        monkeypatch.setattr(action, "_evaluate", refuse)
+        assert equal_products([(1,)], [(2,)], Factors(6)) == (False, None)
+        # (s1 s2)^2 moves the punctures by a 3-cycle, and s1^3 s2 and s3 s4
+        # move them differently
+        assert equal_products([Power((1, 2), 2)], [EPSILON], Factors(6)) == (False, None)
+        assert equal_products([Power((1,), 3), (2,)], [(3, 4)], Factors(6)) == (False, None)
 
 
 class TestEquality:
@@ -343,6 +485,19 @@ class TestResourceGuard:
         (lambda g: order_of(concat((T,), named_word("a0", 9)), 9, guard=g), 64),
     ], ids=["twists", "a10b-8", "ta0^13", "order-a0", "order-ta0"])
     def test_guard_trips_at_the_pinned_letter_count(self, call, least):
+        call(least)
+        with pytest.raises(ResourceLimitError):
+            call(least - 1)
+
+    # The same on the product path, with a fresh factor cache per call:
+    # (t a0)^13 trips in a product of the squaring, phi in its evaluation.
+    @pytest.mark.parametrize("call, least", [
+        (lambda g: equal_products([Power(concat((T,), named_word("a0", 13)), 13)], [(T,)],
+                                  Factors(13, g)), 150),
+        (lambda g: equal_products([named_word("phi", 10), (3,)], [(6,), named_word("phi", 10)],
+                                  Factors(10, g)), 81),
+    ], ids=["ta0^13", "phi"])
+    def test_product_guard_trips_at_the_pinned_letter_count(self, call, least):
         call(least)
         with pytest.raises(ResourceLimitError):
             call(least - 1)

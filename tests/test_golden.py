@@ -5,10 +5,12 @@ tests/golden/ byte for byte.  Reports are deterministic apart from
 check id.  Each run's exit code is pinned too: n=6 exits 1 on the
 documented `n6.main.c` erratum, every other n exits 0.
 
-`n16-oracle.json` holds the five oracle-only suites at n=16, keyed by
-suite.  Their identity chains run long words through the free-group
-action, so they exercise long carried conjugators that the small-n
-reports never produce.
+`n16-oracle.json` and `n30-oracle.json` hold the five oracle-only suites
+at n=16 and n=30, keyed by suite; each of those runs exits 0.  Their
+identity chains run long words through the free-group action, so they
+exercise long carried conjugators that the small-n reports never
+produce, and at n=30 several witnesses are long (`lemY.product`,
+`lemZ.power`, `gshift.g25` .. `g29`, `sec3.reflect_a0`).
 
 `n16-main.json` holds `verify --n 16 --suite main`, whose `<a, b>`
 index-1 certificate is the largest in the golden set.
@@ -33,7 +35,7 @@ from spheremcg.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 NS = range(3, 11)
-ORACLE_N = 16
+ORACLE_NS = (16, 30)
 ORACLE_SUITES = ("presentation", "prop22", "section3", "lemma-y", "lemma-z")
 MAIN_N = 16
 EXIT_CODES = {3: 0, 4: 0, 5: 0, 6: 1, 7: 0, 8: 0, 9: 0, 10: 0}
@@ -65,9 +67,12 @@ def stripped_report(n: int, suite: str = "all") -> tuple[int, str]:
     return code, json.dumps(payload, indent=2) + "\n"
 
 
-def oracle_report() -> str:
-    payloads = {suite: stripped_payload(ORACLE_N, suite)[1] for suite in ORACLE_SUITES}
-    return json.dumps(payloads, indent=2) + "\n"
+def oracle_report(n: int) -> tuple[set[int], str]:
+    """Exit codes and stripped reports of the oracle-only suites at n."""
+    runs = {suite: stripped_payload(n, suite) for suite in ORACLE_SUITES}
+    codes = {code for code, _ in runs.values()}
+    payloads = {suite: payload for suite, (_, payload) in runs.items()}
+    return codes, json.dumps(payloads, indent=2) + "\n"
 
 
 def limited_reports() -> tuple[dict[str, int], str]:
@@ -86,8 +91,19 @@ def test_report_matches_golden(n):
     assert code == EXIT_CODES[n]
 
 
+def _check_oracle_golden(n: int) -> None:
+    codes, report = oracle_report(n)
+    assert report == (GOLDEN / f"n{n}-oracle.json").read_text()
+    assert codes == {0}
+
+
 def test_deep_oracle_reports_match_golden():
-    assert oracle_report() == (GOLDEN / f"n{ORACLE_N}-oracle.json").read_text()
+    _check_oracle_golden(16)
+
+
+def test_benchmark_n_oracle_reports_match_golden():
+    # n=30 is the n of the oracle-deep benchmark workload
+    _check_oracle_golden(30)
 
 
 def test_main_suite_report_matches_golden():
@@ -106,6 +122,7 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for n in NS:
         (GOLDEN / f"n{n}.json").write_text(stripped_report(n)[1])
-    (GOLDEN / f"n{ORACLE_N}-oracle.json").write_text(oracle_report())
+    for n in ORACLE_NS:
+        (GOLDEN / f"n{n}-oracle.json").write_text(oracle_report(n)[1])
     (GOLDEN / f"n{MAIN_N}-main.json").write_text(stripped_report(MAIN_N, "main")[1])
     (GOLDEN / "max-cosets-50.json").write_text(limited_reports()[1])

@@ -93,6 +93,30 @@ class TestSuiteShapes:
         [row] = rec.checks
         assert (row.status, row.witness) == ("fail", None)
 
+    def test_product_rows_refuse_what_a_broken_oracle_accepts(self, monkeypatch):
+        monkeypatch.setattr(action, "_inner_over", lambda *args: EPSILON)
+        rec = harness._Recorder(None)
+        rec.eq_products("broken.s1_s2", "s1 = s2 (n=6)", [(1,)], [(2,)], 6)
+        rec.eq_products("broken.s1s1", "s1^2 = 1 (n=6)", [(1, 1)], [], 6)
+        assert [(row.status, row.witness) for row in rec.checks] == \
+            [("fail", None), ("pass", "exact")]
+
+    @pytest.mark.parametrize("suite, n, rows", [
+        (verify_prop22, 8, ".prop22.phi."),
+        (verify_lemma_y, 8, ".lemY.gshift."),
+        (verify_lemma_y, 8, ".lemY.product"),
+        (verify_lemma_z, 10, ".lemZ.power"),
+        (verify_odd, 7, ".odd.reflect_power"),
+    ])
+    def test_guard_overflows_product_rows(self, suite, n, rows):
+        # every product row overflows under a tiny guard, and the suite
+        # still returns its other rows
+        checks = suite(n, Limits(max_cosets=100, aut_guard=12))
+        hit = [c for c in checks if rows in c.id]
+        assert hit and len(checks) > len(hit)
+        assert {(c.status, c.witness) for c in hit} == \
+            {("overflow", "automorphism length guard")}
+
     def test_prop22(self):
         checks = verify_prop22(6)
         assert statuses(checks)["n6.prop22.order.a0"] == "pass"

@@ -13,6 +13,11 @@ import counts as used when its module names the bound name anywhere;
 
 The puncture-range refusal (the `need n ...` messages) is written in one
 package function, which every caller goes through.
+
+The harness builds no flattened power: it writes powers as factors of
+the product path, so `words.power` is left to the expression parser.
+`_gen_auts` is the one `lru_cache` in `action.py`, so the factor cache of
+the product path lives only as long as the suite run that owns it.
 """
 
 import ast
@@ -129,3 +134,26 @@ def test_every_tracer_target_exists():
 
 def test_puncture_range_is_refused_in_one_place():
     assert len(set(range_refusals(ROOT))) == 1
+
+
+def called_names(path):
+    """The names a module calls, bare or as an attribute."""
+    tree = ast.parse(path.read_text(), str(path))
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def cached_definitions(path):
+    """The top-level functions of a module decorated with a cache."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [stmt.name for stmt in tree.body if isinstance(stmt, DEFINITIONS)
+            and any(_names(d) & {"lru_cache", "cache"} for d in stmt.decorator_list)]
+
+
+def test_harness_builds_no_flattened_power():
+    assert "power" not in called_names(ROOT / "src" / "spheremcg" / "harness.py")
+
+
+def test_generator_table_is_the_one_cache_in_action():
+    assert cached_definitions(ROOT / "src" / "spheremcg" / "action.py") == ["_gen_auts"]
