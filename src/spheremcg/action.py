@@ -67,7 +67,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .homs import (GF2Vec, Perm, abelianization_image, perm_cycles, perm_identity,
                    perm_image)
-from .presentation import build_presentation
+from .presentation import build_presentation, extended_letters
 from .words import (EPSILON, T_LETTER, Word, concat, cyclic_reduce, invert, reduce,
                     require_punctures)
 
@@ -247,11 +247,19 @@ def _gen_auts(n: int) -> _Gens:
     """The generator automorphisms at n, refused unless every extended
     relator acts as an inner automorphism.  The oriented relators are
     among them, so this one check, with the conjugators it keeps, is what
-    every convention row and every per-relator row reports."""
+    every convention row and every per-relator row reports.
+
+    The check runs once per n for every caller, under the default guard,
+    so an n whose extended relators alone hold more letters than that
+    guard is refused, as a tripped guard, before they are built."""
+    letters = extended_letters(n)
+    if letters > DEFAULT_LENGTH_GUARD:
+        raise ResourceLimitError(f"the extended relators at n={n} hold {letters} letters, "
+                                 f"over the {DEFAULT_LENGTH_GUARD}-letter guard")
     gens = _Gens(_last_twist(n), {})
     pres = build_presentation(n, "extended")
     for label, rel in zip(pres.labels, pres.relators):
-        witness = _inner_witness(rel, gens, n)
+        witness = _inner_witness(rel, gens, n, DEFAULT_LENGTH_GUARD)
         if witness is None:
             raise RuntimeError(f"relator {label} does not act trivially at n={n}")
         gens.witnesses[label] = witness

@@ -25,6 +25,17 @@ cycles that start with c at k, so one direction suffices.  On the
 even-n <a, b> certificates the pass cuts the cosets defined about
 37-fold (12,091 instead of 449,287 at n = 12).
 
+Two things keep each step cheap without changing which steps run.  A
+merge of y into x moves every entry y c = d of y's row to x and points
+the back-pointer d c^-1 at x when it still names y, as coset-table
+merges usually do (Holt-Eick-O'Brien, Handbook of Computational Group
+Theory, ch. 5), so later traces through it need no union-find lookup.
+And the deduction pass traces a four-letter cycle (a commutator, or
+t si t si), most of the cycles at n = 10..15, with an unrolled kernel
+whose outcome is the generic trace's.  Every union-find reader resolves
+an entry to its root, so neither changes a deduction, coincidence or
+definition: the statistics of every run are what they were without them.
+
 Index-1 runs close early.  Every table entry is a consequence
 (H w_i g = H w_j), so once every generator maps coset 0 to itself, every
 generator lies in H and H is the whole group; the enumeration stops right
@@ -60,19 +71,28 @@ def _layout(generators: tuple[int, ...], relators: tuple[Word, ...]):
 
     The letters are each generator followed by its inverse, so column
     c ^ 1 is the inverse of column c.  Returns the letters, the column of
-    each letter, each relator as columns, and every distinct cyclic
-    conjugate of a relator or its inverse as columns, bucketed by first
-    column.
+    each letter, each relator as columns, and, per first column, a record
+    of every distinct cyclic conjugate of a relator or its inverse, in
+    the order the deduction pass traces them.  A record starts with the
+    cycle's last index.  A four-letter cycle c0 c1 c2 c3 is then flat:
+    c1, c2, c3 and their inverse columns.  A longer or shorter cycle
+    carries its columns and inverts them as it goes, which keeps the long
+    full-twist cycles at one tuple each.
     """
     letters = tuple(g for gen in generators for g in (gen, -gen))
     col = {letter: k for k, letter in enumerate(letters)}
     rel_cols = tuple(tuple(col[letter] for letter in rel) for rel in relators)
-    buckets: list[dict[tuple[int, ...], None]] = [{} for _ in letters]
+    buckets: list[dict[tuple, None]] = [{} for _ in letters]
     for rc in rel_cols:
         for cols in (rc, tuple(c ^ 1 for c in reversed(rc))):
             for s in range(len(cols)):
                 cycle = cols[s:] + cols[:s]
-                buckets[cycle[0]][cycle] = None
+                if len(cycle) == 4:
+                    rest = cycle[1:]
+                    record = (3, *rest, *(c ^ 1 for c in rest))
+                else:
+                    record = (len(cycle) - 1, cycle)
+                buckets[cycle[0]][record] = None
     return letters, col, rel_cols, tuple(tuple(bucket) for bucket in buckets)
 
 
@@ -209,7 +229,7 @@ class _Enumerator:
         gap is either closed by one deduction, reported as a coincidence,
         or plugged by defining a coset at the first hole.
         """
-        table, width = self.table, self.width
+        table, width, parent, find = self.table, self.width, self.parent, self.find
         i, j = 0, len(cols) - 1
         f = b = coset
         while True:
@@ -217,7 +237,7 @@ class _Enumerator:
                 t = table[f * width + cols[i]]
                 if t == UNDEF:
                     break
-                f = self.find(t)
+                f = t if parent[t] == t else find(t)
                 i += 1
             if i > j:
                 if f != b:
@@ -228,7 +248,7 @@ class _Enumerator:
                 t = table[b * width + (cols[j] ^ 1)]
                 if t == UNDEF:
                     break
-                b = self.find(t)
+                b = t if parent[t] == t else find(t)
                 j -= 1
             if j < i:
                 if f != b:
@@ -249,39 +269,49 @@ class _Enumerator:
         """Merge two cosets and every pair their rows force together,
         stacking each entry written for the deduction pass."""
         table, width, deduced = self.table, self.width, self.stack.append
+        parent, find, blank_row = self.parent, self.find, self.blank_row
         stack = [(a, b)]
         while stack:
             x, y = stack.pop()
-            x, y = self.find(x), self.find(y)
+            if parent[x] != x:
+                x = find(x)
+            if parent[y] != y:
+                y = find(y)
             if x == y:
                 continue
             if y < x:
                 x, y = y, x
-            self.parent[y] = x
+            parent[y] = x
             self.alive -= 1
             self.collapses += 1
+            # y is no longer a root and the loop reads only roots' rows,
+            # so y's row is taken and blanked at once
             row = y * width
-            for c in range(width):
-                d = table[row + c]
+            moved = table[row:row + width]
+            table[row:row + width] = blank_row
+            xrow = x * width
+            for c, d in enumerate(moved):
                 if d == UNDEF:
                     continue
-                table[row + c] = UNDEF
-                d = self.find(d)
-                e = table[x * width + c]
+                if parent[d] != d:
+                    d = find(d)
+                e = table[xrow + c]
                 if e == UNDEF:
-                    table[x * width + c] = d
+                    table[xrow + c] = d
                     deduced((x, c))
-                elif self.find(e) != d:
+                elif (e if parent[e] == e else find(e)) != d:
                     stack.append((e, d))
-                m = table[d * width + (c ^ 1)]
-                if m == UNDEF:
-                    table[d * width + (c ^ 1)] = x
+                back = d * width + (c ^ 1)
+                m = table[back]
+                if m == y:
+                    table[back] = x  # the back-pointer follows the merge
+                elif m == UNDEF:
+                    table[back] = x
                     deduced((d, c ^ 1))
-                elif self.find(m) != x:
+                elif (m if parent[m] == m else find(m)) != x:
                     stack.append((m, x))
             # coset 0 is always a root, since merges keep the smaller number
-            if x == 0 and all(t != UNDEF and self.find(t) == 0
-                              for t in table[:width]):
+            if x == 0 and all(t != UNDEF and find(t) == 0 for t in table[:width]):
                 raise _IndexOne
             self.tick()
 
@@ -291,7 +321,10 @@ class _Enumerator:
         For a stacked entry (k, c) -> t, trace at k every relator cycle
         that begins with column c, from t at its second letter, without
         defining: a gap of one is a deduction, which is stacked in turn;
-        a closed trace with two different ends is a coincidence.
+        a closed trace with two different ends is a coincidence.  A
+        four-letter cycle c c1 c2 c3 is traced by an unrolled kernel with
+        the same outcome: forward from t over c1, c2, c3 while defined,
+        then back from k over the inverses of c3, c2, c1 while defined.
         """
         table, width, stack = self.table, self.width, self.stack
         parent, find = self.parent, self.find
@@ -303,8 +336,54 @@ class _Enumerator:
             if parent[t] != t:
                 t = find(t)
             krow, trow = k * width, t * width
-            for cols in self.cycles[c]:
-                j = len(cols) - 1
+            for record in self.cycles[c]:
+                if record[0] == 3:
+                    _, c1, c2, c3, i1, i2, i3 = record
+                    e = table[trow + c1]
+                    if e == UNDEF:  # open at c1: a gap of one needs c3, c2 back
+                        e = table[krow + i3]
+                        if e == UNDEF:
+                            continue
+                        b = e if parent[e] == e else find(e)
+                        e = table[b * width + i2]
+                        if e == UNDEF:
+                            continue
+                        b = e if parent[e] == e else find(e)
+                        e = table[b * width + i1]
+                        if e == UNDEF:
+                            self.write_deduction(t, c1, b)
+                            continue
+                        f, b = t, (e if parent[e] == e else find(e))
+                    else:
+                        f = e if parent[e] == e else find(e)
+                        e = table[f * width + c2]
+                        if e == UNDEF:  # open at c2: a gap of one needs c3 back
+                            e = table[krow + i3]
+                            if e == UNDEF:
+                                continue
+                            b = e if parent[e] == e else find(e)
+                            e = table[b * width + i2]
+                            if e == UNDEF:
+                                self.write_deduction(f, c2, b)
+                                continue
+                            b = e if parent[e] == e else find(e)
+                        else:
+                            f = e if parent[e] == e else find(e)
+                            e = table[f * width + c3]
+                            if e == UNDEF:  # open at c3 only
+                                e = table[krow + i3]
+                                if e == UNDEF:
+                                    self.write_deduction(f, c3, k)
+                                    continue
+                                b = e if parent[e] == e else find(e)
+                            else:
+                                f, b = (e if parent[e] == e else find(e)), k
+                    if f != b:
+                        self.coincide(f, b)
+                        self.events += 1
+                        break
+                    continue
+                j, cols = record
                 if (j > 1 and table[trow + cols[1]] == UNDEF
                         and table[krow + (cols[j] ^ 1)] == UNDEF):
                     continue  # a gap of two or more yields nothing
@@ -328,11 +407,17 @@ class _Enumerator:
                         self.events += 1
                         break
                 elif i == j:
-                    table[f * width + cols[i]] = b
-                    table[b * width + (cols[i] ^ 1)] = f
-                    stack.append((f, cols[i]))
-                    self.events += 1
-                    self.tick()
+                    self.write_deduction(f, cols[i], b)
+
+    def write_deduction(self, f: int, c: int, b: int) -> None:
+        """Fill the gap of one between f and b in column c, both halves,
+        and stack the entry for the deduction pass."""
+        width = self.width
+        self.table[f * width + c] = b
+        self.table[b * width + (c ^ 1)] = f
+        self.stack.append((f, c))
+        self.events += 1
+        self.tick()
 
     def live_cosets(self):
         for i in range(self.defined):

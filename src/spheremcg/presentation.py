@@ -72,6 +72,14 @@ def build_presentation(n: int, flavor: str = "oriented") -> Presentation:
     return Presentation(n, flavor, gens, tuple(relators), tuple(labels))
 
 
+def extended_letters(n: int) -> int:
+    """Letters in the relators of build_presentation(n, "extended"),
+    without building them: 2 for t^2, 4 per (t si)^2, 4 per commutator,
+    6 per braid relator, 2(n - 1) for the sphere relator and n(n - 1) for
+    the full twist."""
+    return 3 * n * n + n - 4
+
+
 def format_presentation(pres: Presentation) -> str:
     lines = [f"n={pres.n} flavor={pres.flavor}"]
     for label, rel in zip(pres.labels, pres.relators):

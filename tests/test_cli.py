@@ -151,6 +151,22 @@ class TestEval:
         assert out.startswith("inconclusive: automorphism images exceed")
 
 
+class TestLargePunctureCounts:
+    # at n = 578 the extended relators first hold more letters than the
+    # default guard, so the generators are refused before they are built
+    @pytest.mark.parametrize("n", ["578", "5000"])
+    @pytest.mark.parametrize("argv", [("eval", "s1 s1", "S1 S1"), ("order", "s1")],
+                             ids=["eval", "order"])
+    def test_refused_unbuilt(self, capsys, monkeypatch, argv, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the presentation was built")
+        monkeypatch.setattr("spheremcg.action.build_presentation", refuse)
+        monkeypatch.setattr("spheremcg.presentation.build_presentation", refuse)
+        code, out, _ = run(capsys, argv[0], "--n", n, *argv[1:])
+        assert code == 2
+        assert out.startswith(f"inconclusive: the extended relators at n={n} hold")
+
+
 class TestOrder:
     def test_even_reflected_rotation(self, capsys):
         code, out, _ = run(capsys, "order", "--n", "6", "t a0")

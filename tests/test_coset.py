@@ -280,3 +280,35 @@ def test_standardized_refuses_a_dropped_coset():
     enum.alive += 1
     with pytest.raises(RuntimeError):
         enum.standardized()
+
+
+# (defined, max_alive, collapses) of runs whose every step is fixed: a
+# change that makes each step cheaper must not move them
+PINNED_STATS = [
+    ("ab", 6, 563, 537, 309),
+    ("ab", 8, 3127, 2873, 1122),
+    ("ab", 12, 12091, 11543, 4853),
+    ("ab", 16, 30247, 29235, 12731),
+    ("t s1, t a0", 9, 313, 313, 312),
+    ("t s1, t a0", 15, 862, 862, 861),
+]
+
+
+@pytest.mark.parametrize("subgroup, n, defined, max_alive, collapses", PINNED_STATS,
+                         ids=[f"{s}-n{n}" for s, n, *_ in PINNED_STATS])
+def test_index_one_stats_are_pinned(subgroup, n, defined, max_alive, collapses):
+    if subgroup == "ab":
+        subgens = (named_word("a", n), named_word("b", n))
+    else:
+        subgens = ((T, 1), (T,) + named_word("a0", n))
+    result = enumerate_cosets(build_presentation(n, "extended"), subgens)
+    assert result.index == 1
+    s = result.stats
+    assert (s.defined, s.max_alive, s.collapses) == (defined, max_alive, collapses)
+
+
+def test_overflow_stats_are_pinned():
+    result = enumerate_cosets(build_presentation(5, "extended"), max_cosets=20000)
+    s = result.stats
+    assert (result.status, s.defined, s.max_alive, s.collapses) == \
+        ("overflow", 28078, 20000, 8078)

@@ -3,6 +3,7 @@ import pytest
 from spheremcg.presentation import (
     MAX_POWER_LETTERS,
     build_presentation,
+    extended_letters,
     format_presentation,
     named_word,
     parse_expression,
@@ -22,6 +23,11 @@ class TestBuildPresentation:
     def test_six_puncture_counts(self):
         assert len(build_presentation(6, "extended").relators) == 18
         assert len(build_presentation(6, "oriented").relators) == 12
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_extended_letter_count(self, n):
+        pres = build_presentation(n, "extended")
+        assert extended_letters(n) == sum(map(len, pres.relators))
 
     def test_oriented_has_no_reflection(self):
         pres = build_presentation(6, "oriented")

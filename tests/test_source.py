@@ -18,6 +18,8 @@ The harness builds no flattened power: it writes powers as factors of
 the product path, so `words.power` is left to the expression parser.
 `_gen_auts` is the one `lru_cache` in `action.py`, so the factor cache of
 the product path lives only as long as the suite run that owns it.
+`_layout` is the one in `coset.py`, so the cycle records the deduction
+pass reads are built once per presentation, never once per enumeration.
 """
 
 import ast
@@ -157,3 +159,7 @@ def test_harness_builds_no_flattened_power():
 
 def test_generator_table_is_the_one_cache_in_action():
     assert cached_definitions(ROOT / "src" / "spheremcg" / "action.py") == ["_gen_auts"]
+
+
+def test_layout_is_the_one_cache_in_coset():
+    assert cached_definitions(ROOT / "src" / "spheremcg" / "coset.py") == ["_layout"]
