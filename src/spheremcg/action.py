@@ -9,45 +9,47 @@ quotients agree), orders and relator validation below all reduce to one
 primitive: deciding whether an automorphism is inner, which is decidable
 in a free group by inspecting the conjugacy class of one basis image.
 
-A word is evaluated letter by letter into a normalized form: stored
-images together with a carried conjugator c, the automorphism being
-x -> c stored(x) c^-1.  Each letter recomputes only the images its
-generator moves.  After a letter that moves x1, the peeled conjugator of
-the stored image of x1 is taken out of every stored image and appended
-to c, so inner parts never pile up in the images.  The free group of
-rank n-1 >= 2 has trivial centre, so an inner automorphism has exactly
-one conjugator: c followed by the conjugator of the stored part is the
-very word the unnormalized automorphism would give as witness.  A
-half-twist si with i < n-1 moves only xi and x(i+1), and its two new
-images are written directly from the old ones; only s(n-1), whose new
-image of x(n-1) reads every image, goes through the generic substitution.
+An automorphism is held in one normalized form, FreeAut: stored images
+and a carried conjugator c, the automorphism being x -> c stored(x) c^-1.
+word_to_aut, the one evaluation entry, reads a word into it letter by
+letter, recomputing only the images each letter's generator moves: a
+half-twist si with i < n-1 rewrites xi and x(i+1) directly from the old
+images, and only s(n-1), whose new image of x(n-1) reads every image,
+goes through the generic substitution.  After a letter that moves x1,
+and after each compose, the peeled conjugator of the stored image of x1
+is taken out of every stored image and appended to c, so inner parts
+never pile up in the images.  The free group of rank n-1 >= 2 has
+trivial centre, so an inner automorphism has exactly one conjugator:
+is_inner finds that of the stored part and prefixes c.
 
+A single-word identity u = v is decided by is_inner on u v^-1.
 Identities whose sides share a long factor, or power one, go through the
-product path instead.  Each side is a product of factors, each a word or
-a power of a factor; a Factors cache, owned by the caller for one run,
-evaluates each distinct factor once into its normalized form and
-composes powers by squaring.  Normalized factors compose exactly:
-(c_a F')(c_b G') = c_(a F'(b)) (F' G'), after which the conjugator of the
-image of x1 is peeled into the carried one as after a letter, and the
-guard bounds the letters held after every product.  The sides u and v
-are never composed into u v^-1.  Instead u = c_w v is decided as is_inner
-decides inner automorphisms: v^-1 is applied, through the inverse
-factors, to x1 and x2 alone; u of those two words pins the one candidate
-w; and u(x) = w v(x) w^-1 is checked on every basis letter.  The
-conjugator of an inner automorphism of a free group of rank >= 2 is
-unique, so w is the witness that the flattened difference u v^-1 gives
-on the flat path, which stays for single words.
+product path instead: each side is a product of factors, each a word or
+a power of a factor, and a Factors cache, owned by the caller for one
+run, evaluates each distinct factor once and composes powers by
+squaring.  u v^-1 is never composed.  Instead u = c_w v is decided as
+is_inner decides inner automorphisms: v^-1 is applied, through the
+inverse factors, to x1 and x2 alone; u of those two words pins the one
+candidate w; and u(x) = w v(x) w^-1 is checked on every basis letter.
+The conjugator is unique, so w is the witness u v^-1 would give.
 
 Orders are found at the quotient step first.  The order of a word is a
 multiple of the order m of its image under the puncture permutation and
 the mod-2 abelianization, so a word with m above the cap is answered
 without evaluation, and otherwise only the powers m, 2m, ... up to the
-cap get the inner test.  They are taken on the stored part alone, which
-differs from the word's automorphism by an inner one, raised to the m-th
-power by squaring.  Each product is peeled like a letter that moves x1,
-which composes it with one more inner automorphism; inner automorphisms
-form a normal subgroup, so a power built this way is inner exactly when
+cap get the inner test.  They are taken on the stored part alone, raised
+to the m-th power by squaring with the carried conjugator of each
+compose dropped.  That changes each power by an inner automorphism, and
+inner automorphisms form a normal subgroup, so it is inner exactly when
 the same power of the word's automorphism is.
+
+The guard bounds the letters held, stored images plus conjugator, after
+every letter and every compose.  A guard trip (ResourceLimitError) is
+inconclusive, never a verdict.  Two evaluation orders of the same
+identity hold different automorphisms on the way, so they may trip at
+different inputs: flattening u v^-1 into one word can cancel a long
+power that the product path evaluates on its own, and the other way
+round.
 
 Handedness of the half-twists and the basepoint position for the
 reflection are not forced by the algebra.  The convention is fixed:
@@ -67,27 +69,20 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .homs import (GF2Vec, Perm, abelianization_image, perm_cycles, perm_identity,
                    perm_image)
-from .presentation import build_presentation, extended_letters
-from .words import (EPSILON, T_LETTER, Word, concat, cyclic_reduce, invert, reduce,
-                    require_punctures)
-
-DEFAULT_LENGTH_GUARD = 10**6
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when automorphism images outgrow the configured guard."""
+from .presentation import DEFAULT_LENGTH_GUARD, ResourceLimitError, build_presentation
+from .words import EPSILON, T_LETTER, Word, cyclic_reduce, invert, reduce, require_punctures
 
 
 @dataclass(frozen=True)
 class FreeAut:
-    """Endomorphism of the free group on x1 .. x(n-1), given by images.
-
-    images[i] is the reduced image word of basis letter i+1.  All
-    constructors here only ever build automorphisms.
-    """
+    """Automorphism of the free group on x1 .. x(n-1), normalized:
+    x(i+1) -> conj images[i] conj^-1, each stored image reduced.  Every
+    one the package builds comes from _evaluate or compose, which peel
+    the conjugator of the stored image of x1 into conj."""
 
     n: int
     images: tuple[Word, ...]
+    conj: Word = EPSILON
 
 
 def _mul(u: Word, v: Word) -> Word:
@@ -121,15 +116,6 @@ def _apply(table: Sequence[Word] | dict[int, Word], word: Iterable[int]) -> Word
         else:
             out.extend(img)
     return tuple(out)
-
-
-def compose(f: FreeAut, g: FreeAut, guard: int = DEFAULT_LENGTH_GUARD) -> FreeAut:
-    """f after g: the result sends x to f(g(x))."""
-    table = _signed(f.images)
-    images = tuple(_apply(table, img) for img in g.images)
-    if sum(len(img) for img in images) > guard:
-        raise ResourceLimitError(f"automorphism images exceed {guard} letters")
-    return FreeAut(f.n, images)
 
 
 def _last_twist(n: int) -> dict[int, Word]:
@@ -186,13 +172,10 @@ def _peel(images: list[Word]) -> tuple[list[Word], Word]:
     return [_mul(_mul(w0_inv, img), w0) for img in images], w0
 
 
-def _evaluate(word: Iterable[int], gens: _Gens, n: int,
-              guard: int) -> tuple[list[Word], Word]:
-    """Normalized automorphism of the word, letters applied right to left:
-    stored images and a conjugator c, the automorphism being
-    x -> c stored(x) c^-1.  The guard bounds the letters held, stored
-    images plus c, after every letter; the stored letters are counted as
-    they change and recounted only where every image is rewritten.
+def _evaluate(word: Iterable[int], gens: _Gens, n: int, guard: int) -> FreeAut:
+    """Normalized automorphism of the word, letters applied right to left.
+    The stored letters the guard reads are counted as they change and
+    recounted only where every image is rewritten.
 
     A half-twist si^+-1 with i < n-1 rewrites the images A, B of xi and
     x(i+1) directly, as (A B A^-1, A) or (B, B^-1 A B); s(n-1)^+-1 goes
@@ -231,15 +214,7 @@ def _evaluate(word: Iterable[int], gens: _Gens, n: int,
                         conj.append(x)
         if stored + len(conj) > guard:
             raise ResourceLimitError(f"automorphism images exceed {guard} letters")
-    return images, tuple(conj)
-
-
-def _inner_witness(word: Iterable[int], gens: _Gens, n: int,
-                   guard: int = DEFAULT_LENGTH_GUARD) -> Word | None:
-    """The conjugator w with the word acting as x -> w x w^-1, or None."""
-    images, conj = _evaluate(word, gens, n, guard)
-    w = is_inner(FreeAut(n, tuple(images)))
-    return None if w is None else _mul(conj, w)
+    return FreeAut(n, tuple(images), tuple(conj))
 
 
 @lru_cache(maxsize=None)
@@ -249,17 +224,13 @@ def _gen_auts(n: int) -> _Gens:
     among them, so this one check, with the conjugators it keeps, is what
     every convention row and every per-relator row reports.
 
-    The check runs once per n for every caller, under the default guard,
-    so an n whose extended relators alone hold more letters than that
-    guard is refused, as a tripped guard, before they are built."""
-    letters = extended_letters(n)
-    if letters > DEFAULT_LENGTH_GUARD:
-        raise ResourceLimitError(f"the extended relators at n={n} hold {letters} letters, "
-                                 f"over the {DEFAULT_LENGTH_GUARD}-letter guard")
+    The check runs once per n for every caller, under the default guard;
+    build_presentation refuses, as a tripped guard, an n whose extended
+    relators alone would hold more letters than that guard."""
     gens = _Gens(_last_twist(n), {})
     pres = build_presentation(n, "extended")
     for label, rel in zip(pres.labels, pres.relators):
-        witness = _inner_witness(rel, gens, n, DEFAULT_LENGTH_GUARD)
+        witness = is_inner(_evaluate(rel, gens, n, DEFAULT_LENGTH_GUARD))
         if witness is None:
             raise RuntimeError(f"relator {label} does not act trivially at n={n}")
         gens.witnesses[label] = witness
@@ -268,12 +239,9 @@ def _gen_auts(n: int) -> _Gens:
 
 def word_to_aut(word: Iterable[int], n: int,
                 guard: int = DEFAULT_LENGTH_GUARD) -> FreeAut:
-    """Automorphism of the word, letters applied right to left."""
-    images, conj = _evaluate(word, _gen_auts(n), n, guard)
-    if conj:
-        conj_inv = invert(conj)
-        images = [_mul(_mul(conj, img), conj_inv) for img in images]
-    return FreeAut(n, tuple(images))
+    """Normalized automorphism of the word, letters applied right to left:
+    the one evaluation entry."""
+    return _evaluate(reduce(word), _gen_auts(n), n, guard)
 
 
 def _candidate(h1: Word, h2: Word) -> Word | None:
@@ -302,11 +270,12 @@ def _conjugates(w: Word, images: Iterable[Word], by: Iterable[Word]) -> bool:
 
 def is_inner(f: FreeAut) -> Word | None:
     """The word w with f = (x -> w x w^-1), or None: the one candidate
-    that f(x1) and f(x2) allow, checked against every image."""
+    that the stored images of x1 and x2 allow, checked against every
+    stored image and prefixed by the carried conjugator."""
     w = _candidate(f.images[0], f.images[1])
     if w is None or not _conjugates(w, f.images, ((i,) for i in range(1, f.n))):
         return None
-    return w
+    return _mul(f.conj, w)
 
 
 def equal_with_witness(u: Iterable[int], v: Iterable[int], n: int,
@@ -319,12 +288,13 @@ def equal_with_witness(u: Iterable[int], v: Iterable[int], n: int,
     is an unconditional "not equal", given without evaluating the word.
     """
     require_punctures(n)
-    diff = concat(reduce(u), invert(reduce(v)))
-    if diff == EPSILON:
+    u, v = reduce(u), reduce(v)
+    if u == v:
         return True, EPSILON
+    diff = u + invert(v)
     if perm_image(diff, n) != perm_identity(n) or any(abelianization_image(diff)):
         return False, None
-    witness = _inner_witness(diff, _gen_auts(n), n, guard)
+    witness = is_inner(word_to_aut(diff, n, guard))
     return witness is not None, witness
 
 
@@ -342,35 +312,30 @@ class Power(NamedTuple):
 
 # A factor of a product: a word, or a power of a factor.
 Factor = Word | Power
-# A normalized automorphism: stored images and the carried conjugator c,
-# the automorphism being x -> c stored(x) c^-1, as _evaluate returns it.
-_Normal = tuple[Sequence[Word], Word]
 
 
-def _product(f: _Normal, g: _Normal, guard: int) -> _Normal:
+def compose(f: FreeAut, g: FreeAut, guard: int = DEFAULT_LENGTH_GUARD) -> FreeAut:
     """f after g, exactly: (c_a F')(c_b G') = c_(a F'(b)) (F' G'), with the
     conjugator of the image of x1 peeled into the carried one as
     _evaluate peels it.  The guard bounds the letters held afterwards."""
-    (f_images, a), (g_images, b) = f, g
-    table = _signed(f_images)
-    images, w0 = _peel([_apply(table, img) for img in g_images])
-    conj = _mul(_mul(a, _apply(table, b)), w0)
+    table = _signed(f.images)
+    images, w0 = _peel([_apply(table, img) for img in g.images])
+    conj = _mul(_mul(f.conj, _apply(table, g.conj)), w0)
     if sum(map(len, images)) + len(conj) > guard:
         raise ResourceLimitError(f"automorphism images exceed {guard} letters")
-    return images, conj
+    return FreeAut(f.n, tuple(images), conj)
 
 
-def _act(f: _Normal, word: Word, guard: int) -> Word:
+def _act(f: FreeAut, word: Word, guard: int) -> Word:
     """Image of a word under a normalized automorphism, within the guard."""
-    images, conj = f
-    table = {x: images[x - 1] if x > 0 else invert(images[-x - 1]) for x in set(word)}
-    out = _mul(_mul(conj, _apply(table, word)), invert(conj))
+    table = {x: f.images[x - 1] if x > 0 else invert(f.images[-x - 1]) for x in set(word)}
+    out = _mul(_mul(f.conj, _apply(table, word)), invert(f.conj))
     if len(out) > guard:
         raise ResourceLimitError(f"automorphism images exceed {guard} letters")
     return out
 
 
-def _inner_over(f: _Normal, g: _Normal, pre: Sequence[Word], guard: int) -> Word | None:
+def _inner_over(f: FreeAut, g: FreeAut, pre: Sequence[Word], guard: int) -> Word | None:
     """The word w with f = c_w after g, or None; pre holds g^-1(x1) and
     g^-1(x2).
 
@@ -381,8 +346,8 @@ def _inner_over(f: _Normal, g: _Normal, pre: Sequence[Word], guard: int) -> Word
     w = _candidate(*(_act(f, y, guard) for y in pre))
     if w is None:
         return None
-    (f_images, u), (g_images, v) = f, g
-    return w if _conjugates(_mul(_mul(invert(u), w), v), f_images, g_images) else None
+    r = _mul(_mul(invert(f.conj), w), g.conj)
+    return w if _conjugates(r, f.images, g.images) else None
 
 
 def _inverse(factor: Factor) -> Factor:
@@ -399,7 +364,7 @@ class Factors:
         require_punctures(n)
         self.n, self.guard = n, guard
         self.quotients: dict[Factor, tuple[Perm, GF2Vec]] = {}
-        self.auts: dict[Factor, _Normal] = {}
+        self.auts: dict[Factor, FreeAut] = {}
 
     def quotient(self, factors: Sequence[Factor]) -> tuple[Perm, GF2Vec]:
         """The puncture permutation and mod-2 image of a product."""
@@ -419,26 +384,25 @@ class Factors:
                                           abelianization_image(factor))
         return self.quotients[factor]
 
-    def aut(self, factor: Factor) -> _Normal:
+    def aut(self, factor: Factor) -> FreeAut:
         """The normalized automorphism of a factor; a power is composed by
         squaring from its base's."""
         if factor not in self.auts:
             if not isinstance(factor, Power):
-                self.auts[factor] = _evaluate(reduce(factor), _gen_auts(self.n), self.n,
-                                              self.guard)
+                self.auts[factor] = word_to_aut(factor, self.n, self.guard)
             elif factor.k == 0:
-                self.auts[factor] = [(i,) for i in range(1, self.n)], EPSILON
+                self.auts[factor] = self.aut(EPSILON)
             else:
                 base = factor.base if factor.k > 0 else _inverse(factor.base)
                 self.auts[factor] = _power(self.aut(base), abs(factor.k),
-                                           lambda f, g: _product(f, g, self.guard))
+                                           lambda f, g: compose(f, g, self.guard))
         return self.auts[factor]
 
-    def product(self, factors: Sequence[Factor]) -> _Normal:
+    def product(self, factors: Sequence[Factor]) -> FreeAut:
         """The normalized automorphism of a product, factors left to right."""
         first, *rest = [self.aut(f) for f in factors or [EPSILON]]
         for f in rest:
-            first = _product(first, f, self.guard)
+            first = compose(first, f, self.guard)
         return first
 
     def preimages(self, factors: Sequence[Factor]) -> list[Word]:
@@ -454,14 +418,8 @@ class Factors:
 def equal_products(lhs: Sequence[Factor], rhs: Sequence[Factor],
                    factors: Factors) -> tuple[bool, Word | None]:
     """equal_with_witness for two products of factors, at the n of the
-    factor cache, which evaluates each distinct factor once.
-
-    Each side is composed from its factors' normalized automorphisms, and
-    u = c_w v is decided by _inner_over, with v^-1 applied to x1 and x2
-    alone through the inverse factors; u v^-1 is never composed.  The
-    conjugator of an inner automorphism is unique, so the witness is the
-    one the flattened difference gives.
-    """
+    factor cache: each side is composed from its factors' normalized
+    automorphisms, and u = c_w v is decided by _inner_over."""
     if factors.quotient(lhs) != factors.quotient(rhs):
         return False, None
     witness = _inner_over(factors.product(lhs), factors.product(rhs),
@@ -480,13 +438,6 @@ def _quotient_order(word: Word, n: int) -> int:
     lengths, doubled to even if the mod-2 image is nonzero."""
     m = lcm(*map(len, perm_cycles(perm_image(word, n))))
     return lcm(m, 2) if any(abelianization_image(word)) else m
-
-
-def _peeled_product(f: FreeAut, g: FreeAut, guard: int) -> FreeAut:
-    """f after g, with the x1 conjugator peeled off as _evaluate peels it
-    and dropped: whether a power is inner does not depend on it, so
-    order_of carries no conjugator, unlike _product."""
-    return FreeAut(f.n, tuple(_peel(list(compose(f, g, guard).images))[0]))
 
 
 def _power(f, k: int, product):
@@ -515,11 +466,16 @@ def order_of(u: Iterable[int], n: int, cap: int | None = None,
     m = _quotient_order(word, n)
     if m > cap:
         return None
-    f = FreeAut(n, tuple(_evaluate(word, _gen_auts(n), n, guard)[0]))
-    fm = g = _power(f, m, lambda f, g: _peeled_product(f, g, guard))
+
+    def product(f: FreeAut, g: FreeAut) -> FreeAut:
+        # the carried conjugator does not decide whether a power is inner
+        return FreeAut(n, compose(f, g, guard).images)
+
+    f = FreeAut(n, word_to_aut(word, n, guard).images)
+    fm = g = _power(f, m, product)
     for k in range(m, cap + 1, m):
         if k > m:
-            g = _peeled_product(g, fm, guard)
+            g = product(g, fm)
         if is_inner(g) is not None:
             return k
     return None

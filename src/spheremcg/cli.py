@@ -2,7 +2,7 @@
 order queries, coset enumeration, and presentation dumps.
 
 Exit codes: 0 pass/equal, 1 fail/not equal, 2 overflow, cap exceeded or
-a tripped automorphism guard, 64 usage error, 65 expression parse error.
+a tripped letter guard, 64 usage error, 65 expression parse error.
 """
 
 from __future__ import annotations
@@ -247,18 +247,18 @@ def main(argv=None) -> int:
         except ValueError as exc:
             return _usage(str(exc))
     limits = Limits(**{k: v for k, v in vars(args).items() if k in LIMIT_FLAGS})
-    if args.command == "verify":
-        return cmd_verify(n, limits, args.suite, args.machine, args.out)
     try:
+        if args.command == "verify":
+            return cmd_verify(n, limits, args.suite, args.machine, args.out)
         if args.command == "eval":
             return cmd_eval(n, limits, args.left, args.right)
         if args.command == "order":
             return cmd_order(n, limits, args.expr, args.order_cap)
-    except ResourceLimitError as exc:  # verify reports a trip as an overflow row
+        if args.command == "enumerate":
+            return cmd_enumerate(n, limits, args.flavor, args.subgroup)
+        if args.command == "dump":
+            return cmd_dump(n, args.flavor)
+    except ResourceLimitError as exc:  # verify reports a trip inside a check as a row
         print(f"inconclusive: {exc}")
         return 2
-    if args.command == "enumerate":
-        return cmd_enumerate(n, limits, args.flavor, args.subgroup)
-    if args.command == "dump":
-        return cmd_dump(n, args.flavor)
     return _usage(f"unknown command {args.command}")

@@ -36,7 +36,7 @@ from .homs import (
     span_gf2,
     validate_hom,
 )
-from .presentation import build_presentation, named_word
+from .presentation import DEFAULT_LENGTH_GUARD, build_presentation, named_word
 from .words import EPSILON, T_LETTER, Word, concat, format_word, invert
 
 VERSION = "0.1.0"
@@ -59,7 +59,7 @@ class CheckResult:
 class Limits:
     max_cosets: int = 10**6
     max_time: float = 60.0
-    aut_guard: int = 10**6
+    aut_guard: int = DEFAULT_LENGTH_GUARD
 
 
 @dataclass(frozen=True)

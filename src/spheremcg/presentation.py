@@ -24,6 +24,15 @@ from .words import (
 
 FLAVORS = ("oriented", "extended")
 
+# The one bound on letters: the default automorphism guard, the most
+# letters the extended relators at one n may hold, and the longest word
+# one powered token may flatten to.
+DEFAULT_LENGTH_GUARD = 10**6
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when automorphism images, or a presentation, outgrow a guard."""
+
 
 @dataclass(frozen=True)
 class Presentation:
@@ -43,10 +52,18 @@ def build_presentation(n: int, flavor: str = "oriented") -> Presentation:
     oriented: generators s1..s(n-1); commutations for distant indices, braid
     relations for adjacent ones, the boundary relator, and the full twist.
     extended: additionally t with t^2 = 1 and t si t = si^-1.
+
+    The oracle validates the extended relators under the default guard,
+    so an n whose extended relators would hold more letters than it is
+    refused, for either flavor, before any relator is built.
     """
     require_punctures(n)
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
+    letters = extended_letters(n)
+    if letters > DEFAULT_LENGTH_GUARD:
+        raise ResourceLimitError(f"the extended relators at n={n} hold {letters} letters, "
+                                 f"over the {DEFAULT_LENGTH_GUARD}-letter guard")
 
     relators: list[Word] = []
     labels: list[str] = []
@@ -152,10 +169,6 @@ def named_word(name: str, n: int) -> Word:
     raise ParseError(f"unknown element name {name!r}")
 
 
-# Longest word one powered token may flatten to, the default automorphism
-# guard's letter count: a larger power is refused before it is built.
-MAX_POWER_LETTERS = 10**6
-
 # The fixed element names (g<k> and d<k> aside), in the order dump prints them.
 NAME_HEADS = ("a0", "a1", "a2", "a", "b", "y", "z", "w", "c", "phi")
 
@@ -164,7 +177,7 @@ def parse_expression(text: str, n: int) -> Word:
     """Parse a product of word tokens and named elements into a reduced word.
 
     Any token may carry an integer power suffix: a0^-1, s2^3, b^2.  A token
-    whose power would flatten past MAX_POWER_LETTERS letters is refused.
+    whose power would flatten past DEFAULT_LENGTH_GUARD letters is refused.
     """
     out: Word = EPSILON
     for token in text.split():
@@ -180,8 +193,8 @@ def parse_expression(text: str, n: int) -> Word:
             word = named_word(base, n)
         else:
             word = parse_word(base, n)
-        if len(word) * abs(exp) > MAX_POWER_LETTERS:
-            raise ParseError(f"{token!r} flattens past {MAX_POWER_LETTERS} letters")
+        if len(word) * abs(exp) > DEFAULT_LENGTH_GUARD:
+            raise ParseError(f"{token!r} flattens past {DEFAULT_LENGTH_GUARD} letters")
         out = concat(out, power(word, exp))
     return out
 

@@ -1,6 +1,6 @@
 import pytest
 
-from spheremcg import EPSILON, T_LETTER, concat, equal_in_group, invert
+from spheremcg import EPSILON, T_LETTER, FreeAut, concat, equal_in_group, invert
 
 
 # Reference helpers the library itself has no use for; test modules
@@ -10,6 +10,13 @@ def conjugate(word, by):
     """w u w^-1 for u=word, w=by."""
     by = tuple(by)
     return concat(by, word, invert(by))
+
+
+def plain(f):
+    """The automorphism f with its carried conjugator folded into the
+    images: the literal image of each basis letter, so that two forms of
+    one automorphism compare equal."""
+    return FreeAut(f.n, tuple(conjugate(img, f.conj) for img in f.images))
 
 
 def perm_compose(p, q):

@@ -153,15 +153,18 @@ class TestEval:
 
 class TestLargePunctureCounts:
     # at n = 578 the extended relators first hold more letters than the
-    # default guard, so the generators are refused before they are built
+    # default guard, so every command that would build the presentation
+    # is refused before its first relator
     @pytest.mark.parametrize("n", ["578", "5000"])
-    @pytest.mark.parametrize("argv", [("eval", "s1 s1", "S1 S1"), ("order", "s1")],
-                             ids=["eval", "order"])
+    @pytest.mark.parametrize("argv", [("eval", "s1 s1", "S1 S1"), ("order", "s1"),
+                                      ("enumerate",), ("dump",),
+                                      ("verify", "--suite", "presentation")],
+                             ids=["eval", "order", "enumerate", "dump", "verify"])
     def test_refused_unbuilt(self, capsys, monkeypatch, argv, n):
         def refuse(*args, **kwargs):
-            raise AssertionError("the presentation was built")
-        monkeypatch.setattr("spheremcg.action.build_presentation", refuse)
-        monkeypatch.setattr("spheremcg.presentation.build_presentation", refuse)
+            raise AssertionError("a relator was built")
+        # every relator is reduced as it is added
+        monkeypatch.setattr("spheremcg.presentation.reduce", refuse)
         code, out, _ = run(capsys, argv[0], "--n", n, *argv[1:])
         assert code == 2
         assert out.startswith(f"inconclusive: the extended relators at n={n} hold")

@@ -46,13 +46,13 @@ class TestSuiteShapes:
         # once _gen_auts has validated every relator, the rows evaluate none
         action._gen_auts(8)
         calls = []
-        real = action._inner_witness
+        real = action._evaluate
 
         def counting(*args, **kwargs):
             calls.append(args[0])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(action, "_inner_witness", counting)
+        monkeypatch.setattr(action, "_evaluate", counting)
         checks = verify_presentation(8)
         assert calls == []
         monkeypatch.undo()

@@ -1,7 +1,9 @@
 import pytest
 
 from spheremcg.presentation import (
-    MAX_POWER_LETTERS,
+    DEFAULT_LENGTH_GUARD,
+    FLAVORS,
+    ResourceLimitError,
     build_presentation,
     extended_letters,
     format_presentation,
@@ -69,6 +71,17 @@ class TestBuildPresentation:
     def test_too_few_punctures(self):
         with pytest.raises(ValueError):
             build_presentation(2, "oriented")
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_letter_bound_is_checked_before_any_relator(self, monkeypatch, flavor):
+        # 3n^2 + n - 4 letters first exceed the default guard at n = 578
+        def refuse(word):
+            raise AssertionError("a relator was built")
+        monkeypatch.setattr("spheremcg.presentation.reduce", refuse)
+        with pytest.raises(ResourceLimitError, match="n=578 hold 1002826 letters"):
+            build_presentation(578, flavor)
+        with pytest.raises(AssertionError, match="a relator was built"):
+            build_presentation(577, flavor)
 
     def test_unknown_flavor(self):
         with pytest.raises(ValueError):
@@ -185,8 +198,8 @@ class TestParseExpression:
 
     def test_power_letter_bound(self):
         # the bound is on one token's flattened length, checked before building
-        assert len(parse_expression(f"a0^{MAX_POWER_LETTERS // 5}", 6)) == MAX_POWER_LETTERS
+        assert len(parse_expression(f"a0^{DEFAULT_LENGTH_GUARD // 5}", 6)) == DEFAULT_LENGTH_GUARD
         with pytest.raises(ParseError):
-            parse_expression(f"a0^{MAX_POWER_LETTERS // 5 + 1}", 6)
+            parse_expression(f"a0^{DEFAULT_LENGTH_GUARD // 5 + 1}", 6)
         with pytest.raises(ParseError):
-            parse_expression(f"s1^-{MAX_POWER_LETTERS + 1}", 6)
+            parse_expression(f"s1^-{DEFAULT_LENGTH_GUARD + 1}", 6)

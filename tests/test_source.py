@@ -20,6 +20,9 @@ the product path, so `words.power` is left to the expression parser.
 the product path lives only as long as the suite run that owns it.
 `_layout` is the one in `coset.py`, so the cycle records the deduction
 pass reads are built once per presentation, never once per enumeration.
+
+`_peel` is called only by `_evaluate` and `compose`, so every automorphism
+the package builds is normalized by one of the two.
 """
 
 import ast
@@ -138,12 +141,16 @@ def test_puncture_range_is_refused_in_one_place():
     assert len(set(range_refusals(ROOT))) == 1
 
 
-def called_names(path):
-    """The names a module calls, bare or as an attribute."""
-    tree = ast.parse(path.read_text(), str(path))
+def called_names_in(tree):
+    """The names a syntax tree calls, bare or as an attribute."""
     return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
             for node in ast.walk(tree) if isinstance(node, ast.Call)
             and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def called_names(path):
+    """The names a module calls, bare or as an attribute."""
+    return called_names_in(ast.parse(path.read_text(), str(path)))
 
 
 def cached_definitions(path):
@@ -163,3 +170,17 @@ def test_generator_table_is_the_one_cache_in_action():
 
 def test_layout_is_the_one_cache_in_coset():
     assert cached_definitions(ROOT / "src" / "spheremcg" / "coset.py") == ["_layout"]
+
+
+def callers(root, name):
+    """The top-level definitions of the package that call the name."""
+    found = []
+    for path in _package(root):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(stmt, DEFINITIONS) and name in called_names_in(stmt):
+                found.append(f"{path.name}:{stmt.name}")
+    return found
+
+
+def test_peel_is_called_by_evaluate_and_compose_alone():
+    assert callers(ROOT, "_peel") == ["action.py:_evaluate", "action.py:compose"]
