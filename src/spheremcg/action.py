@@ -11,16 +11,28 @@ in a free group by inspecting the conjugacy class of one basis image.
 
 An automorphism is held in one normalized form, FreeAut: stored images
 and a carried conjugator c, the automorphism being x -> c stored(x) c^-1.
-word_to_aut, the one evaluation entry, reads a word into it letter by
-letter, recomputing only the images each letter's generator moves: a
-half-twist si with i < n-1 rewrites xi and x(i+1) directly from the old
-images, and only s(n-1), whose new image of x(n-1) reads every image,
-goes through the generic substitution.  After a letter that moves x1,
-and after each compose, the peeled conjugator of the stored image of x1
-is taken out of every stored image and appended to c, so inner parts
-never pile up in the images.  The free group of rank n-1 >= 2 has
-trivial centre, so an inner automorphism has exactly one conjugator:
-is_inner finds that of the stored part and prefixes c.
+word_to_aut, the one evaluation entry, first moves the word's
+reflections to its right end.  t si t = si^-1 and t^2 = 1 hold as
+automorphisms exactly, not only up to an inner one, so each twist letter
+preceded by an odd number of t^+-1 flips its sign, the result is freely
+reduced, and one t is left at the end if the count is odd.  The prefix
+reflection, which rewrites every image into long prefix conjugates,
+then runs at most once, as the last step, instead of swelling the
+images every later letter works on.  That exactness is checked, not
+assumed: the relator validation refuses the generators unless t^2 and
+every (t si)^2 act with the empty conjugator, and it evaluates each
+relator literally, never through the rewrite.  The word is then read
+letter by letter, recomputing only the images each letter's generator
+moves: a half-twist si with i < n-1 rewrites xi and x(i+1) directly
+from the old images, and s(n-1), which fixes the others, sends x(n-1)
+to the inverse of one product of images, (x(n-1) x1..x(n-2))^-1, or
+(x1..x(n-1))^-1 for its inverse.  After a letter that moves x1 (an s1,
+or the final t), and after each compose, the peeled conjugator of the
+stored image of x1 is taken out of every stored image and appended to
+c, so inner parts never pile up in the images.  The free group of rank
+n-1 >= 2 has trivial centre, so an inner automorphism has exactly one
+conjugator: is_inner finds that of the stored part and prefixes c, and
+the rewrite, which changes what is held on the way, changes no witness.
 
 A single-word identity u = v is decided by is_inner on u v^-1.
 Identities whose sides share a long factor, or power one, go through the
@@ -44,12 +56,15 @@ inner automorphisms form a normal subgroup, so it is inner exactly when
 the same power of the word's automorphism is.
 
 The guard bounds the letters held, stored images plus conjugator, after
-every letter and every compose.  A guard trip (ResourceLimitError) is
-inconclusive, never a verdict.  Two evaluation orders of the same
-identity hold different automorphisms on the way, so they may trip at
-different inputs: flattening u v^-1 into one word can cancel a long
-power that the product path evaluates on its own, and the other way
-round.
+every letter and every compose.  On the product path it also bounds the
+work of applying an automorphism to a word: a word whose letters'
+images sum past the guard is refused before any letter is cancelled,
+since nearly all of such a sum may cancel one letter at a time into a
+short result.  A guard trip (ResourceLimitError) is inconclusive, never
+a verdict.  Two evaluation orders of the same identity hold different
+automorphisms on the way, so they may trip at different inputs:
+flattening u v^-1 into one word can cancel a long power that the
+product path evaluates on its own, and the other way round.
 
 Handedness of the half-twists and the basepoint position for the
 reflection are not forced by the algebra.  The convention is fixed:
@@ -118,32 +133,8 @@ def _apply(table: Sequence[Word] | dict[int, Word], word: Iterable[int]) -> Word
     return tuple(out)
 
 
-def _last_twist(n: int) -> dict[int, Word]:
-    """Image of x(n-1) under s(n-1) and under its inverse, by letter.
-
-    The last twist wraps through the eliminated loop xn, so its new image
-    of x(n-1) reads every image; it is the one twist _evaluate applies
-    through _apply.  It fixes x1 .. x(n-2).
-    """
-    # xn = (x1...x(n-1))^-1 substituted into the adjacent-swap images
-    return {n - 1: tuple(range(-(n - 2), 0)) + (-(n - 1),),
-            -(n - 1): tuple(-j for j in range(n - 1, 0, -1))}
-
-
 # The generator convention fixed here, as the convention rows report it.
 CONVENTION = "sigma=standard reflection=prefix"
-
-
-@dataclass(frozen=True)
-class _Gens:
-    """The image of x(n-1) under s(n-1)^+-1, by letter; the other
-    half-twists are applied by _evaluate and t by _prefix_reflect, the
-    one statement of each.  witnesses holds, by relator label, the
-    conjugator each extended relator acts by, as the relator validation
-    found it."""
-
-    last: dict[int, Word]
-    witnesses: dict[str, Word]
 
 
 def _prefix_reflect(images: list[Word]) -> list[Word]:
@@ -172,14 +163,17 @@ def _peel(images: list[Word]) -> tuple[list[Word], Word]:
     return [_mul(_mul(w0_inv, img), w0) for img in images], w0
 
 
-def _evaluate(word: Iterable[int], gens: _Gens, n: int, guard: int) -> FreeAut:
-    """Normalized automorphism of the word, letters applied right to left.
-    The stored letters the guard reads are counted as they change and
-    recounted only where every image is rewritten.
+def _evaluate(word: Iterable[int], n: int, guard: int) -> FreeAut:
+    """Normalized automorphism of the word, letters applied right to left,
+    each t through _prefix_reflect.  The stored letters the guard reads
+    are counted as they change and recounted only where every image is
+    rewritten.
 
     A half-twist si^+-1 with i < n-1 rewrites the images A, B of xi and
-    x(i+1) directly, as (A B A^-1, A) or (B, B^-1 A B); s(n-1)^+-1 goes
-    through _apply, because its new image of x(n-1) reads every image.
+    x(i+1) directly, as (A B A^-1, A) or (B, B^-1 A B).  s(n-1)^+-1 fixes
+    x1 .. x(n-2) and, through xn = (x1..x(n-1))^-1, sends x(n-1) to the
+    inverse of one product of images: (x(n-1) x1..x(n-2))^-1 for s(n-1)
+    and (x1..x(n-1))^-1 for its inverse.
     """
     images: list[Word] = [(i,) for i in range(1, n)]
     stored = n - 1
@@ -198,7 +192,8 @@ def _evaluate(word: Iterable[int], gens: _Gens, n: int, guard: int) -> FreeAut:
             stored += len(new_a) + len(new_b) - len(a) - len(b)
             images[i - 1], images[i] = new_a, new_b
         elif i == n - 1:
-            img = _apply(_signed(images), gens.last[letter])
+            order = (n - 1, *range(1, n - 1)) if letter > 0 else range(1, n)
+            img = invert(_apply((EPSILON, *images), order))
             stored += len(img) - len(images[-1])
             images[-1] = img
         else:
@@ -218,30 +213,64 @@ def _evaluate(word: Iterable[int], gens: _Gens, n: int, guard: int) -> FreeAut:
 
 
 @lru_cache(maxsize=None)
-def _gen_auts(n: int) -> _Gens:
-    """The generator automorphisms at n, refused unless every extended
-    relator acts as an inner automorphism.  The oriented relators are
-    among them, so this one check, with the conjugators it keeps, is what
-    every convention row and every per-relator row reports.
+def _gen_auts(n: int) -> dict[str, Word]:
+    """The conjugator each extended relator acts by, by label, as the
+    validation of the generator automorphisms at n finds it.  Refused
+    unless every extended relator acts as an inner automorphism, and the
+    reflection relators t^2 and (t si)^2 as the identity itself, which is
+    what lets word_to_aut move each t to the right end of a word.  The
+    oriented relators are among them, so this one check, with the
+    conjugators it keeps, is what every convention row and every
+    per-relator row reports.
 
-    The check runs once per n for every caller, under the default guard;
-    build_presentation refuses, as a tripped guard, an n whose extended
-    relators alone would hold more letters than that guard."""
-    gens = _Gens(_last_twist(n), {})
+    Each relator is evaluated literally, t by t, never through the
+    rewrite the check justifies.  The check runs once per n for every
+    caller, under the default guard; build_presentation refuses, as a
+    tripped guard, an n whose extended relators alone would hold more
+    letters than that guard."""
+    witnesses = {}
     pres = build_presentation(n, "extended")
     for label, rel in zip(pres.labels, pres.relators):
-        witness = is_inner(_evaluate(rel, gens, n, DEFAULT_LENGTH_GUARD))
+        witness = is_inner(_evaluate(rel, n, DEFAULT_LENGTH_GUARD))
         if witness is None:
             raise RuntimeError(f"relator {label} does not act trivially at n={n}")
-        gens.witnesses[label] = witness
-    return gens
+        if witness and T_LETTER in rel:
+            raise RuntimeError(f"relator {label} acts as a nontrivial inner "
+                               f"automorphism at n={n}")
+        witnesses[label] = witness
+    return witnesses
+
+
+def _reflections_last(word: Iterable[int]) -> Word:
+    """The reduced word with every t moved to its right end: each twist
+    letter preceded by an odd number of t^+-1 flips its sign, and one t
+    is appended if the count is odd.  t si = si^-1 t and t^2 = 1 hold
+    exactly as automorphisms, as _gen_auts checks, so the result
+    evaluates to the word's automorphism itself."""
+    out: list[int] = []
+    odd = False
+    for letter in word:
+        if abs(letter) == T_LETTER:
+            odd = not odd
+            continue
+        if odd:
+            letter = -letter
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    if odd:
+        out.append(T_LETTER)
+    return tuple(out)
 
 
 def word_to_aut(word: Iterable[int], n: int,
                 guard: int = DEFAULT_LENGTH_GUARD) -> FreeAut:
     """Normalized automorphism of the word, letters applied right to left:
-    the one evaluation entry."""
-    return _evaluate(reduce(word), _gen_auts(n), n, guard)
+    the one evaluation entry.  The word is read with its reflections
+    moved to the right end, so _prefix_reflect runs at most once."""
+    _gen_auts(n)  # the validation the rewrite rests on
+    return _evaluate(_reflections_last(word), n, guard)
 
 
 def _candidate(h1: Word, h2: Word) -> Word | None:
@@ -327,7 +356,12 @@ def compose(f: FreeAut, g: FreeAut, guard: int = DEFAULT_LENGTH_GUARD) -> FreeAu
 
 
 def _act(f: FreeAut, word: Word, guard: int) -> Word:
-    """Image of a word under a normalized automorphism, within the guard."""
+    """Image of a word under a normalized automorphism, within the guard.
+    A word whose letters' images sum past the guard is refused before
+    any letter is cancelled, so the work is bounded however much of it
+    would cancel."""
+    if sum(len(f.images[abs(x) - 1]) for x in word) > guard:
+        raise ResourceLimitError(f"automorphism images exceed {guard} letters")
     table = {x: f.images[x - 1] if x > 0 else invert(f.images[-x - 1]) for x in set(word)}
     out = _mul(_mul(f.conj, _apply(table, word)), invert(f.conj))
     if len(out) > guard:

@@ -113,11 +113,14 @@ class _Recorder:
         self.factors: dict[int, Factors] = {}
 
     def run(self, check_id: str, statement: str, body, tolerated: bool = False) -> None:
+        """Record the body's verdict.  tolerated applies only to an
+        overflow the body returns; a raised ResourceLimitError is an
+        overflow witnessed by its own message, never tolerated."""
         t0 = time.perf_counter()
         try:
             status, witness = body()
-        except ResourceLimitError:
-            status, witness = "overflow", "automorphism length guard"
+        except ResourceLimitError as exc:
+            status, witness, tolerated = "overflow", str(exc), False
         except Exception as exc:  # a crashed check is a failed check
             status, witness = "fail", f"error: {exc!r}"
         millis = int((time.perf_counter() - t0) * 1000)
@@ -167,7 +170,8 @@ class _Recorder:
                                     f"collapses={s.collapses}")
             return ("pass" if result.index == expected else "fail"), result.index
 
-        # enumeration overflow is acceptable only for the best-effort range
+        # an enumeration overflow is acceptable only for the best-effort
+        # range; a refused presentation raises, and is never tolerated
         self.run(check_id, statement, body, tolerated=n > 6)
 
 
@@ -182,7 +186,7 @@ def verify_presentation(n: int, limits: Limits | None = None) -> tuple[CheckResu
         pres = build_presentation(n, flavor)
         for label in pres.labels:
             def relator_body(label=label):
-                return "pass", format_word(_gen_auts(n).witnesses[label]) or "exact"
+                return "pass", format_word(_gen_auts(n)[label]) or "exact"
 
             rec.run(f"n{n}.pres.{flavor}.{label}",
                     f"relator {label} is trivial (n={n}, {flavor})",

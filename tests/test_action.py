@@ -99,6 +99,39 @@ class TestValidateAction:
         finally:
             action._gen_auts.cache_clear()
 
+    def test_reflection_off_by_an_inner_automorphism_is_refused(self, monkeypatch):
+        # t' = c_x1 t acts on every relator as an inner automorphism, so
+        # only the demand that (t si)^2 act as the identity itself refuses
+        # it; word_to_aut's rewrite would be wrong by an inner part
+        reflect = action._prefix_reflect
+        monkeypatch.setattr(action, "_prefix_reflect", lambda images: [
+            conjugate(img, images[0]) for img in reflect(images)])
+        action._gen_auts.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="t.twist.1 acts as a nontrivial inner"):
+                action._gen_auts(6)
+        finally:
+            action._gen_auts.cache_clear()
+
+
+class TestReflectionsLast:
+    """word_to_aut reads each word with its reflections moved to the
+    right end; the automorphism is the literal one, exactly."""
+
+    @given(st.integers(3, 16).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(_letters(n), max_size=14))))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_literal_evaluation(self, case):
+        n, word = case
+        literal = action._evaluate(reduce(word), n, action.DEFAULT_LENGTH_GUARD)
+        assert plain(word_to_aut(word, n)) == plain(literal)
+
+    def test_rewrite(self):
+        assert action._reflections_last((T, 1, -2, -T, 3, T)) == (-1, 2, 3, T)
+        assert action._reflections_last((1, T, -1, T, 2)) == (1, 1, 2)
+        assert action._reflections_last((1, -T, 1, -T, 2)) == (2,)
+        assert action._reflections_last((T, T)) == EPSILON
+
 
 class TestIsInner:
     def test_identity(self):
@@ -272,6 +305,15 @@ class TestProducts:
         assert equal_with_witness(power(base, 5), concat(rel, power(base, 5)), 5, guard)[0]
         with pytest.raises(ResourceLimitError):
             equal_products([Power(base, 5)], [rel, Power(base, 5)], Factors(5, guard))
+
+    def test_cancelling_preimages_trip_at_once(self):
+        # u = (s2 S1 S5 S1 s6 S1)^7 at n = 7 holds 778,364 letters and
+        # v^-1 sends x1, x2 to words of 75,895 and 20,017 letters, whose
+        # images under u sum to billions of letters that almost all
+        # cancel: the guard refuses them before any letter is cancelled
+        base, braid = (2, -1, -5, -1, 6, -1), (1, 2, 1, -2, -1, -2)
+        with pytest.raises(ResourceLimitError):
+            equal_products([Power(base, 7)], [concat(power(base, 7), braid)], Factors(7))
 
     def test_shared_factor_is_evaluated_once(self, monkeypatch):
         phi = named_word("phi", 8)
@@ -499,7 +541,7 @@ class TestResourceGuard:
             concat(power(named_word("a", 10), 10), power(named_word("b", 10), -8)),
             EPSILON, 10, g), 143),
         (lambda g: equal_with_witness(
-            power(concat((T,), named_word("a0", 13)), 13), (T,), 13, g), 150),
+            power(concat((T,), named_word("a0", 13)), 13), (T,), 13, g), 50),
         (lambda g: order_of(named_word("a0", 10), 10, guard=g), 24),
         # m = 18: the permutation's 9-cycle, doubled by the reflection
         (lambda g: order_of(concat((T,), named_word("a0", 9)), 9, guard=g), 64),

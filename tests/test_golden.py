@@ -15,6 +15,10 @@ produce, and at n=30 several witnesses are long (`lemY.product`,
 `n16-main.json` holds `verify --n 16 --suite main`, whose `<a, b>`
 index-1 certificate is the largest in the golden set.
 
+`n31-odd.json` holds `verify --n 31 --suite odd`, the reflection-heavy
+report: `(t a0)^31 = t` with its witness s2 s4 .. s30, and the order 62
+of t a0.
+
 `max-cosets-50.json` holds four runs at `--max-cosets 50`, keyed by
 their arguments: the reports where an index check overflows, tolerated
 (n=8 main, n=7 odd) or not (n=5 odd, sigma2).
@@ -38,6 +42,7 @@ NS = range(3, 11)
 ORACLE_NS = (16, 30)
 ORACLE_SUITES = ("presentation", "prop22", "section3", "lemma-y", "lemma-z")
 MAIN_N = 16
+ODD_N = 31
 EXIT_CODES = {3: 0, 4: 0, 5: 0, 6: 1, 7: 0, 8: 0, 9: 0, 10: 0}
 # each limited run's verify arguments, with its exit code
 LIMITED_RUNS = {
@@ -112,6 +117,12 @@ def test_main_suite_report_matches_golden():
     assert code == 0
 
 
+def test_odd_suite_report_matches_golden():
+    code, report = stripped_report(ODD_N, "odd")
+    assert report == (GOLDEN / f"n{ODD_N}-odd.json").read_text()
+    assert code == 0
+
+
 def test_limit_hitting_reports_match_golden():
     codes, report = limited_reports()
     assert report == (GOLDEN / "max-cosets-50.json").read_text()
@@ -125,4 +136,5 @@ if __name__ == "__main__":
     for n in ORACLE_NS:
         (GOLDEN / f"n{n}-oracle.json").write_text(oracle_report(n)[1])
     (GOLDEN / f"n{MAIN_N}-main.json").write_text(stripped_report(MAIN_N, "main")[1])
+    (GOLDEN / f"n{ODD_N}-odd.json").write_text(stripped_report(ODD_N, "odd")[1])
     (GOLDEN / "max-cosets-50.json").write_text(limited_reports()[1])

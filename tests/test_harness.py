@@ -115,7 +115,7 @@ class TestSuiteShapes:
         hit = [c for c in checks if rows in c.id]
         assert hit and len(checks) > len(hit)
         assert {(c.status, c.witness) for c in hit} == \
-            {("overflow", "automorphism length guard")}
+            {("overflow", "automorphism images exceed 12 letters")}
 
     def test_prop22(self):
         checks = verify_prop22(6)
@@ -334,6 +334,18 @@ class TestOverallRules:
             0, {"n8.main.index": "overflow"})
         assert limited_run(capsys, "--n", "7", "--suite", "odd") == (
             0, {"n7.odd.index": "overflow"})
+
+    def test_refused_presentation_is_not_tolerated(self):
+        # n = 578 lies in the best-effort range, but build_presentation
+        # refuses it before any coset is defined: the row names that
+        # refusal and fails the report
+        rec = harness._Recorder(None)
+        rec.index("n578.main.index", "index 1", 578, (), 1)
+        (row,) = rec.checks
+        assert (row.status, row.tolerated) == ("overflow", False)
+        assert row.witness == ("the extended relators at n=578 hold 1002826 letters, "
+                               "over the 1000000-letter guard")
+        assert Report(tuple(rec.checks)).exit_code == 2
 
     def test_generation_overflow_not_tolerated(self, capsys):
         assert limited_run(capsys, "--suite", "sigma2") == (

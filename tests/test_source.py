@@ -23,6 +23,11 @@ pass reads are built once per presentation, never once per enumeration.
 
 `_peel` is called only by `_evaluate` and `compose`, so every automorphism
 the package builds is normalized by one of the two.
+
+`word_to_aut` alone moves a word's reflections to its right end
+(`_reflections_last`), and `_gen_auts` evaluates the relators without
+it: the relator validation is the check that rewrite rests on, so it is
+never made through the rewrite.
 """
 
 import ast
@@ -184,3 +189,16 @@ def callers(root, name):
 
 def test_peel_is_called_by_evaluate_and_compose_alone():
     assert callers(ROOT, "_peel") == ["action.py:_evaluate", "action.py:compose"]
+
+
+def definition(path, name):
+    """The top-level definition of the name in a module."""
+    (stmt,) = [stmt for stmt in ast.parse(path.read_text(), str(path)).body
+               if isinstance(stmt, DEFINITIONS) and stmt.name == name]
+    return stmt
+
+
+def test_reflections_are_moved_by_word_to_aut_alone():
+    assert callers(ROOT, "_reflections_last") == ["action.py:word_to_aut"]
+    assert not {"word_to_aut", "_reflections_last"} & called_names_in(
+        definition(ROOT / "src" / "spheremcg" / "action.py", "_gen_auts"))
