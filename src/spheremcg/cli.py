@@ -65,11 +65,6 @@ def _usage(message: str) -> int:
     return USAGE_EXIT
 
 
-def _parse_fail(exc: ParseError) -> int:
-    sys.stderr.write(f"parse error: {exc}\n")
-    return PARSE_EXIT
-
-
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
@@ -128,11 +123,8 @@ def cmd_verify(n: int | None, limits: Limits, suite: str, machine: bool = False,
 
 
 def cmd_eval(n: int, limits: Limits, left: str, right: str) -> int:
-    try:
-        u = parse_expression(left, n)
-        v = parse_expression(right, n)
-    except ParseError as exc:
-        return _parse_fail(exc)
+    u = parse_expression(left, n)
+    v = parse_expression(right, n)
     equal = equal_in_group(u, v, n, limits.aut_guard)
     print(f"equal: {'yes' if equal else 'no'}")
     print(f"perm: {format_perm(perm_image(u, n))} vs {format_perm(perm_image(v, n))}")
@@ -142,10 +134,7 @@ def cmd_eval(n: int, limits: Limits, left: str, right: str) -> int:
 
 
 def cmd_order(n: int, limits: Limits, expr: str, cap: int | None) -> int:
-    try:
-        word = parse_expression(expr, n)
-    except ParseError as exc:
-        return _parse_fail(exc)
+    word = parse_expression(expr, n)
     cap = cap or default_order_cap(n)
     got = order_of(word, n, cap, limits.aut_guard)
     if got is None:
@@ -156,12 +145,9 @@ def cmd_order(n: int, limits: Limits, expr: str, cap: int | None) -> int:
 
 
 def cmd_enumerate(n: int, limits: Limits, flavor: str, subgroup: str | None) -> int:
-    try:
-        subgens = tuple(parse_expression(part, n)
-                        for part in (subgroup.split(",") if subgroup else ())
-                        if part.strip())
-    except ParseError as exc:
-        return _parse_fail(exc)
+    subgens = tuple(parse_expression(part, n)
+                    for part in (subgroup.split(",") if subgroup else ())
+                    if part.strip())
     pres = build_presentation(n, flavor)
     try:
         result = enumerate_cosets(pres, subgens, limits.max_cosets, limits.max_time)
@@ -258,6 +244,9 @@ def main(argv=None) -> int:
             return cmd_enumerate(n, limits, args.flavor, args.subgroup)
         if args.command == "dump":
             return cmd_dump(n, args.flavor)
+    except ParseError as exc:
+        sys.stderr.write(f"parse error: {exc}\n")
+        return PARSE_EXIT
     except ResourceLimitError as exc:  # verify reports a trip inside a check as a row
         print(f"inconclusive: {exc}")
         return 2

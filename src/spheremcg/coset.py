@@ -2,12 +2,18 @@
 
 Each sweep scans the subgroup generators at the base coset and every
 relator at every live coset, filling the first undefined slot, with
-immediate coincidence merging through a union-find.  Only when a sweep
-makes no definition, deduction or coincidence are the remaining empty
-entries of the live cosets defined, all in one fill pass; the sweeps then
-resume.  The run ends on a sweep with no events over a complete table:
-that clean sweep doubles as a verification pass, since it has re-traced
-every relator cycle and subgroup generator on the finished table.
+immediate coincidence merging through a union-find.  The run ends at its
+first clean sweep, one with no definition, deduction or coincidence.  It
+doubles as a verification pass, having re-traced every relator cycle and
+subgroup generator on the table.  By induction along each relator, every
+letter of a relator then has a total, bijective column.  So an entry
+still open belongs to a generator y in no relator, and the index is
+infinite: new points on which the relator generators act trivially, with
+y running off along an infinite ray, extend the table to an action in
+which the subgroup fixes coset 0 with an infinite orbit.  The run reports
+that as an overflow; filling the open entries could only have defined
+cosets until a limit stopped the run.  Every presentation the package
+builds has each generator in a relator.
 
 A deduction pass (Felsch-style deduction processing inside HLT) follows
 every scan of a sweep.  Each table entry a coincidence writes goes on a
@@ -425,15 +431,14 @@ class _Enumerator:
                 yield i
 
     def run(self) -> None:
-        """Sweep until a sweep over a complete table has no events.
+        """Sweep until a sweep has no events; an entry it leaves open
+        shows the index infinite, which standardized() reports.
 
         Raises _IndexOne when a coincidence closes coset 0 under every
         generator, and _Overflow when a limit is hit.
         """
         sub_cols = [tuple(self.col[letter] for letter in w)
                     for w in self.subgens]
-        # only coincidences stack entries, so a fill-pass definition
-        # leaves nothing for the deduction pass
         stack = self.stack
         while True:
             self.events = 0
@@ -448,21 +453,13 @@ class _Enumerator:
                         self.deduce()
                     if self.parent[coset] != coset:
                         break
-            if self.events:
-                continue
-            # the sweep found nothing: fill every empty entry, then sweep
-            # again; a fill pass with nothing to fill means the clean
-            # sweep just made ran over a complete table
-            for coset in self.live_cosets():
-                for c in range(self.width):
-                    if self.table[coset * self.width + c] == UNDEF:
-                        self.define(coset, c)
-            if self.events == 0:
+            if not self.events:
                 return
 
     def standardized(self) -> CosetTable:
         """Breadth-first renumbering from the subgroup coset; this makes
-        the finished table independent of the discovery history."""
+        the finished table independent of the discovery history; an open
+        entry is an overflow, since it shows the index infinite."""
         width = self.width
         order: dict[int, int] = {self.find(0): 0}
         queue = [self.find(0)]
@@ -473,7 +470,10 @@ class _Enumerator:
             k += 1
             row = []
             for c in range(width):
-                t = self.find(self.table[coset * width + c])
+                t = self.table[coset * width + c]
+                if t == UNDEF:
+                    raise _Overflow
+                t = self.find(t)
                 if t not in order:
                     order[t] = len(order)
                     queue.append(t)

@@ -103,14 +103,19 @@ class Report:
 
 
 class _Recorder:
-    """Runs one suite's checks under the run's limits; every check,
-    index checks included, computes its own verdict.  The factors of the
-    suite's product equalities are evaluated once, into `factors` by n."""
+    """Runs one suite's checks at one n under the run's limits, and
+    refuses an n the suite does not apply at; every check, index checks
+    included, computes its own verdict.  The factors of the suite's
+    product equalities are evaluated once, into `factors`."""
 
-    def __init__(self, limits: Limits | None):
+    def __init__(self, suite: str, n: int, limits: Limits | None):
+        applies = SUITES[suite][1]
+        if applies is not None and not applies(n):
+            raise ValueError(f"suite {suite} does not apply at n={n}")
+        self.n = n
         self.limits = limits or Limits()
         self.checks: list[CheckResult] = []
-        self.factors: dict[int, Factors] = {}
+        self.factors = Factors(n, self.limits.aut_guard)
 
     def run(self, check_id: str, statement: str, body, tolerated: bool = False) -> None:
         """Record the body's verdict.  tolerated applies only to an
@@ -134,35 +139,29 @@ class _Recorder:
 
         self.run(check_id, statement, body)
 
-    def eq(self, check_id: str, statement: str, lhs: Word, rhs: Word, n: int) -> None:
+    def eq(self, check_id: str, statement: str, lhs: Word, rhs: Word) -> None:
         self._equality(check_id, statement, lambda: equal_with_witness(
-            lhs, rhs, n, self.limits.aut_guard))
+            lhs, rhs, self.n, self.limits.aut_guard))
 
-    def eq_products(self, check_id: str, statement: str, lhs: list, rhs: list,
-                    n: int) -> None:
+    def eq_products(self, check_id: str, statement: str, lhs: list, rhs: list) -> None:
         """An equality of two products of factors, for long factors that
         are shared or powered."""
-        def decide():
-            if n not in self.factors:
-                self.factors[n] = Factors(n, self.limits.aut_guard)
-            return equal_products(lhs, rhs, self.factors[n])
+        self._equality(check_id, statement,
+                       lambda: equal_products(lhs, rhs, self.factors))
 
-        self._equality(check_id, statement, decide)
-
-    def order(self, check_id: str, statement: str, word: Word, n: int,
-              expected: int) -> None:
+    def order(self, check_id: str, statement: str, word: Word, expected: int) -> None:
         # capped at the expected order: a smaller order shows as itself,
         # a larger or infinite one as None
         def body():
-            got = order_of(word, n, expected, self.limits.aut_guard)
+            got = order_of(word, self.n, expected, self.limits.aut_guard)
             return ("pass", got) if got == expected else ("fail", got)
 
         self.run(check_id, statement, body)
 
-    def index(self, check_id: str, statement: str, n: int, subgens: tuple[Word, ...],
+    def index(self, check_id: str, statement: str, subgens: tuple[Word, ...],
               expected: int) -> None:
         def body():
-            result = enumerate_cosets(build_presentation(n, "extended"), subgens,
+            result = enumerate_cosets(build_presentation(self.n, "extended"), subgens,
                                       self.limits.max_cosets, self.limits.max_time)
             if result.status == "overflow":
                 s = result.stats
@@ -172,7 +171,7 @@ class _Recorder:
 
         # an enumeration overflow is acceptable only for the best-effort
         # range; a refused presentation raises, and is never tolerated
-        self.run(check_id, statement, body, tolerated=n > 6)
+        self.run(check_id, statement, body, tolerated=self.n > 6)
 
 
 def verify_presentation(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
@@ -180,8 +179,7 @@ def verify_presentation(n: int, limits: Limits | None = None) -> tuple[CheckResu
 
     The relator rows read the conjugators of the one relator validation
     in _gen_auts, so each relator is evaluated once per n."""
-    _require("presentation", n)
-    rec = _Recorder(limits)
+    rec = _Recorder("presentation", n, limits)
     for flavor in ("oriented", "extended"):
         pres = build_presentation(n, flavor)
         for label in pres.labels:
@@ -214,54 +212,51 @@ def verify_presentation(n: int, limits: Limits | None = None) -> tuple[CheckResu
 def verify_prop22(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
     """Orders of the rotations, the boundary inverse form, and the
     half-twist and rotation conjugation rules."""
-    _require("prop22", n)
-    rec = _Recorder(limits)
+    rec = _Recorder("prop22", n, limits)
     for j in range(3):
         word = named_word(f"a{j}", n)
-        rec.order(f"n{n}.prop22.order.a{j}", f"order(a{j}) = {n - j} at n={n}",
-                  word, n, n - j)
+        rec.order(f"n{n}.prop22.order.a{j}", f"order(a{j}) = {n - j} at n={n}", word, n - j)
     lhs = invert(tuple(range(1, n - 1)) + (n - 1, n - 1))
     rec.eq(f"n{n}.prop22.inverse_form",
            f"(s1..s{n - 2} s{n - 1}^2)^-1 = s{n - 2}..s1 (n={n})",
-           lhs, tuple(range(n - 2, 0, -1)), n)
+           lhs, tuple(range(n - 2, 0, -1)))
     phi = named_word("phi", n)
     for i in range(1, n - 1):
         rec.eq_products(f"n{n}.prop22.phi.i{i}",
                         f"phi s{i} phi^-1 = s{n - 1 - i} (n={n})",
-                        [phi, (i,)], [(n - 1 - i,), phi], n)
+                        [phi, (i,)], [(n - 1 - i,), phi])
     for j in range(3):
         rot = named_word(f"a{j}", n)
         for i in range(1, n - 1 - j):
             rec.eq(f"n{n}.prop22.shift.a{j}.i{i}",
                    f"a{j} s{i} a{j}^-1 = s{i + 1} (n={n})",
-                   concat(rot, (i,), invert(rot)), (i + 1,), n)
+                   concat(rot, (i,), invert(rot)), (i + 1,))
     return tuple(rec.checks)
 
 
 def verify_section3(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
     """Reflection interactions with the rotations and the resulting orders."""
-    _require("section3", n)
-    rec = _Recorder(limits)
+    rec = _Recorder("section3", n, limits)
     t = (T_LETTER,)
     a0 = named_word("a0", n)
     a2 = named_word("a2", n)
     rec.eq(f"n{n}.sec3.reflect_a0", f"t a0 t = a0 (n={n})",
-           concat(t, a0, t), a0, n)
+           concat(t, a0, t), a0)
     for k in range(n // 2 + 1):
         word = concat(t, tuple(range(1, 2 * k, 2)))
         rec.eq(f"n{n}.sec3.invol.k{k}",
                f"(t s1 s3 .. s{2 * k - 1})^2 = 1 (n={n}, k={k})" if k
                else f"t^2 = 1 (n={n})",
-               concat(word, word), EPSILON, n)
+               concat(word, word), EPSILON)
     ts = concat(t, (-(n - 1),))
     rec.eq(f"n{n}.sec3.commute_a2", f"t s{n - 1}^-1 commutes with a2 (n={n})",
-           concat(ts, a2), concat(a2, ts), n)
+           concat(ts, a2), concat(a2, ts))
     rec.order(f"n{n}.sec3.order.ta0",
               f"order(t a0) = {n if n % 2 == 0 else 2 * n} (n={n})",
-              concat(t, a0), n, n if n % 2 == 0 else 2 * n)
+              concat(t, a0), n if n % 2 == 0 else 2 * n)
     rec.order(f"n{n}.sec3.order.tsa2",
               f"order(t s{n - 1}^-1 a2) = {n - 2 if n % 2 == 0 else 2 * (n - 2)} (n={n})",
-              concat(ts, a2), n, n - 2 if n % 2 == 0 else 2 * (n - 2))
+              concat(ts, a2), n - 2 if n % 2 == 0 else 2 * (n - 2))
     return tuple(rec.checks)
 
 
@@ -297,8 +292,7 @@ def verify_lemma_y(n: int, limits: Limits | None = None) -> tuple[CheckResult, .
     """The five-step chain from b^-2 a b down to a triple product, the
     even-power shift closing the odd-index cycle, and the product
     assembling s1 s3 .. s(n-1) from subgroup words."""
-    _require("lemma-y", n)
-    rec = _Recorder(limits)
+    rec = _Recorder("lemma-y", n, limits)
     a = named_word("a", n)
     a0 = named_word("a0", n)
     x0, x1, x2, x3, x4 = _chain(a, named_word("b", n))
@@ -315,24 +309,23 @@ def verify_lemma_y(n: int, limits: Limits | None = None) -> tuple[CheckResult, .
     for name, (ab_side, sigma_side) in sigma_forms.items():
         rec.eq(f"n{n}.lemY.{name}",
                f"{name} chain line matches its twist form (n={n})",
-               ab_side, sigma_side, n)
+               ab_side, sigma_side)
     a2 = Power(a, 2)
     for j in range(1, n, 2):
         nxt = (j + 2) % n
         rec.eq_products(f"n{n}.lemY.gshift.g{j}",
                         f"a^2 (s{j} s{(j + 2) % n} s{(j + 4) % n}^-1) a^-2 shifts the subscript by 2 (n={n})",
-                        [a2, named_word(f"g{j}", n)], [named_word(f"g{nxt}", n), a2], n)
+                        [a2, named_word(f"g{j}", n)], [named_word(f"g{nxt}", n), a2])
     rec.eq_products(f"n{n}.lemY.product",
                     f"product of the odd-index triples equals s1 s3 .. s{n - 1} (n={n})",
-                    _y_factors(n, x4, a2), [named_word("y", n)], n)
+                    _y_factors(n, x4, a2), [named_word("y", n)])
     return tuple(rec.checks)
 
 
 def verify_lemma_z(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
     """The ab normal forms, the shift of the adjacent triple products,
     their telescoping product, and the power landing on z."""
-    _require("lemma-z", n)
-    rec = _Recorder(limits)
+    rec = _Recorder("lemma-z", n, limits)
     a = named_word("a", n)
     b = named_word("b", n)
     a0 = named_word("a0", n)
@@ -341,33 +334,31 @@ def verify_lemma_z(n: int, limits: Limits | None = None) -> tuple[CheckResult, .
     rot2 = concat(rot, rot)
     rec.eq(f"n{n}.lemZ.ab_form",
            f"ab = (a0 s{n - 1}^-1)^2 s{n - 5} s{n - 4} s{n - 2} (n={n})",
-           ab, concat(rot2, (n - 5, n - 4, n - 2)), n)
+           ab, concat(rot2, (n - 5, n - 4, n - 2)))
     for k in range(1, n - 6):
         rec.eq(f"n{n}.lemZ.dshift.k{k}",
                f"(a0 s{n - 1}^-1)^2 moves the triple s{k} s{k + 1} s{k + 3} up by 2 (n={n})",
                concat(rot2, named_word(f"d{k}", n)),
-               concat(named_word(f"d{k + 2}", n), rot2), n)
+               concat(named_word(f"d{k + 2}", n), rot2))
     rec.eq(f"n{n}.lemZ.ab_cycled",
            f"ab = s{n - 3} s{n - 2} s1 (a0 s{n - 1}^-1)^2 (n={n})",
-           ab, concat((n - 3, n - 2, 1), rot2), n)
+           ab, concat((n - 3, n - 2, 1), rot2))
     dprod = concat(*(named_word(f"d{k}", n) for k in range(1, n - 4, 2)))
     rec.eq(f"n{n}.lemZ.dproduct",
            f"triple products telescope onto a0 s{n - 1}^-1 s{n - 2}^-1 s{n - 3}^-1 s1^-1 z (n={n})",
            dprod,
-           concat(a0, (-(n - 1), -(n - 2), -(n - 3), -1), named_word("z", n)), n)
+           concat(a0, (-(n - 1), -(n - 2), -(n - 3), -1), named_word("z", n)))
     rec.eq_products(f"n{n}.lemZ.power",
                     f"(ab)^{n // 2 - 1} = s1 s3 .. s{n - 5} s{n - 2} (n={n})",
-                    [Power(ab, n // 2 - 1)], [named_word("z", n)], n)
-    rec.order(f"n{n}.lemZ.order.a1", f"order(a1) = {n - 1} (n={n})",
-              named_word("a1", n), n, n - 1)
+                    [Power(ab, n // 2 - 1)], [named_word("z", n)])
+    rec.order(f"n{n}.lemZ.order.a1", f"order(a1) = {n - 1} (n={n})", named_word("a1", n), n - 1)
     return tuple(rec.checks)
 
 
 def verify_main_even(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
     """The closing identities of the even-n generation proof and the
     enumeration certificate itself."""
-    _require("main", n)
-    rec = _Recorder(limits)
+    rec = _Recorder("main", n, limits)
     a = named_word("a", n)
     b = named_word("b", n)
     a0 = named_word("a0", n)
@@ -379,38 +370,35 @@ def verify_main_even(n: int, limits: Limits | None = None) -> tuple[CheckResult,
             Power(a2, m), invert(x4_ab), Power(a2, -m)]
     rec.eq_products(f"n{n}.main.w",
                     f"z^-1 y gamma^-1 assembled from subgroup words = s{n - 2}^-1 s1 (n={n})",
-                    w_ab, [named_word("w", n)], n)
+                    w_ab, [named_word("w", n)])
     ainvb = concat(invert(a), b)
     rec.eq(f"n{n}.main.ainvb",
            f"a^-1 b = s{n - 3} s{n - 4} s{n - 2}^-1 s{n - 1}^-1 s{n - 2} (n={n})",
-           ainvb, (n - 3, n - 4, -(n - 2), -(n - 1), n - 2), n)
+           ainvb, (n - 3, n - 4, -(n - 2), -(n - 1), n - 2))
     rec.eq(f"n{n}.main.c",
            f"a^-1 b w b^-1 a = s{n - 1}^-1 s1 (n={n})",
            concat(ainvb, named_word("w", n), invert(ainvb)),
-           named_word("c", n), n)
+           named_word("c", n))
     rec.eq(f"n{n}.main.bridge",
            f"a (t a0)^-1 = s{n - 3} s{n - 2} (n={n})",
-           concat(a, invert(concat((T_LETTER,), a0))), (n - 3, n - 2), n)
-    rec.index(f"n{n}.main.index", f"subgroup <a, b> has index 1 (n={n})",
-              n, (a, b), 1)
+           concat(a, invert(concat((T_LETTER,), a0))), (n - 3, n - 2))
+    rec.index(f"n{n}.main.index", f"subgroup <a, b> has index 1 (n={n})", (a, b), 1)
     return tuple(rec.checks)
 
 
 def verify_odd(n: int, limits: Limits | None = None) -> tuple[CheckResult, ...]:
     """Odd-puncture generation: the reflection appears as a power, and
     the two-element certificate closes at index 1."""
-    _require("odd", n)
-    rec = _Recorder(limits)
+    rec = _Recorder("odd", n, limits)
     t = (T_LETTER,)
     a0 = named_word("a0", n)
     ta0 = concat(t, a0)
     ts1 = concat(t, (1,))
     rec.eq_products(f"n{n}.odd.reflect_power", f"(t a0)^{n} = t (n={n})",
-                    [Power(ta0, n)], [t], n)
-    rec.order(f"n{n}.odd.order.ts1", f"order(t s1) = 2 (n={n})", ts1, n, 2)
-    rec.order(f"n{n}.odd.order.ta0", f"order(t a0) = {2 * n} (n={n})", ta0, n, 2 * n)
-    rec.index(f"n{n}.odd.index", f"subgroup <t s1, t a0> has index 1 (n={n})",
-              n, (ts1, ta0), 1)
+                    [Power(ta0, n)], [t])
+    rec.order(f"n{n}.odd.order.ts1", f"order(t s1) = 2 (n={n})", ts1, 2)
+    rec.order(f"n{n}.odd.order.ta0", f"order(t a0) = {2 * n} (n={n})", ta0, 2 * n)
+    rec.index(f"n{n}.odd.index", f"subgroup <t s1, t a0> has index 1 (n={n})", (ts1, ta0), 1)
     return tuple(rec.checks)
 
 
@@ -424,7 +412,7 @@ def verify_n4(limits: Limits | None = None) -> tuple[CheckResult, ...]:
     """The four-puncture projective model: relator validation, the
     commutator identity, surjectivity witnesses, torsion orders, and the
     three-element generation certificate."""
-    rec = _Recorder(limits)
+    rec = _Recorder("n4", 4, limits)
 
     def relators_body():
         _pgl2_gens()  # raises unless every relator maps to the identity
@@ -448,18 +436,18 @@ def verify_n4(limits: Limits | None = None) -> tuple[CheckResult, ...]:
         rec.run(f"n4.pgl2.witness.{name}",
                 f"some generator word maps onto {name} projectively",
                 witness_body)
-    rec.order("n4.order.t", "order(t) = 2 (n=4)", (T_LETTER,), 4, 2)
-    rec.order("n4.order.ts1", "order(t s1) = 2 (n=4)", (T_LETTER, 1), 4, 2)
-    rec.order("n4.order.a0", "order(a0) = 4 (n=4)", named_word("a0", 4), 4, 4)
+    rec.order("n4.order.t", "order(t) = 2 (n=4)", (T_LETTER,), 2)
+    rec.order("n4.order.ts1", "order(t s1) = 2 (n=4)", (T_LETTER, 1), 2)
+    rec.order("n4.order.a0", "order(a0) = 4 (n=4)", named_word("a0", 4), 4)
     rec.index("n4.index3gen", "subgroup <t, t s1, a0> has index 1 (n=4)",
-              4, ((T_LETTER,), (T_LETTER, 1), named_word("a0", 4)), 1)
+              ((T_LETTER,), (T_LETTER, 1), named_word("a0", 4)), 1)
     return tuple(rec.checks)
 
 
 def verify_sigma2(limits: Limits | None = None) -> tuple[CheckResult, ...]:
     """The mod-2 data feeding the genus-two lifting argument: images of
     the two generators, their span, and the n=6 certificate they sit on."""
-    rec = _Recorder(limits)
+    rec = _Recorder("sigma2", 6, limits)
     a = named_word("a", 6)
     b = named_word("b", 6)
     for name, word, want in (("a", a, (1, 1)), ("b", b, (0, 1))):
@@ -475,8 +463,7 @@ def verify_sigma2(limits: Limits | None = None) -> tuple[CheckResult, ...]:
         return ("pass" if span_gf2(images) else "fail"), f"rank {gf2_rank(images)}"
 
     rec.run("sigma2.span", "the two images span (Z/2)^2", span_body)
-    rec.index("sigma2.generation", "subgroup <a, b> has index 1 (n=6)",
-              6, (a, b), 1)
+    rec.index("sigma2.generation", "subgroup <a, b> has index 1 (n=6)", (a, b), 1)
 
     def conclusion_body():
         wanted = ("sigma2.psi.a", "sigma2.psi.b", "sigma2.span", "sigma2.generation")
@@ -511,11 +498,6 @@ SUITES = {
     "n4": (verify_n4, None),
     "sigma2": (verify_sigma2, None),
 }
-
-
-def _require(suite: str, n: int) -> None:
-    if not SUITES[suite][1](n):
-        raise ValueError(f"suite {suite} does not apply at n={n}")
 
 
 def full_report(n_list, limits: Limits | None = None) -> Report:

@@ -89,6 +89,11 @@ class TestVerify:
         assert code == 64
         assert "--n is required" in err
 
+    def test_missing_n_for_all_suites(self, capsys):
+        code, _, err = run(capsys, "verify", "--suite", "all")
+        assert code == 64
+        assert "--n is required for --suite all" in err
+
     def test_unknown_suite_token(self, capsys):
         code, _, _ = run(capsys, "verify", "--n", "6", "--suite", "lemma-q")
         assert code == 64

@@ -222,6 +222,14 @@ class TestLimits:
                                   max_cosets=20000)
         assert (result.status, result.table) == ("overflow", None)
 
+    def test_open_entry_after_a_clean_sweep_overflows_at_once(self):
+        # y occurs in no relator of <x, y | x^2>, so the first clean sweep
+        # leaves its column open: that shows the index infinite, and the
+        # run stops there instead of defining cosets up to the limit
+        result = enumerate_cosets(toy((1, 2), [(1, 1)]), max_cosets=10**5)
+        assert (result.status, result.table) == ("overflow", None)
+        assert result.stats.defined == 2
+
     def test_time_budget_overflow(self):
         pres = build_presentation(6, "extended")
         result = enumerate_cosets(pres, (), max_cosets=10**9, max_time=0.05)
@@ -231,6 +239,15 @@ class TestLimits:
         pres = build_presentation(6, "oriented")
         with pytest.raises(ValueError):
             enumerate_cosets(pres, ((T,),))
+
+
+@pytest.mark.parametrize("flavor", ("oriented", "extended"))
+@pytest.mark.parametrize("n", range(3, 13))
+def test_every_generator_occurs_in_a_relator(n, flavor):
+    # so every clean sweep over a presentation the package builds leaves
+    # a complete table, and its runs never end on an open entry
+    pres = build_presentation(n, flavor)
+    assert {abs(letter) for rel in pres.relators for letter in rel} == set(pres.generators)
 
 
 # the symmetric group S6 as a Coxeter group: 720 cosets of the trivial subgroup

@@ -88,16 +88,16 @@ class TestSuiteShapes:
         monkeypatch.setattr(action, "is_inner", lambda f: EPSILON)
         assert equal_with_witness((1, 1), EPSILON, 6)[0]
         assert equal_with_witness((1,), (2,), 6) == (False, None)
-        rec = harness._Recorder(None)
-        rec.eq("broken.s1_s2", "s1 = s2 (n=6)", (1,), (2,), 6)
+        rec = harness._Recorder("main", 6, None)
+        rec.eq("broken.s1_s2", "s1 = s2 (n=6)", (1,), (2,))
         [row] = rec.checks
         assert (row.status, row.witness) == ("fail", None)
 
     def test_product_rows_refuse_what_a_broken_oracle_accepts(self, monkeypatch):
         monkeypatch.setattr(action, "_inner_over", lambda *args: EPSILON)
-        rec = harness._Recorder(None)
-        rec.eq_products("broken.s1_s2", "s1 = s2 (n=6)", [(1,)], [(2,)], 6)
-        rec.eq_products("broken.s1s1", "s1^2 = 1 (n=6)", [(1, 1)], [], 6)
+        rec = harness._Recorder("main", 6, None)
+        rec.eq_products("broken.s1_s2", "s1 = s2 (n=6)", [(1,)], [(2,)])
+        rec.eq_products("broken.s1s1", "s1^2 = 1 (n=6)", [(1, 1)], [])
         assert [(row.status, row.witness) for row in rec.checks] == \
             [("fail", None), ("pass", "exact")]
 
@@ -339,8 +339,8 @@ class TestOverallRules:
         # n = 578 lies in the best-effort range, but build_presentation
         # refuses it before any coset is defined: the row names that
         # refusal and fails the report
-        rec = harness._Recorder(None)
-        rec.index("n578.main.index", "index 1", 578, (), 1)
+        rec = harness._Recorder("main", 578, None)
+        rec.index("n578.main.index", "index 1", (), 1)
         (row,) = rec.checks
         assert (row.status, row.tolerated) == ("overflow", False)
         assert row.witness == ("the extended relators at n=578 hold 1002826 letters, "

@@ -14,6 +14,11 @@ import counts as used when its module names the bound name anywhere;
 The puncture-range refusal (the `need n ...` messages) is written in one
 package function, which every caller goes through.
 
+A parse error is mapped to its exit code in `cli.main` alone; the one
+other handler, in `cmd_dump`, skips the names undefined at n.  Within
+the harness, the suite range refusal is written in `_Recorder` alone,
+which every suite builds.
+
 The harness builds no flattened power: it writes powers as factors of
 the product path, so `words.power` is left to the expression parser.
 `_gen_auts` is the one `lru_cache` in `action.py`, so the factor cache of
@@ -202,3 +207,36 @@ def test_reflections_are_moved_by_word_to_aut_alone():
     assert callers(ROOT, "_reflections_last") == ["action.py:word_to_aut"]
     assert not {"word_to_aut", "_reflections_last"} & called_names_in(
         definition(ROOT / "src" / "spheremcg" / "action.py", "_gen_auts"))
+
+
+def handlers(path, name):
+    """The top-level definitions of a module with an `except` clause
+    naming the exception."""
+    return [stmt.name for stmt in ast.parse(path.read_text(), str(path)).body
+            if isinstance(stmt, DEFINITIONS) and any(
+                isinstance(node, ast.ExceptHandler) and node.type is not None
+                and name in _names(node.type) for node in ast.walk(stmt))]
+
+
+def holding(path, text):
+    """The top-level definitions of a module holding a string constant
+    that contains the text."""
+    return [stmt.name for stmt in ast.parse(path.read_text(), str(path)).body
+            if isinstance(stmt, DEFINITIONS) and any(
+                isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and text in node.value for node in ast.walk(stmt))]
+
+
+def test_parse_error_exit_is_mapped_in_main_alone():
+    cli = ROOT / "src" / "spheremcg" / "cli.py"
+    assert handlers(cli, "ParseError") == ["cmd_dump", "main"]
+    assert [stmt.name for stmt in ast.parse(cli.read_text()).body
+            if isinstance(stmt, DEFINITIONS) and "PARSE_EXIT" in _names(stmt)] == ["main"]
+
+
+def test_suite_range_is_checked_in_the_recorder_alone():
+    harness = ROOT / "src" / "spheremcg" / "harness.py"
+    assert holding(harness, "does not apply") == ["_Recorder"]
+    suites = [stmt for stmt in ast.parse(harness.read_text()).body
+              if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("verify_")]
+    assert suites and all("_Recorder" in called_names_in(stmt) for stmt in suites)
