@@ -1,6 +1,7 @@
 import pytest
 
-from spheremcg import EPSILON, T_LETTER, FreeAut, concat, equal_in_group, invert
+from spheremcg.action import FreeAut, equal_in_group
+from spheremcg.words import EPSILON, T_LETTER, concat, invert
 
 
 # Reference helpers the library itself has no use for; test modules

@@ -386,6 +386,10 @@ class TestOrders:
     def test_infinite_order_exceeds_cap(self):
         assert order_of((1,), 6) is None
 
+    def test_identity_has_order_one(self):
+        assert order_of((), 6) == 1
+        assert order_of((1, -1), 6) == 1
+
     def test_explicit_cap(self):
         assert order_of(named_word("a0", 6), 6, cap=5) is None
         assert order_of(named_word("a0", 6), 6, cap=6) == 6

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -336,6 +340,27 @@ class TestLimits:
         assert code == 64
         assert out == ""
         assert flag in err
+
+
+class TestModuleEntryPoint:
+    """`python -m spheremcg` runs `cli.main` and exits with its code."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        return subprocess.run([sys.executable, "-m", "spheremcg", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+
+    def test_passing_suite_exits_zero(self):
+        done = self.run_module("verify", "--suite", "n4")
+        assert done.returncode == 0
+        assert done.stdout.strip().endswith("(pass=8)")
+
+    def test_refused_suite_exits_64(self):
+        done = self.run_module("verify", "--n", "7", "--suite", "lemma-y")
+        assert done.returncode == 64
+        assert "does not apply" in done.stderr
 
 
 class TestUsage:

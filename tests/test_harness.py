@@ -198,6 +198,10 @@ class TestFullReport:
         assert not any(i.startswith("n6.") for i in present)
         assert report.overall == "pass"
 
+    def test_n_without_a_suite_is_refused(self):
+        with pytest.raises(ValueError, match="no suite applies at n=2"):
+            full_report([2])
+
     def test_empty_list_runs_free_suites_only(self):
         report = full_report([])
         assert all(i.startswith(("n4.", "sigma2.")) for i in ids(report.checks))

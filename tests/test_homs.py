@@ -128,6 +128,14 @@ class TestPgl2:
         comm = mat_mul(mat_mul(x, y), mat_mul(mat_inv(x), mat_inv(y)))
         assert comm == mat_neg(MAT_ID)
 
+    def test_inverse_of_a_non_unit_is_refused(self):
+        with pytest.raises(ValueError, match="determinant 2, not a unit"):
+            mat_inv((2, 0, 0, 1))
+
+    def test_letter_outside_the_alphabet_is_refused(self):
+        with pytest.raises(ValueError, match="letter 5 outside the alphabet for n=4"):
+            pgl2_image((5,))
+
     def test_orientation_tracks_determinant(self):
         for word in ((T,), (T, 1), (T, 1, 2, -3)):
             m = pgl2_image(word)

@@ -4,20 +4,27 @@ name a package module imports is used by that module.
 
 A definition counts as used when some other top-level statement names it,
 as a bare name or as an attribute, in a package module other than
-`__init__.py` (whose re-exports use nothing) or in a `bench/*.py` script.
+`__init__.py` or in a `bench/*.py` script.
 The benchmark tracer names the callables it wraps in strings, so the
 dotted parts of its `TARGETS` count as well, and each of those targets
 must exist, since a traced benchmark run looks every one of them up.  An
 import counts as used when its module names the bound name anywhere;
 `__init__.py` and `from __future__` imports are exempt.
 
+The package namespace re-exports nothing: `__init__.py` holds only its
+docstring, so importing one module loads only what that module imports,
+and `import spheremcg.action` loads neither the enumerator nor the
+harness nor the CLI.
+
 The puncture-range refusal (the `need n ...` messages) is written in one
 package function, which every caller goes through.
 
 A parse error is mapped to its exit code in `cli.main` alone; the one
-other handler, in `cmd_dump`, skips the names undefined at n.  Within
-the harness, the suite range refusal is written in `_Recorder` alone,
-which every suite builds.
+other handler, in `cmd_dump`, skips the names undefined at n.  Every
+other refused input, a `ValueError`, is mapped to the usage exit in
+`cli.main` alone too.  Within the harness, the suite range refusal is
+written in `_Recorder` alone, which every suite builds, and the CLI
+does not restate it.
 
 The harness builds no flattened power: it writes powers as factors of
 the product path, so `words.power` is left to the expression parser.
@@ -37,7 +44,10 @@ never made through the rewrite.
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -234,9 +244,23 @@ def test_parse_error_exit_is_mapped_in_main_alone():
             if isinstance(stmt, DEFINITIONS) and "PARSE_EXIT" in _names(stmt)] == ["main"]
 
 
+def test_refused_input_exit_is_mapped_in_main_alone():
+    assert handlers(ROOT / "src" / "spheremcg" / "cli.py", "ValueError") == ["main"]
+
+
 def test_suite_range_is_checked_in_the_recorder_alone():
     harness = ROOT / "src" / "spheremcg" / "harness.py"
     assert holding(harness, "does not apply") == ["_Recorder"]
+    assert holding(ROOT / "src" / "spheremcg" / "cli.py", "does not apply") == []
     suites = [stmt for stmt in ast.parse(harness.read_text()).body
               if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("verify_")]
     assert suites and all("_Recorder" in called_names_in(stmt) for stmt in suites)
+
+
+def test_importing_the_action_loads_no_enumerator_harness_or_cli():
+    code = "import sys, spheremcg.action; print(*sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    loaded = set(done.stdout.split())
+    assert "spheremcg.action" in loaded
+    assert not loaded & {"spheremcg.coset", "spheremcg.harness", "spheremcg.cli"}
