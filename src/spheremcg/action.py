@@ -77,7 +77,6 @@ conjugator found for each relator, as the convention and relator rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
@@ -88,8 +87,7 @@ from .presentation import DEFAULT_LENGTH_GUARD, ResourceLimitError, build_presen
 from .words import EPSILON, T_LETTER, Word, cyclic_reduce, invert, reduce, require_punctures
 
 
-@dataclass(frozen=True)
-class FreeAut:
+class FreeAut(NamedTuple):
     """Automorphism of the free group on x1 .. x(n-1), normalized:
     x(i+1) -> conj images[i] conj^-1, each stored image reduced.  Every
     one the package builds comes from _evaluate or compose, which peel
@@ -293,6 +291,8 @@ def _candidate(h1: Word, h2: Word) -> Word | None:
 
 def _conjugates(w: Word, images: Iterable[Word], by: Iterable[Word]) -> bool:
     """Whether each image is w b w^-1 for the matching b."""
+    if not w:
+        return all(img == b for img, b in zip(images, by))
     w_inv = invert(w)
     return all(img == _mul(_mul(w, b), w_inv) for img, b in zip(images, by))
 

@@ -59,8 +59,8 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 from .presentation import Presentation
 from .words import Word
@@ -102,16 +102,14 @@ def _layout(generators: tuple[int, ...], relators: tuple[Word, ...]):
     return letters, col, rel_cols, tuple(tuple(bucket) for bucket in buckets)
 
 
-@dataclass(frozen=True)
-class EnumerationStats:
+class EnumerationStats(NamedTuple):
     defined: int
     max_alive: int
     collapses: int
     seconds: float
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(NamedTuple):
     """Completed action of the generators on right cosets, coset 0 = subgroup."""
 
     letters: tuple[int, ...]
@@ -121,13 +119,10 @@ class CosetTable:
     def index(self) -> int:
         return len(self.rows)
 
-    @cached_property
-    def col(self) -> dict[int, int]:
-        """Column of each generator letter, built once per table."""
-        return {letter: k for k, letter in enumerate(self.letters)}
-
-    def trace(self, coset: int, word: Word) -> int:
-        col = self.col
+    def trace(self, coset: int, word: Word, col: dict[int, int] | None = None) -> int:
+        """The coset the word leads to from the given one; col, the column
+        of each letter, is built from the letters unless given."""
+        col = col or {letter: k for k, letter in enumerate(self.letters)}
         for letter in word:
             coset = self.rows[coset][col[letter]]
         return coset
@@ -139,7 +134,7 @@ class CosetTable:
         relator and subgroup generator closes.  This says nothing for a
         one-row table, where every trace returns to coset 0.
         """
-        col = self.col
+        col = {letter: k for k, letter in enumerate(self.letters)}
         for row in self.rows:
             if any(not 0 <= t < len(self.rows) for t in row):
                 return False
@@ -150,13 +145,12 @@ class CosetTable:
                     return False
         for rel in pres.relators:
             for i in range(len(self.rows)):
-                if self.trace(i, rel) != i:
+                if self.trace(i, rel, col) != i:
                     return False
-        return all(self.trace(0, w) == 0 for w in subgens)
+        return all(self.trace(0, w, col) == 0 for w in subgens)
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     status: str  # "finished" | "overflow"
     index: int | None
     table: CosetTable | None

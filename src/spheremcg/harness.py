@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .action import (CONVENTION, Factors, Power, ResourceLimitError, _gen_auts,
                      equal_products, equal_with_witness, order_of)
@@ -44,8 +44,7 @@ VERSION = "0.1.0"
 STATUSES = ("pass", "fail", "overflow")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     statement: str
     status: str
@@ -55,15 +54,13 @@ class CheckResult:
     tolerated: bool = False
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     max_cosets: int = 10**6
     max_time: float = 60.0
     aut_guard: int = DEFAULT_LENGTH_GUARD
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property

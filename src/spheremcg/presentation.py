@@ -7,10 +7,9 @@ and the coset enumerator contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import (
-    EPSILON,
     ParseError,
     T_LETTER,
     Word,
@@ -26,7 +25,7 @@ FLAVORS = ("oriented", "extended")
 
 # The one bound on letters: the default automorphism guard, the most
 # letters the extended relators at one n may hold, and the longest word
-# one powered token may flatten to.
+# one expression may flatten to.
 DEFAULT_LENGTH_GUARD = 10**6
 
 
@@ -34,8 +33,7 @@ class ResourceLimitError(RuntimeError):
     """Raised when automorphism images, or a presentation, outgrow a guard."""
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     n: int
     flavor: str
     generators: tuple[int, ...]
@@ -176,10 +174,12 @@ NAME_HEADS = ("a0", "a1", "a2", "a", "b", "y", "z", "w", "c", "phi")
 def parse_expression(text: str, n: int) -> Word:
     """Parse a product of word tokens and named elements into a reduced word.
 
-    Any token may carry an integer power suffix: a0^-1, s2^3, b^2.  A token
-    whose power would flatten past DEFAULT_LENGTH_GUARD letters is refused.
+    Any token may carry an integer power suffix: a0^-1, s2^3, b^2.  An
+    expression whose tokens would flatten past DEFAULT_LENGTH_GUARD letters
+    in all is refused before any power is built.
     """
-    out: Word = EPSILON
+    factors: list[tuple[Word, int]] = []
+    letters = 0
     for token in text.split():
         base, caret, exp_text = token.partition("^")
         if caret:
@@ -193,8 +193,8 @@ def parse_expression(text: str, n: int) -> Word:
             word = named_word(base, n)
         else:
             word = parse_word(base, n)
-        if len(word) * abs(exp) > DEFAULT_LENGTH_GUARD:
-            raise ParseError(f"{token!r} flattens past {DEFAULT_LENGTH_GUARD} letters")
-        out = concat(out, power(word, exp))
-    return out
-
+        letters += len(word) * abs(exp)
+        if letters > DEFAULT_LENGTH_GUARD:
+            raise ParseError(f"{text!r} flattens past {DEFAULT_LENGTH_GUARD} letters")
+        factors.append((word, exp))
+    return concat(*(power(word, exp) for word, exp in factors))

@@ -207,9 +207,10 @@ class TestOrder:
         code, _, _ = run(capsys, "order", "--n", "6", "nope")
         assert code == 65
 
-    @pytest.mark.parametrize("expr", ["s1^99999999", "a0^-200001"])
+    @pytest.mark.parametrize("expr", ["s1^99999999", "a0^-200001", "s1^600000 s1^600000"])
     def test_power_past_the_letter_bound_is_refused_unbuilt(self, capsys, monkeypatch, expr):
-        # s1^99999999 would flatten to 10^8 letters, a0^-200001 (five letters) to 10^6 + 5
+        # s1^99999999 would flatten to 10^8 letters, a0^-200001 (five letters) to 10^6 + 5,
+        # and the two tokens of the last to 1.2 * 10^6 in all
         def refuse(*args, **kwargs):
             raise AssertionError("the power was built")
         monkeypatch.setattr("spheremcg.presentation.power", refuse)

@@ -4,7 +4,8 @@ import re
 import pytest
 
 from spheremcg import action, cli, harness
-from spheremcg.action import equal_with_witness
+from spheremcg.action import equal_with_witness, word_to_aut
+from spheremcg.coset import CosetTable, EnumerationResult, EnumerationStats, enumerate_cosets
 from spheremcg.harness import (
     STATUSES,
     SUITES,
@@ -23,7 +24,7 @@ from spheremcg.harness import (
     verify_sigma2,
 )
 from spheremcg.presentation import build_presentation
-from spheremcg.words import EPSILON, format_word, invert
+from spheremcg.words import EPSILON, T_LETTER, format_word, invert
 
 
 def ids(checks):
@@ -357,3 +358,33 @@ class TestOverallRules:
         generation = [c for c in verify_sigma2(Limits(max_cosets=50))
                       if c.id == "sigma2.generation"]
         assert Report(tuple(generation)).exit_code == 2
+
+
+def _twist_table():
+    # the twist subgroup has index 2 at n = 4
+    return enumerate_cosets(build_presentation(4, "extended"), ((1,), (2,), (3,))).table
+
+
+# Each result type, a factory that builds a fresh equal value on every
+# call, and one of its fields.
+RESULT_TYPES = {
+    "Presentation": (lambda: build_presentation(4, "extended"), "relators"),
+    "FreeAut": (lambda: word_to_aut((1, T_LETTER, 2), 5), "images"),
+    "EnumerationStats": (lambda: EnumerationStats(12, 9, 3, 0.25), "defined"),
+    "CosetTable": (_twist_table, "rows"),
+    "EnumerationResult": (lambda: EnumerationResult("finished", 2, _twist_table(),
+                                                    EnumerationStats(2, 2, 0, 0.0)), "index"),
+    "CheckResult": (lambda: synthetic("a", "pass"), "status"),
+    "Limits": (Limits, "aut_guard"),
+    "Report": (lambda: Report((synthetic("a", "pass"),)), "checks"),
+}
+
+
+@pytest.mark.parametrize("make, field", RESULT_TYPES.values(), ids=list(RESULT_TYPES))
+def test_result_types_are_immutable_and_hash_by_value(make, field):
+    # the factor cache hands the same FreeAut to every caller
+    first, second = make(), make()
+    assert first is not second and first == second and hash(first) == hash(second)
+    with pytest.raises(AttributeError):
+        setattr(first, field, getattr(second, field))
+    assert first == second

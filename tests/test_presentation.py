@@ -197,7 +197,7 @@ class TestParseExpression:
 
 
     def test_power_letter_bound(self):
-        # the bound is on one token's flattened length, checked before building
+        # the bound is on the expression's flattened length, checked before building
         assert len(parse_expression(f"a0^{DEFAULT_LENGTH_GUARD // 5}", 6)) == DEFAULT_LENGTH_GUARD
         with pytest.raises(ParseError):
             parse_expression(f"a0^{DEFAULT_LENGTH_GUARD // 5 + 1}", 6)

@@ -16,6 +16,12 @@ docstring, so importing one module loads only what that module imports,
 and `import spheremcg.action` loads neither the enumerator nor the
 harness nor the CLI.
 
+No package module imports `dataclasses`: the result types are
+`typing.NamedTuple`s, so `import spheremcg.cli`, which loads every
+module, adds neither `dataclasses` nor the `inspect` it pulls in to the
+modules a bare interpreter loads.  Those two were the largest import
+cost on the oracle path.
+
 The puncture-range refusal (the `need n ...` messages) is written in one
 package function, which every caller goes through.
 
@@ -257,10 +263,39 @@ def test_suite_range_is_checked_in_the_recorder_alone():
     assert suites and all("_Recorder" in called_names_in(stmt) for stmt in suites)
 
 
-def test_importing_the_action_loads_no_enumerator_harness_or_cli():
-    code = "import sys, spheremcg.action; print(*sorted(sys.modules))"
+def loaded_modules(statement):
+    """The modules a fresh interpreter holds after running the statement."""
+    code = f"import sys; {statement}; print(*sorted(sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    loaded = set(done.stdout.split())
+    return set(done.stdout.split())
+
+
+def test_importing_the_action_loads_no_enumerator_harness_or_cli():
+    loaded = loaded_modules("import spheremcg.action")
     assert "spheremcg.action" in loaded
     assert not loaded & {"spheremcg.coset", "spheremcg.harness", "spheremcg.cli"}
+
+
+def imported_modules(path):
+    """The top-level names of the absolute imports of a module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_package_module_imports_dataclasses():
+    modules = sorted((ROOT / "src" / "spheremcg").glob("*.py"))
+    assert modules
+    assert [p.name for p in modules if "dataclasses" in imported_modules(p)] == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # compared with a bare interpreter, since site may preload modules
+    added = loaded_modules("import spheremcg.cli") - loaded_modules("pass")
+    assert "spheremcg.cli" in added
+    assert not added & {"dataclasses", "inspect"}
