@@ -15,7 +15,7 @@ import tempfile
 
 from .action import ResourceLimitError, default_order_cap, equal_in_group, order_of
 from .coset import enumerate_cosets
-from .harness import SUITES, Limits, Report, full_report
+from .harness import SUITES, Limits, full_report
 from .homs import abelianization_image, format_gf2, format_perm, perm_image
 from .presentation import (
     FLAVORS,
@@ -93,21 +93,7 @@ def cmd_verify(n: int | None, limits: Limits, suite: str, machine: bool = False,
                out: str | None = None) -> int:
     if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         return _usage(f"cannot write --out: no directory for {out}")
-    if suite == "all":
-        if n is None:
-            return _usage("--n is required for --suite all")
-        report = full_report([n], limits)
-    else:
-        runner, applies = SUITES[suite]
-        if applies is None:
-            if n is not None:
-                return _usage(f"suite {suite} takes no --n")
-            checks = runner(limits)
-        elif n is None:
-            return _usage(f"--n is required for --suite {suite}")
-        else:
-            checks = runner(n, limits)
-        report = Report(tuple(sorted(checks, key=lambda c: c.id)))
+    report = full_report(suite, n, limits)
     if out is not None:
         try:
             _write_atomic(out, report.to_json() + "\n")

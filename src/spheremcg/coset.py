@@ -3,17 +3,17 @@
 Each sweep scans the subgroup generators at the base coset and every
 relator at every live coset, filling the first undefined slot, with
 immediate coincidence merging through a union-find.  The run ends at its
-first clean sweep, one with no definition, deduction or coincidence.  It
-doubles as a verification pass, having re-traced every relator cycle and
-subgroup generator on the table.  By induction along each relator, every
-letter of a relator then has a total, bijective column.  So an entry
-still open belongs to a generator y in no relator, and the index is
-infinite: new points on which the relator generators act trivially, with
-y running off along an infinite ray, extend the table to an action in
-which the subgroup fixes coset 0 with an infinite orbit.  The run reports
-that as an overflow; filling the open entries could only have defined
-cosets until a limit stopped the run.  Every presentation the package
-builds has each generator in a relator.
+first clean sweep, one without a tick (one per definition, deduction and
+merge).  It doubles as a verification pass, having re-traced every
+relator cycle and subgroup generator on the table.  By induction along
+each relator, every letter of a relator then has a total, bijective
+column.  So an entry still open belongs to a generator y in no relator,
+and the index is infinite: new points on which the relator generators
+act trivially, with y running off along an infinite ray, extend the
+table to an action in which the subgroup fixes coset 0 with an infinite
+orbit.  The run reports that as an overflow; filling the open entries
+could only have defined cosets until a limit stopped the run.  Every
+presentation the package builds has each generator in a relator.
 
 A deduction pass (Felsch-style deduction processing inside HLT) follows
 every scan of a sweep.  Each table entry a coincidence writes goes on a
@@ -39,8 +39,9 @@ Theory, ch. 5), so later traces through it need no union-find lookup.
 And the deduction pass traces a four-letter cycle (a commutator, or
 t si t si), most of the cycles at n = 10..15, with an unrolled kernel
 whose outcome is the generic trace's.  Every union-find reader resolves
-an entry to its root, so neither changes a deduction, coincidence or
-definition: the statistics of every run are what they were without them.
+an entry to its root, so neither changes a step, nor the statistics of
+a run, which are derived: defined is the union-find's length, and the
+live cosets are that less the merges, whose peak is max_alive.
 
 Index-1 runs close early.  Every table entry is a consequence
 (H w_i g = H w_j), so once every generator maps coset 0 to itself, every
@@ -178,11 +179,8 @@ class _Enumerator:
         self.table = self.blank_row * INITIAL_ROWS
         self.parent = array("i", [0])
         self.stack: list[tuple[int, int]] = []
-        self.alive = 1
-        self.defined = 1
         self.max_alive = 1
         self.collapses = 0
-        self.events = 0
         self.ticks = 0
 
     def find(self, x: int) -> int:
@@ -193,9 +191,9 @@ class _Enumerator:
         return x
 
     def define(self, coset: int, c: int) -> int:
-        if self.alive >= self.max_cosets:
+        new = len(self.parent)
+        if new - self.collapses >= self.max_cosets:
             raise _Overflow
-        new = self.defined
         width = self.width
         row = new * width
         table = self.table
@@ -207,17 +205,16 @@ class _Enumerator:
             table *= 2
         table[row:row + width] = self.blank_row
         self.parent.append(new)
-        self.alive += 1
-        self.defined += 1
-        if self.alive > self.max_alive:
-            self.max_alive = self.alive
-        self.events += 1
+        alive = new + 1 - self.collapses
+        if alive > self.max_alive:
+            self.max_alive = alive
         table[coset * width + c] = new
         table[row + (c ^ 1)] = coset
         self.tick()
         return new
 
     def tick(self) -> None:
+        """One tick per definition, deduction and merge; a sweep without one is clean."""
         self.ticks += 1
         if self.ticks % 1024 == 0 and time.monotonic() > self.deadline:
             raise _Overflow
@@ -239,27 +236,20 @@ class _Enumerator:
                     break
                 f = t if parent[t] == t else find(t)
                 i += 1
-            if i > j:
-                if f != b:
-                    self.coincide(f, b)
-                    self.events += 1
-                return
             while j >= i:
                 t = table[b * width + (cols[j] ^ 1)]
                 if t == UNDEF:
                     break
                 b = t if parent[t] == t else find(t)
                 j -= 1
-            if j < i:
+            if j < i:  # closed, by the forward trace alone or from both ends
                 if f != b:
                     self.coincide(f, b)
-                    self.events += 1
                 return
             if i == j:
                 # both half-edges open: write the pair as a deduction
                 table[f * width + cols[i]] = b
                 table[b * width + (cols[i] ^ 1)] = f
-                self.events += 1
                 self.tick()
                 return
             f = self.define(f, cols[i])
@@ -282,7 +272,6 @@ class _Enumerator:
             if y < x:
                 x, y = y, x
             parent[y] = x
-            self.alive -= 1
             self.collapses += 1
             # y is no longer a root and the loop reads only roots' rows,
             # so y's row is taken and blanked at once
@@ -380,7 +369,6 @@ class _Enumerator:
                                 f, b = (e if parent[e] == e else find(e)), k
                     if f != b:
                         self.coincide(f, b)
-                        self.events += 1
                         break
                     continue
                 j, cols = record
@@ -404,7 +392,6 @@ class _Enumerator:
                 if j < i:
                     if f != b:
                         self.coincide(f, b)
-                        self.events += 1
                         break
                 elif i == j:
                     self.write_deduction(f, cols[i], b)
@@ -416,16 +403,10 @@ class _Enumerator:
         self.table[f * width + c] = b
         self.table[b * width + (c ^ 1)] = f
         self.stack.append((f, c))
-        self.events += 1
         self.tick()
 
-    def live_cosets(self):
-        for i in range(self.defined):
-            if self.parent[i] == i:
-                yield i
-
     def run(self) -> None:
-        """Sweep until a sweep has no events; an entry it leaves open
+        """Sweep until a sweep makes no tick; an entry it leaves open
         shows the index infinite, which standardized() reports.
 
         Raises _IndexOne when a coincidence closes coset 0 under every
@@ -433,47 +414,46 @@ class _Enumerator:
         """
         sub_cols = [tuple(self.col[letter] for letter in w)
                     for w in self.subgens]
-        stack = self.stack
+        stack, parent = self.stack, self.parent
         while True:
-            self.events = 0
+            ticks = self.ticks
             for cols in sub_cols:
-                self.scan(self.find(0), cols)
+                self.scan(0, cols)
                 if stack:
                     self.deduce()
-            for coset in self.live_cosets():
+            for coset in range(len(parent)):
+                if parent[coset] != coset:
+                    continue
                 for cols in self.rel_cols:
-                    self.scan(self.find(coset), cols)
+                    self.scan(coset, cols)
                     if stack:
                         self.deduce()
-                    if self.parent[coset] != coset:
+                    if parent[coset] != coset:
                         break
-            if not self.events:
+            if self.ticks == ticks:
                 return
 
     def standardized(self) -> CosetTable:
         """Breadth-first renumbering from the subgroup coset; this makes
         the finished table independent of the discovery history; an open
         entry is an overflow, since it shows the index infinite."""
-        width = self.width
-        order: dict[int, int] = {self.find(0): 0}
-        queue = [self.find(0)]
+        width, table, find = self.width, self.table, self.find
+        order: dict[int, int] = {0: 0}
+        queue = [0]
         rows: list[list[int]] = []
-        k = 0
-        while k < len(queue):
-            coset = queue[k]
-            k += 1
+        for coset in queue:  # the queue grows as the loop runs
             row = []
             for c in range(width):
-                t = self.table[coset * width + c]
+                t = table[coset * width + c]
                 if t == UNDEF:
                     raise _Overflow
-                t = self.find(t)
+                t = find(t)
                 if t not in order:
                     order[t] = len(order)
                     queue.append(t)
                 row.append(t)
             rows.append(row)
-        if len(order) != self.alive:
+        if len(order) != len(self.parent) - self.collapses:
             raise RuntimeError("standardized table dropped a live coset")
         final = tuple(tuple(order[t] for t in row) for row in rows)
         return CosetTable(self.letters, final)
@@ -501,7 +481,7 @@ def enumerate_cosets(pres: Presentation, subgens: tuple[Word, ...] = (),
         table = CosetTable(enum.letters, ((0,) * enum.width,))
     except _Overflow:
         table = None
-    stats = EnumerationStats(enum.defined, enum.max_alive, enum.collapses,
+    stats = EnumerationStats(len(enum.parent), enum.max_alive, enum.collapses,
                              time.monotonic() - start)
     if table is None:
         return EnumerationResult("overflow", None, None, stats)

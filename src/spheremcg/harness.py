@@ -37,7 +37,7 @@ from .homs import (
     validate_hom,
 )
 from .presentation import DEFAULT_LENGTH_GUARD, build_presentation, named_word
-from .words import EPSILON, T_LETTER, Word, concat, format_word, invert
+from .words import EPSILON, T_LETTER, Word, concat, format_word, invert, require_punctures
 
 VERSION = "0.1.0"
 
@@ -497,20 +497,23 @@ SUITES = {
 }
 
 
-def full_report(n_list, limits: Limits | None = None) -> Report:
-    """Run every suite applicable to each n, plus the n-independent
-    suites, and aggregate sorted by check id."""
+def full_report(suite: str, n: int | None, limits: Limits | None = None) -> Report:
+    """The report of one --suite token, sorted by check id: the named
+    suite, or for "all" every suite applicable at n and the suites that
+    take no n.  A token whose suites take n needs one; a suite that takes
+    none refuses it."""
+    if suite == "all" or SUITES[suite][1] is not None:
+        if n is None:
+            raise ValueError(f"--n is required for --suite {suite}")
+        require_punctures(n)
+    elif n is not None:
+        raise ValueError(f"suite {suite} takes no --n")
     checks: list[CheckResult] = []
-    for n in sorted(set(n_list)):
-        runners = [run for run, applies in SUITES.values()
-                   if applies is not None and applies(n)]
-        if not runners:
-            raise ValueError(f"no suite applies at n={n}")
-        for run in runners:
-            checks.extend(run(n, limits))
-    for run, applies in SUITES.values():
+    for run, applies in (SUITES.values() if suite == "all" else [SUITES[suite]]):
         if applies is None:
             checks.extend(run(limits))
+        elif suite != "all" or applies(n):
+            checks.extend(run(n, limits))
     ids = [c.id for c in checks]
     if len(set(ids)) != len(ids):
         raise RuntimeError("duplicate check ids in report")

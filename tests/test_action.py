@@ -535,6 +535,14 @@ class TestResourceGuard:
     def test_guard_not_triggered_on_short_words(self):
         word_to_aut(power((1, 2), 3), 6, guard=10**6)
 
+    def test_act_refuses_a_result_the_conjugator_makes_too_long(self):
+        # x1 has a one-letter image, so the check before any cancelling
+        # passes; conjugated by x2^10 it is 21 letters long
+        f = FreeAut(5, identity_aut(5).images, (2,) * 10)
+        assert len(action._act(f, (1,), 21)) == 21
+        with pytest.raises(ResourceLimitError):
+            action._act(f, (1,), 15)
+
     # The least guard each call passes under: the most letters it holds
     # after any one letter.  One less must trip.
     @pytest.mark.parametrize("call, least", [

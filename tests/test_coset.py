@@ -199,6 +199,30 @@ class TestTableInvariants:
         assert indices[0] == 12 and indices[-1] == 1
         assert all(a >= b for a, b in zip(indices, indices[1:]))
 
+    # C2 = <x | x^2> and four tables that each break one condition
+    # verify checks; the first, the regular action, passes
+    @pytest.mark.parametrize("rows, subgens, valid", [
+        (((1, 1), (0, 0)), (), True),
+        (((1, 2), (0, 0)), (), False),  # an entry names no row
+        (((1, 0), (0, 1)), (), False),  # the x and x^-1 columns are not inverse
+        (((1, 2), (2, 0), (0, 1)), (), False),  # x^2 does not close: a 3-cycle
+        (((1, 1), (0, 0)), ((1,),), False),  # x moves coset 0
+    ], ids=["regular", "out-of-range", "not-inverse", "relator-open", "subgroup-moves"])
+    def test_verify_refuses_a_broken_table(self, rows, subgens, valid):
+        table = coset.CosetTable((1, -1), rows)
+        assert table.verify(toy((1,), [(1, 1)]), subgens) is valid
+
+    def test_enumeration_refuses_a_table_that_fails_verification(self, monkeypatch):
+        standardized = coset._Enumerator.standardized
+
+        def reversed_rows(self):
+            table = standardized(self)
+            return table._replace(rows=table.rows[::-1])
+
+        monkeypatch.setattr(coset._Enumerator, "standardized", reversed_rows)
+        with pytest.raises(RuntimeError, match="failed verification"):
+            enumerate_cosets(CYCLIC_5)
+
     def test_stats_accounting(self):
         result = enumerate_cosets(CYCLIC_5)
         assert result.stats.defined >= result.index
@@ -294,32 +318,42 @@ def test_standardized_refuses_a_dropped_coset():
     enum = coset._Enumerator(SYM_3, ((1,),), max_cosets=1000, max_time=60.0)
     enum.run()
     assert enum.standardized().index == 3
-    enum.alive += 1
+    enum.collapses -= 1  # one more live coset than the table reaches
     with pytest.raises(RuntimeError):
         enum.standardized()
 
 
-# (defined, max_alive, collapses) of runs whose every step is fixed: a
-# change that makes each step cheaper must not move them
+PINNED_SUBGROUPS = {
+    "ab": lambda n: (named_word("a", n), named_word("b", n)),
+    "t s1, t a0": lambda n: ((T, 1), (T,) + named_word("a0", n)),
+    "t s3, s2^-1": lambda n: ((T, 3), (-2,)),
+    "trivial": lambda n: (),
+    "s1..s11": lambda n: tuple((i,) for i in range(1, n)),
+}
+
+# (index, defined, max_alive, collapses) of runs whose every step is
+# fixed: a change that makes each step cheaper must not move them.  The
+# index-1 certificates close early; <t s3, s2^-1> at n = 4 merges away a
+# coset while a sweep scans its relators, so the sweep leaves it there.
 PINNED_STATS = [
-    ("ab", 6, 563, 537, 309),
-    ("ab", 8, 3127, 2873, 1122),
-    ("ab", 12, 12091, 11543, 4853),
-    ("ab", 16, 30247, 29235, 12731),
-    ("t s1, t a0", 9, 313, 313, 312),
-    ("t s1, t a0", 15, 862, 862, 861),
+    ("ab", 6, 1, 563, 537, 309),
+    ("ab", 8, 1, 3127, 2873, 1122),
+    ("ab", 12, 1, 12091, 11543, 4853),
+    ("ab", 16, 1, 30247, 29235, 12731),
+    ("t s1, t a0", 9, 1, 313, 313, 312),
+    ("t s1, t a0", 15, 1, 862, 862, 861),
+    ("t s3, s2^-1", 4, 4, 19, 19, 15),
+    ("trivial", 3, 12, 22, 22, 10),
+    ("s1..s11", 12, 2, 2, 2, 0),
 ]
 
 
-@pytest.mark.parametrize("subgroup, n, defined, max_alive, collapses", PINNED_STATS,
+@pytest.mark.parametrize("subgroup, n, index, defined, max_alive, collapses", PINNED_STATS,
                          ids=[f"{s}-n{n}" for s, n, *_ in PINNED_STATS])
-def test_index_one_stats_are_pinned(subgroup, n, defined, max_alive, collapses):
-    if subgroup == "ab":
-        subgens = (named_word("a", n), named_word("b", n))
-    else:
-        subgens = ((T, 1), (T,) + named_word("a0", n))
+def test_index_one_stats_are_pinned(subgroup, n, index, defined, max_alive, collapses):
+    subgens = PINNED_SUBGROUPS[subgroup](n)
     result = enumerate_cosets(build_presentation(n, "extended"), subgens)
-    assert result.index == 1
+    assert result.index == index
     s = result.stats
     assert (s.defined, s.max_alive, s.collapses) == (defined, max_alive, collapses)
 

@@ -182,7 +182,7 @@ class TestSuiteShapes:
 
 class TestFullReport:
     def test_six_puncture_report(self):
-        report = full_report([6])
+        report = full_report("all", 6)
         local = [c for c in report.checks if c.id.startswith("n6.")]
         assert len(local) >= 60
         assert len(set(ids(report.checks))) == len(report.checks)
@@ -190,41 +190,46 @@ class TestFullReport:
         assert report.exit_code == 1
 
     def test_dispatch(self):
-        report = full_report([5, 7])
-        present = set(ids(report.checks))
-        assert "n5.odd.index" in present
-        assert "n7.odd.index" in present
-        assert "n4.pgl2.relators" in present
-        assert "sigma2.conclusion" in present
-        assert not any(i.startswith("n6.") for i in present)
-        assert report.overall == "pass"
+        for n in (5, 7):
+            report = full_report("all", n)
+            present = set(ids(report.checks))
+            assert f"n{n}.odd.index" in present
+            assert "n4.pgl2.relators" in present
+            assert "sigma2.conclusion" in present
+            assert all(i.startswith((f"n{n}.", "n4.", "sigma2.")) for i in present)
+            assert report.overall == "pass"
 
     def test_n_without_a_suite_is_refused(self):
-        with pytest.raises(ValueError, match="no suite applies at n=2"):
-            full_report([2])
+        with pytest.raises(ValueError, match="need n >= 3"):
+            full_report("all", 2)
 
-    def test_empty_list_runs_free_suites_only(self):
-        report = full_report([])
-        assert all(i.startswith(("n4.", "sigma2.")) for i in ids(report.checks))
-        assert report.overall == "pass"
+    @pytest.mark.parametrize("suite, n, message", [
+        ("all", None, "--n is required for --suite all"),
+        ("prop22", None, "--n is required for --suite prop22"),
+        ("n4", 6, "suite n4 takes no --n"),
+        ("lemma-y", 7, "suite lemma-y does not apply at n=7"),
+    ])
+    def test_suite_token_refusals(self, suite, n, message):
+        with pytest.raises(ValueError, match=message):
+            full_report(suite, n)
 
     def test_sorted_and_deterministic(self):
-        first = full_report([4])
-        second = full_report([4])
+        first = full_report("all", 4)
+        second = full_report("all", 4)
         assert ids(first.checks) == sorted(ids(first.checks))
         strip = lambda r: [(c.id, c.statement, c.status, c.witness)
                            for c in r.checks]
         assert strip(first) == strip(second)
 
     def test_machine_schema(self):
-        payload = json.loads(full_report([3]).to_json())
+        payload = json.loads(full_report("all", 3).to_json())
         assert set(payload) == {"version", "checks"}
         for row in payload["checks"]:
             assert set(row) == {"id", "statement", "status", "witness", "millis"}
             assert row["status"] in STATUSES
 
     def test_human_format(self):
-        report = full_report([6])
+        report = full_report("all", 6)
         text = report.human()
         assert text.splitlines()[-1].startswith("overall: fail")
         assert any(line.startswith("FAIL") and "n6.main.c" in line
@@ -270,7 +275,7 @@ class TestSuiteRegistry:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_full_report_runs_exactly_the_applicable_suites(self, n):
         # a small coset limit keeps the index checks cheap; only ids matter
-        report = full_report([n], Limits(max_cosets=1000))
+        report = full_report("all", n, Limits(max_cosets=1000))
         ran = set()
         for c in report.checks:
             owners = [t for t, pattern in ID_PATTERNS.items() if re.match(pattern, c.id)]
@@ -302,7 +307,7 @@ class TestSuiteRegistry:
                         if isinstance(v, tuple) and any(id(x) in wrapped for x in v):
                             monkeypatch.setitem(value, k,
                                                 tuple(wrapped.get(id(x), x) for x in v))
-        full_report([6], Limits(max_cosets=1000))
+        full_report("all", 6, Limits(max_cosets=1000))
         assert calls == ["verify_presentation", "verify_prop22", "verify_section3",
                          "verify_lemma_y", "verify_lemma_z", "verify_main_even",
                          "verify_n4", "verify_sigma2"]

@@ -30,7 +30,9 @@ other handler, in `cmd_dump`, skips the names undefined at n.  Every
 other refused input, a `ValueError`, is mapped to the usage exit in
 `cli.main` alone too.  Within the harness, the suite range refusal is
 written in `_Recorder` alone, which every suite builds, and the CLI
-does not restate it.
+does not restate it.  `full_report` is the one builder of a report for
+any `--suite` token, so the refusals of a missing or an unwanted `--n`
+are written there alone.
 
 The harness builds no flattened power: it writes powers as factors of
 the product path, so `words.power` is left to the expression parser.
@@ -261,6 +263,12 @@ def test_suite_range_is_checked_in_the_recorder_alone():
     suites = [stmt for stmt in ast.parse(harness.read_text()).body
               if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("verify_")]
     assert suites and all("_Recorder" in called_names_in(stmt) for stmt in suites)
+
+
+def test_suite_token_refusals_are_written_in_full_report_alone():
+    for text in ("--n is required", "takes no --n"):
+        assert holding(ROOT / "src" / "spheremcg" / "cli.py", text) == []
+        assert holding(ROOT / "src" / "spheremcg" / "harness.py", text) == ["full_report"]
 
 
 def loaded_modules(statement):
