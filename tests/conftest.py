@@ -20,6 +20,41 @@ def plain(f):
     return FreeAut(f.n, tuple(conjugate(img, f.conj) for img in f.images))
 
 
+def generator_images(n):
+    """The images of x1 .. x(n-1) under each signed generator letter,
+    from the defining formulas alone.  si: xi -> xi x(i+1) xi^-1,
+    x(i+1) -> xi, and si^-1: xi -> x(i+1), x(i+1) -> x(i+1)^-1 xi x(i+1);
+    s(n-1) is the same swap of x(n-1) and xn = (x1..x(n-1))^-1; t and
+    t^-1 are the prefix reflection xi -> ci xi^-1 ci^-1, ci = x1..x(i-1)."""
+    basis = [(j,) for j in range(1, n)]
+    table = {}
+    for i in range(1, n - 1):
+        fwd, inv = list(basis), list(basis)
+        fwd[i - 1:i + 1] = (i, i + 1, -i), (i,)
+        inv[i - 1:i + 1] = (i + 1,), (-(i + 1), i, i + 1)
+        table[i], table[-i] = tuple(fwd), tuple(inv)
+    last, xn = n - 1, invert(range(1, n))
+    table[last] = (*basis[:-1], conjugate(xn, (last,)))
+    table[-last] = (*basis[:-1], xn)
+    table[T_LETTER] = table[-T_LETTER] = tuple(
+        conjugate((-i,), range(1, i)) for i in range(1, n))
+    return table
+
+
+def reference_images(word, n):
+    """The literal images of x1 .. x(n-1) under the word, letters applied
+    right to left, composed one letter at a time by substituting the
+    images so far into generator_images(n): no reflection rewrite, no
+    peel and no product path."""
+    gens = generator_images(n)
+    images = tuple((j,) for j in range(1, n))
+    for letter in word:
+        signed = {j: img for j, img in enumerate(images, 1)}
+        signed.update({-j: invert(img) for j, img in enumerate(images, 1)})
+        images = tuple(concat(*(signed[x] for x in img)) for img in gens[letter])
+    return images
+
+
 def perm_compose(p, q):
     """p after q, for permutations given as tuples of images."""
     return tuple(p[q[i] - 1] for i in range(len(p)))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import conjugate, plain
+from conftest import conjugate, generator_images, plain
 from spheremcg import action
 from spheremcg.action import (
     CONVENTION,
@@ -26,11 +26,6 @@ T = T_LETTER
 
 def identity_aut(n):
     return FreeAut(n, tuple((i,) for i in range(1, n)))
-
-
-def prefix_reflection(n):
-    """The reference images of t: xi -> (x1..x(i-1)) xi^-1 (x1..x(i-1))^-1."""
-    return tuple(concat(range(1, i), (-i,), invert(range(1, i))) for i in range(1, n))
 
 
 class TestGeneratorImages:
@@ -61,7 +56,7 @@ class TestGeneratorImages:
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_reflection_matches_prefix_formula(self, n):
-        assert plain(word_to_aut((T,), n)).images == prefix_reflection(n)
+        assert plain(word_to_aut((T,), n)).images == generator_images(n)[T]
 
     def test_reflection_involutes(self):
         assert plain(word_to_aut((T, T), 6)) == identity_aut(6)
@@ -112,6 +107,124 @@ class TestValidateAction:
                 action._gen_auts(6)
         finally:
             action._gen_auts.cache_clear()
+
+
+def far_relators(n):
+    """The extended relators over s1 .. s(n-2) alone, by label."""
+    pres = build_presentation(n, "extended")
+    return {label: rel for label, rel in zip(pres.labels, pres.relators)
+            if max(map(abs, rel)) < n - 1}
+
+
+class TestSparseForm:
+    """_gen_auts reads each relator without t or s(n-1) on a sparse form
+    first; whatever that form does not accept goes to _evaluate."""
+
+    @pytest.mark.parametrize("n", range(3, 25))
+    def test_accepted_relators_have_the_empty_witness(self, n):
+        pres = build_presentation(n, "extended")
+        accepted = [rel for rel in pres.relators if action._sparse_identity(rel, n)]
+        # every commutator and braid relator among s1 .. s(n-2)
+        assert len(accepted) == len(far_relators(n)) == (n - 3) * (n - 2) // 2
+        for rel in accepted:
+            assert is_inner(action._evaluate(rel, n, action.DEFAULT_LENGTH_GUARD)) == EPSILON
+
+    def test_words_it_does_not_accept_go_to_the_dense_path(self, monkeypatch):
+        # (1, 2, -1, -2) lies over s1 .. s4 at n = 6 and is not the
+        # identity; comm.1.5 is, but s5 = s(n-1) keeps it off the form
+        assert not action._sparse_identity((1, 2, -1, -2), 6)
+        assert not action._sparse_identity((1, 5, -1, -5), 6)
+        assert not action._sparse_identity((T, 1, T, 1), 6)
+        pres = build_presentation(6, "extended")
+        monkeypatch.setattr(action, "build_presentation", lambda n, flavor: pres._replace(
+            relators=pres.relators + ((1, 2, -1, -2),), labels=pres.labels + ("bogus",)))
+        evaluate, evaluated = action._evaluate, []
+        monkeypatch.setattr(action, "_evaluate", lambda word, n, guard: (
+            evaluated.append(word), evaluate(word, n, guard))[1])
+        action._gen_auts.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="relator bogus does not act trivially"):
+                action._gen_auts(6)
+        finally:
+            action._gen_auts.cache_clear()
+        assert evaluated[-1] == (1, 2, -1, -2)
+        assert not set(far_relators(6).values()) & set(evaluated)
+
+    def test_swapped_half_twist_formulas_are_refused(self, monkeypatch):
+        # si <-> si^-1 below s(n-1) is conjugation by t, which keeps every
+        # relator among s1 .. s(n-2); the braid relator of s4 and s5 is
+        # the first to refuse it
+        half_twist = action._half_twist
+        monkeypatch.setattr(action, "_half_twist",
+                            lambda a, b, positive: half_twist(a, b, not positive))
+        action._gen_auts.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="relator braid.4 does not act trivially"):
+                action._gen_auts(6)
+        finally:
+            action._gen_auts.cache_clear()
+
+    def test_sparse_form_reads_the_one_half_twist_step(self, monkeypatch):
+        # with the two images of each step swapped, no far relator is the
+        # identity; a sparse form with its own copy of the formulas would
+        # still accept every one
+        half_twist = action._half_twist
+        monkeypatch.setattr(action, "_half_twist",
+                            lambda a, b, positive: half_twist(a, b, positive)[::-1])
+        action._gen_auts.cache_clear()
+        try:
+            assert not any(action._sparse_identity(rel, 6) for rel in far_relators(6).values())
+            with pytest.raises(RuntimeError, match="does not act trivially"):
+                action._gen_auts(6)
+        finally:
+            action._gen_auts.cache_clear()
+
+    def test_only_nonempty_witnesses_are_kept(self):
+        for n in (5, 8, 12, 30):
+            assert action._gen_auts(n) == {"sphere": (1,)}
+
+
+def reflect_reference(images):
+    """reduce(Pi f(xi)^-1 Pi^-1) for each image, Pi = f(x1)..f(x(i-1))."""
+    out, p = [], EPSILON
+    for img in images:
+        out.append(concat(p, invert(img), invert(p)))
+        p = concat(p, img)
+    return out
+
+
+@st.composite
+def _shared_images(draw):
+    """Reduced words cut from a few random blocks and their inverses, so
+    that neighbouring products share long prefixes and suffixes."""
+    blocks = draw(st.lists(st.lists(st.sampled_from([1, 2, 3, -1, -2, -3]), min_size=1,
+                                    max_size=40).map(reduce), min_size=1, max_size=3))
+    pieces = blocks + [invert(b) for b in blocks] + [(1,), (2,), (-3,)]
+    return draw(st.lists(st.lists(st.sampled_from(pieces), max_size=4).map(
+        lambda parts: concat(*parts)), max_size=8))
+
+
+class TestPrefixReflect:
+    """_prefix_reflect finds each cancellation by comparing slices; it
+    must give the plain reduced products exactly."""
+
+    @given(_shared_images())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reduced_products(self, images):
+        assert action._prefix_reflect(list(images)) == reflect_reference(images)
+
+    def test_long_cancellations_of_the_second_reflection(self):
+        # the images of t si at n = 80: each Pi f(xi) cancels about 80
+        # letters, far past the first-letter test
+        n, longest = 80, 0
+        for i in range(1, n):
+            images = list(action._evaluate((T, i), n, action.DEFAULT_LENGTH_GUARD).images)
+            assert action._prefix_reflect(images) == reflect_reference(images)
+            p = EPSILON
+            for img in images:
+                longest = max(longest, (len(p) + len(img) - len(concat(p, img))) // 2)
+                p = concat(p, img)
+        assert longest >= n - 2
 
 
 class TestReflectionsLast:

@@ -3,8 +3,9 @@ import re
 
 import pytest
 
+from conftest import conjugate, reference_images
 from spheremcg import action, cli, harness
-from spheremcg.action import equal_with_witness, word_to_aut
+from spheremcg.action import Power, equal_products, equal_with_witness, word_to_aut
 from spheremcg.coset import CosetTable, EnumerationResult, EnumerationStats, enumerate_cosets
 from spheremcg.harness import (
     STATUSES,
@@ -24,7 +25,7 @@ from spheremcg.harness import (
     verify_sigma2,
 )
 from spheremcg.presentation import build_presentation
-from spheremcg.words import EPSILON, T_LETTER, format_word, invert
+from spheremcg.words import EPSILON, T_LETTER, concat, format_word, invert, power
 
 
 def ids(checks):
@@ -234,6 +235,60 @@ class TestFullReport:
         assert text.splitlines()[-1].startswith("overall: fail")
         assert any(line.startswith("FAIL") and "n6.main.c" in line
                    for line in text.splitlines())
+
+
+def flatten(factors):
+    """A product of factors as one word, each power written out."""
+    return concat(*(power(flatten([f.base]), f.k) if isinstance(f, Power) else f
+                    for f in factors))
+
+
+class TestReplay:
+    """Every passing equality row of a report, replayed: the words it
+    compared are evaluated by the per-letter reference, built from the
+    generator images alone, which must act as conjugation by the witness
+    the row recorded.  This checks the reflection rewrite, the peel and
+    the product path against the definition."""
+
+    def passing_rows(self, monkeypatch, n, limits):
+        """The words and witness of each passing single-word row, and of
+        each passing product row, of the report at n."""
+        single, products = [], []
+
+        def eq(u, v, n, guard):
+            ok, witness = equal_with_witness(u, v, n, guard)
+            if ok:
+                single.append((u, v, witness))
+            return ok, witness
+
+        def eq_products(lhs, rhs, factors):
+            ok, witness = equal_products(lhs, rhs, factors)
+            if ok:
+                products.append((lhs, rhs, witness))
+            return ok, witness
+
+        monkeypatch.setattr(harness, "equal_with_witness", eq)
+        monkeypatch.setattr(harness, "equal_products", eq_products)
+        full_report("all", n, limits)
+        return single, products
+
+    def replay(self, n, rows):
+        for u, v, witness in rows:
+            images = reference_images(concat(u, invert(v)), n)
+            assert images == tuple(conjugate((j,), witness) for j in range(1, n))
+
+    def test_every_equality_row_at_8(self, monkeypatch):
+        single, products = self.passing_rows(monkeypatch, 8, None)
+        assert len(single) >= 35 and len(products) >= 13
+        self.replay(8, single + [(flatten(lhs), flatten(rhs), witness)
+                                 for lhs, rhs, witness in products])
+
+    def test_single_word_rows_at_30(self, monkeypatch):
+        # the flattened products take seconds under the reference here;
+        # the index rows are cut short, since no equality row reads them
+        single, _ = self.passing_rows(monkeypatch, 30, Limits(max_cosets=50))
+        assert len(single) >= 134
+        self.replay(30, single)
 
 
 class TestOrderRows:

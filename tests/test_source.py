@@ -45,9 +45,15 @@ pass reads are built once per presentation, never once per enumeration.
 the package builds is normalized by one of the two.
 
 `word_to_aut` alone moves a word's reflections to its right end
-(`_reflections_last`), and `_gen_auts` evaluates the relators without
-it: the relator validation is the check that rewrite rests on, so it is
-never made through the rewrite.
+(`_reflections_last`), and neither `_gen_auts` nor its sparse check
+`_sparse_identity` reaches it, directly or through other functions of
+`action.py`: the relator validation is the check that rewrite rests on,
+so it is never made through the rewrite.
+
+The half-twist formulas are written once, in `_half_twist`, which
+`_evaluate` and `_sparse_identity` both call and neither restates: neither
+multiplies words itself with `_mul`.  So the sparse check of the far
+relators reads the same step as every other evaluation.
 """
 
 import ast
@@ -221,10 +227,34 @@ def definition(path, name):
     return stmt
 
 
+def reached(path, name):
+    """The top-level definitions of a module that the named one calls,
+    directly or through other definitions of that module."""
+    defs = {stmt.name: stmt for stmt in ast.parse(path.read_text(), str(path)).body
+            if isinstance(stmt, DEFINITIONS)}
+    found, todo = set(), [name]
+    while todo:
+        fresh = (called_names_in(defs[todo.pop()]) & defs.keys()) - found
+        found |= fresh
+        todo += fresh
+    return found
+
+
 def test_reflections_are_moved_by_word_to_aut_alone():
+    action = ROOT / "src" / "spheremcg" / "action.py"
     assert callers(ROOT, "_reflections_last") == ["action.py:word_to_aut"]
-    assert not {"word_to_aut", "_reflections_last"} & called_names_in(
-        definition(ROOT / "src" / "spheremcg" / "action.py", "_gen_auts"))
+    assert "_sparse_identity" in reached(action, "_gen_auts")
+    for name in ("_gen_auts", "_sparse_identity"):
+        assert not {"word_to_aut", "_reflections_last"} & reached(action, name)
+
+
+def test_half_twist_step_is_written_once():
+    action = ROOT / "src" / "spheremcg" / "action.py"
+    definition(action, "_half_twist")
+    assert callers(ROOT, "_half_twist") == ["action.py:_evaluate",
+                                            "action.py:_sparse_identity"]
+    for name in ("_evaluate", "_sparse_identity"):
+        assert "_mul" not in called_names_in(definition(action, name))
 
 
 def handlers(path, name):
