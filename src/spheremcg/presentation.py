@@ -34,11 +34,29 @@ class ResourceLimitError(RuntimeError):
 
 
 class Presentation(NamedTuple):
+    """A finite presentation, and words known to generate its group.
+
+    spanning holds words that generate the presented group; the coset
+    enumerator closes an index-1 run once each of them leads the
+    subgroup coset back to itself.  The default () stands for every
+    letter of the alphabet as a one-letter word.  build_presentation
+    gives (t, s1, a0) for the extended flavor and (s1, a0) for the
+    oriented one, with a0 = s1 s2 .. s(n-1): a0 si a0^-1 = s(i+1) for
+    i <= n - 2, since a0 si is rewritten into s(i+1) a0 by relators
+    alone, in three moves (Birman, Braids, Links, and Mapping Class
+    Groups, 1974):
+      1. si moves left past s(n-1), .., s(i+2), one comm relator each;
+      2. si s(i+1) si becomes s(i+1) si s(i+1), by braid.i;
+      3. s(i+1) moves left past s(i-1), .., s1, one comm relator each.
+    So s1 and a0 give every si, and t the rest of the extended group.
+    """
+
     n: int
     flavor: str
     generators: tuple[int, ...]
     relators: tuple[Word, ...]
     labels: tuple[str, ...]
+    spanning: tuple[Word, ...] = ()
 
     def alphabet(self) -> frozenset[int]:
         return frozenset(self.generators) | frozenset(-g for g in self.generators)
@@ -83,8 +101,13 @@ def build_presentation(n: int, flavor: str = "oriented") -> Presentation:
     add("sphere", tuple(range(1, n)) + tuple(range(n - 1, 0, -1)))
     add("fulltwist", power(tuple(range(1, n)), n))
 
-    gens = tuple(range(1, n)) + ((T_LETTER,) if flavor == "extended" else ())
-    return Presentation(n, flavor, gens, tuple(relators), tuple(labels))
+    gens = tuple(range(1, n))
+    spanning = ((1,), tuple(range(1, n)))  # s1 and a0
+    if flavor == "extended":
+        gens += (T_LETTER,)
+        spanning = ((T_LETTER,),) + spanning
+    return Presentation(n, flavor, gens, tuple(relators), tuple(labels),
+                        spanning=spanning)
 
 
 def extended_letters(n: int) -> int:

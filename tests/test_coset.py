@@ -54,8 +54,8 @@ class TestGenerationCertificates:
         result = enumerate_cosets(pres, subgens)
         assert result.status == "finished"
         assert result.index == 1
-        # the run closes once every generator fixes coset 0, instead of
-        # collapsing every other coset into it one by one
+        # the run closes once every spanning word fixes coset 0, instead
+        # of collapsing every other coset into it one by one
         assert result.stats.collapses < result.stats.defined - 1
         table = result.table
         assert table.rows == ((0,) * len(table.letters),)
@@ -65,7 +65,8 @@ class TestGenerationCertificates:
     def test_merge_into_base_coset_does_not_close_early(self, pres):
         # the unreduced word s1 s1^-1 s1 makes the scan merge a coset into
         # coset 0 while row 0 is still incomplete: the close must wait
-        # until every column leads back to 0
+        # until every spanning word (every column, for the toy group)
+        # leads back to 0
         result = enumerate_cosets(pres, ((1, -1, 1),))
         assert result.index > 1
         assert result.table.rows == enumerate_cosets(pres, ((1,),)).table.rows
@@ -162,6 +163,34 @@ def test_index_matches_permutation_closure(name, data):
     assert result.status == "finished"
     subgroup = closure_order([perm_of(w, images) for w in subgens], degree)
     assert result.index == order // subgroup
+
+
+# runs the spanning close must leave as they were: each as built, and
+# with spanning () so the run waits until every column of coset 0 leads
+# back to 0
+UNCHANGED_CASES = (
+    [("t s1, t a0", n, ((T, 1), (T,) + named_word("a0", n))) for n in range(3, 22, 2)]
+    + [("ab", n, (named_word("a", n), named_word("b", n))) for n in range(6, 13, 2)]
+    + [("t, t s1, a0", 4, ((T,), (T, 1), named_word("a0", 4)))]
+    + [("s1..s(n-1)", n, tuple((i,) for i in range(1, n))) for n in range(5, 9)])
+
+
+@pytest.mark.parametrize("n, subgens", [case[1:] for case in UNCHANGED_CASES],
+                         ids=[f"{s}-n{n}" for s, n, _ in UNCHANGED_CASES])
+def test_spanning_close_changes_no_answer(n, subgens):
+    pres = build_presentation(n, "extended")
+    early = enumerate_cosets(pres, subgens)
+    late = enumerate_cosets(pres._replace(spanning=()), subgens)
+    assert early.status == late.status == "finished"
+    assert (early.index, early.table) == (late.index, late.table)
+    assert early.stats.defined <= late.stats.defined
+
+
+def test_two_spanning_words_do_not_close():
+    # <t, s1> holds t and s1 but not a0, and has infinite index
+    result = enumerate_cosets(build_presentation(5, "extended"), ((T,), (1,)),
+                              max_cosets=5000)
+    assert (result.status, result.index) == ("overflow", None)
 
 
 class TestTableInvariants:
@@ -333,15 +362,20 @@ PINNED_SUBGROUPS = {
 
 # (index, defined, max_alive, collapses) of runs whose every step is
 # fixed: a change that makes each step cheaper must not move them.  The
-# index-1 certificates close early; <t s3, s2^-1> at n = 4 merges away a
-# coset while a sweep scans its relators, so the sweep leaves it there.
+# index-1 certificates close at the first merge into coset 0 after which
+# t, s1 and a0 each lead coset 0 back to itself; waiting for every column
+# of coset 0 instead took 12,731 collapses at ab n = 16 and 312, 861 and
+# 3,557 for <t s1, t a0> at n = 9, 15 and 31.  <t s3, s2^-1> at n = 4
+# merges away a coset while a sweep scans its relators, so the sweep
+# leaves it there.
 PINNED_STATS = [
     ("ab", 6, 1, 563, 537, 309),
     ("ab", 8, 1, 3127, 2873, 1122),
     ("ab", 12, 1, 12091, 11543, 4853),
-    ("ab", 16, 1, 30247, 29235, 12731),
-    ("t s1, t a0", 9, 1, 313, 313, 312),
-    ("t s1, t a0", 15, 1, 862, 862, 861),
+    ("ab", 16, 1, 30247, 29235, 12730),
+    ("t s1, t a0", 9, 1, 313, 313, 71),
+    ("t s1, t a0", 15, 1, 862, 862, 203),
+    ("t s1, t a0", 31, 1, 3558, 3558, 907),
     ("t s3, s2^-1", 4, 4, 19, 19, 15),
     ("trivial", 3, 12, 22, 22, 10),
     ("s1..s11", 12, 2, 2, 2, 0),

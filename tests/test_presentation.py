@@ -95,6 +95,41 @@ class TestBuildPresentation:
         assert len(lines) == 7
 
 
+class TestSpanningWords:
+    """t, s1 and a0 = s1..s(n-1) generate the group: a0 si is rewritten
+    into s(i+1) a0 by relators of the built presentation alone, so
+    a0 si a0^-1 = s(i+1) and s1, a0 give every si."""
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_a0_conjugates_each_half_twist_to_the_next(self, n, flavor):
+        pres = build_presentation(n, flavor)
+        a0 = named_word("a0", n)
+        reflection = ((T,),) if flavor == "extended" else ()
+        assert pres.spanning == reflection + ((1,), a0)
+        # a cyclic conjugate is as long as its relator, and every move
+        # below swaps a four- or six-letter relator
+        cycles = {rel[k:] + rel[:k] for r in pres.relators if len(r) <= 6
+                  for rel in (r, invert(r)) for k in range(len(rel))}
+
+        def move(word, at, u, v):
+            assert word[at:at + len(u)] == u
+            assert u + invert(v) in cycles
+            return word[:at] + v + word[at + len(u):]
+
+        for i in range(1, n - 1):
+            word = a0 + (i,)
+            # 1. si moves left past s(n-1), .., s(i+2)
+            for j in range(n - 1, i + 1, -1):
+                word = move(word, j - 1, (j, i), (i, j))
+            # 2. braid.i
+            word = move(word, i - 1, (i, i + 1, i), (i + 1, i, i + 1))
+            # 3. s(i+1) moves left past s(i-1), .., s1
+            for j in range(i - 1, 0, -1):
+                word = move(word, j - 1, (j, i + 1), (i + 1, j))
+            assert word == (i + 1,) + a0
+
+
 class TestNamedWords:
     def test_rotations(self):
         assert named_word("a0", 6) == (1, 2, 3, 4, 5)

@@ -50,6 +50,14 @@ the package builds is normalized by one of the two.
 `action.py`: the relator validation is the check that rewrite rests on,
 so it is never made through the rewrite.
 
+The words known to generate a presented group (the `spanning` field of
+a presentation) are written in `build_presentation` alone: no other
+package code builds a `Presentation` or passes that field.  The
+enumerator's index-1 close, `_IndexOne`, is raised in one place only,
+in `_Enumerator.coincide`, guarded by the spanning check `spans_base`.
+So an index-1 result rests on those words generating the group, which
+the presentation tests derive from the relators.
+
 The half-twist formulas are written once, in `_half_twist`, which
 `_evaluate` and `_sparse_identity` both call and neither restates: neither
 multiplies words itself with `_mul`.  So the sparse check of the far
@@ -299,6 +307,55 @@ def test_suite_token_refusals_are_written_in_full_report_alone():
     for text in ("--n is required", "takes no --n"):
         assert holding(ROOT / "src" / "spheremcg" / "cli.py", text) == []
         assert holding(ROOT / "src" / "spheremcg" / "harness.py", text) == ["full_report"]
+
+
+def keyword_callers(root, keyword):
+    """The top-level definitions of the package that pass the keyword
+    argument in some call."""
+    found = []
+    for path in _package(root):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(stmt, DEFINITIONS) and any(
+                    isinstance(node, ast.Call) and keyword in {k.arg for k in node.keywords}
+                    for node in ast.walk(stmt)):
+                found.append(f"{path.name}:{stmt.name}")
+    return found
+
+
+def raise_sites(root, name):
+    """Each `raise` of the exception in the package: the function holding
+    it, as module:Class.method, and the names the test of its innermost
+    enclosing `if` calls (empty when no `if` guards it)."""
+    found = []
+    for path in _package(root):
+        tree = ast.parse(path.read_text(), str(path))
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Raise) and node.exc is not None
+                    and name in _names(node.exc)):
+                continue
+            owners, guard, up = [], None, parents.get(node)
+            while up is not None:
+                if isinstance(up, ast.If) and guard is None:
+                    guard = up
+                if isinstance(up, DEFINITIONS):
+                    owners.insert(0, up.name)
+                up = parents.get(up)
+            calls = called_names_in(guard.test) if guard else set()
+            found.append((f"{path.name}:{'.'.join(owners)}", calls))
+    return found
+
+
+def test_spanning_words_are_written_in_build_presentation_alone():
+    assert callers(ROOT, "Presentation") == ["presentation.py:build_presentation"]
+    assert keyword_callers(ROOT, "spanning") == ["presentation.py:build_presentation"]
+
+
+def test_index_one_is_raised_by_the_spanning_check_alone():
+    ((owner, guard_calls),) = raise_sites(ROOT, "_IndexOne")
+    assert owner == "coset.py:_Enumerator.coincide"
+    assert "spans_base" in guard_calls
 
 
 def loaded_modules(statement):
