@@ -165,7 +165,7 @@ def _common_prefix(u: Word, v: Word) -> int:
     return k
 
 
-def _prefix_reflect(images: list[Word]) -> list[Word]:
+def _prefix_reflect(images: Sequence[Word], run: list | None = None) -> list[Word]:
     """f after the prefix reflection xi -> ci xi^-1 ci^-1, ci = x1..x(i-1).
 
     The new image of xi is Pi f(xi)^-1 Pi^-1 = Pi P(i+1)^-1 with
@@ -173,14 +173,35 @@ def _prefix_reflect(images: list[Word]) -> list[Word]:
     cancellation is read off words the loop holds: Pi f(xi) cancels the
     common prefix of Pi^-1 and f(xi), and Pi P(i+1)^-1 the common suffix
     of Pi and P(i+1), which is the common prefix of their inverses.
+
+    An empty run is filled with the loop, one entry (f(xi), Pi, Pi^-1,
+    new image) per image; a filled one is resumed.  The loop is
+    deterministic, so it then starts at the first image that differs
+    from the recorded one, in the state recorded there, and once past
+    the last such image it takes the recorded new images from the first
+    position where its state (Pi, Pi^-1) is the recorded one.
     """
-    out = []
+    out = [EPSILON] * len(images)
     p = p_inv = EPSILON
-    for img in images:
+    start, last, record = 0, len(images), run is not None and not run
+    if run:
+        out = [entry[3] for entry in run]
+        diff = [k for k, (img, entry) in enumerate(zip(images, run))
+                if img is not entry[0] and img != entry[0]]
+        if not diff:
+            return out
+        start, last = diff[0], diff[-1]
+        _, p, p_inv, _ = run[start]
+    for pos in range(start, len(images)):
+        if pos > last and run[pos][1:3] == (p, p_inv):
+            break
+        img = images[pos]
         k = _common_prefix(p_inv, img)
         next_inv = invert(img[k:]) + p_inv[k:]
         j = _common_prefix(p_inv, next_inv)
-        out.append(p[:len(p) - j] + next_inv[j:])
+        out[pos] = p[:len(p) - j] + next_inv[j:]
+        if record:
+            run.append((img, p, p_inv, out[pos]))
         p, p_inv = p[:len(p) - k] + img[k:], next_inv
     return out
 
@@ -205,9 +226,11 @@ def _half_twist(a: Word, b: Word, positive: bool) -> tuple[Word, Word]:
     return b, _mul(_mul(invert(b), a), b)
 
 
-def _evaluate(word: Iterable[int], n: int, guard: int) -> FreeAut:
+def _evaluate(word: Iterable[int], n: int, guard: int, start: FreeAut | None = None,
+              run: list | None = None) -> FreeAut:
     """Normalized automorphism of the word, letters applied right to left,
-    each t through _prefix_reflect.  The stored letters the guard reads
+    or of start after it when start is given, each t through
+    _prefix_reflect with the run.  The stored letters the guard reads
     are counted as they change and recounted only where every image is
     rewritten.
 
@@ -217,13 +240,14 @@ def _evaluate(word: Iterable[int], n: int, guard: int) -> FreeAut:
     inverse of one product of images: (x(n-1) x1..x(n-2))^-1 for s(n-1)
     and (x1..x(n-1))^-1 for its inverse.
     """
-    images: list[Word] = [(i,) for i in range(1, n)]
-    stored = n - 1
-    conj: list[int] = []
+    if start:
+        images, conj, stored = list(start.images), list(start.conj), sum(map(len, start.images))
+    else:
+        images, conj, stored = [(i,) for i in range(1, n)], [], n - 1
     for letter in word:
         i = abs(letter)
         if i == T_LETTER:
-            images = _prefix_reflect(images)
+            images = _prefix_reflect(images, run)
             stored = sum(map(len, images))
         elif 1 <= i < n - 1:
             a, b = images[i - 1], images[i]
@@ -282,16 +306,23 @@ def _gen_auts(n: int) -> dict[str, Word]:
     the rewrite the check justifies.  One without t or s(n-1) that
     _sparse_identity accepts acts as the identity; every other relator
     is decided by is_inner on _evaluate, t by t, so the sparse form
-    changes no witness and no refusal.  The check runs once
+    changes no witness and no refusal.  The relators that start with t
+    are read on from the state after it, evaluated once, and each later
+    t resumes one recorded _prefix_reflect run over that state, which
+    gives the images a run from the start would.  The check runs once
     per n for every caller, under the default guard; build_presentation
     refuses, as a tripped guard, an n whose extended relators alone would
     hold more letters than that guard."""
     witnesses = {}
     pres = build_presentation(n, "extended")
+    after_t = _evaluate((T_LETTER,), n, DEFAULT_LENGTH_GUARD)
+    run: list = []
+    _prefix_reflect(after_t.images, run)
     for label, rel in zip(pres.labels, pres.relators):
         if _sparse_identity(rel, n):
             continue
-        witness = is_inner(_evaluate(rel, n, DEFAULT_LENGTH_GUARD))
+        start, word = (after_t, rel[1:]) if rel[0] == T_LETTER else (None, rel)
+        witness = is_inner(_evaluate(word, n, DEFAULT_LENGTH_GUARD, start, run))
         if witness is None:
             raise RuntimeError(f"relator {label} does not act trivially at n={n}")
         if witness:

@@ -13,6 +13,7 @@ from .words import (
     ParseError,
     T_LETTER,
     Word,
+    ascii_int,
     concat,
     format_word,
     parse_word,
@@ -147,8 +148,8 @@ def named_word(name: str, n: int) -> Word:
     generation argument; g<k> and d<k> the shifted triple products; phi
     the half-twist word reversing the twist indices.
     """
-    indexed = name[:1] in ("g", "d") and name[1:].lstrip("-").isdigit()
-    head = name[0] + "<k>" if indexed else name
+    k = ascii_int(name[1:], signed=True) if name[:1] in ("g", "d") else None
+    head = name[0] + "<k>" if k is not None else name
     if head in _LEAST_N:
         least, even = _LEAST_N[head]
         if n < least or (even and n % 2):
@@ -178,12 +179,10 @@ def named_word(name: str, n: int) -> Word:
             out.extend(range(i, 0, -1))
         return tuple(out)
     if head == "g<k>":
-        k = int(name[1:])
         if k % 2 == 0 or not 1 <= k <= n - 1:
             raise ParseError(f"g index must be odd in 1..{n - 1}, got {k}")
         return _gamma(k, n)
     if head == "d<k>":
-        k = int(name[1:])
         if not 1 <= k <= n - 5:
             raise ParseError(f"d index must lie in 1..{n - 5}, got {k}")
         return (k, k + 1, k + 3)
@@ -197,7 +196,8 @@ NAME_HEADS = ("a0", "a1", "a2", "a", "b", "y", "z", "w", "c", "phi")
 def parse_expression(text: str, n: int) -> Word:
     """Parse a product of word tokens and named elements into a reduced word.
 
-    Any token may carry an integer power suffix: a0^-1, s2^3, b^2.  An
+    Any token may carry a power suffix, ASCII digits after an optional
+    '-', as ascii_int reads it: a0^-1, s2^3, b^2.  An
     expression whose tokens would flatten past DEFAULT_LENGTH_GUARD letters
     in all is refused before any power is built.
     """
@@ -205,14 +205,10 @@ def parse_expression(text: str, n: int) -> Word:
     letters = 0
     for token in text.split():
         base, caret, exp_text = token.partition("^")
-        if caret:
-            try:
-                exp = int(exp_text)
-            except ValueError:
-                raise ParseError(f"bad power suffix in {token!r}") from None
-        else:
-            exp = 1
-        if base in NAME_HEADS or (base[:1] in ("g", "d") and base[1:].isdigit()):
+        exp = ascii_int(exp_text, signed=True) if caret else 1
+        if exp is None:
+            raise ParseError(f"bad power suffix in {token!r}")
+        if base in NAME_HEADS or (base[:1] in ("g", "d") and ascii_int(base[1:]) is not None):
             word = named_word(base, n)
         else:
             word = parse_word(base, n)

@@ -78,19 +78,36 @@ def cyclic_reduce(word: Iterable[int]) -> tuple[Word, Word]:
     return w[k:len(w) - k], w[:k]
 
 
+def ascii_int(text: str, signed: bool = False) -> int | None:
+    """The integer text writes in ASCII decimal digits, after one leading
+    '-' if signed, or None: the one rule for the numbers of index and
+    power tokens.  int() alone would also read other Unicode digits, a
+    '+' and underscores, and str.isdigit() passes superscripts, which
+    int() refuses, as it refuses more digits than the interpreter's
+    limit on integer strings."""
+    digits = text[1:] if signed and text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def parse_word(text: str, n: int) -> Word:
     """Parse whitespace-separated tokens into a reduced word.
 
-    Tokens: s<k> / S<k> for twist k and its inverse (1 <= k <= n-1),
-    t / T for the reflection (an involution, so no separate inverse).
+    Tokens: s<k> / S<k> for twist k and its inverse (1 <= k <= n-1, in
+    ASCII digits), t / T for the reflection (an involution, so no
+    separate inverse).
     """
     letters: list[int] = []
     for token in text.split():
         if token in ("t", "T"):
             letters.append(T_LETTER)
             continue
-        if len(token) >= 2 and token[0] in ("s", "S") and token[1:].isdigit():
-            idx = int(token[1:])
+        idx = ascii_int(token[1:]) if token[:1] in ("s", "S") else None
+        if idx is not None:
             if not 1 <= idx <= n - 1:
                 raise ParseError(f"twist index {idx} out of range for n={n}")
             letters.append(idx if token[0] == "s" else -idx)

@@ -86,7 +86,7 @@ class TestValidateAction:
     def test_broken_generator_table_is_refused(self, monkeypatch):
         # xi -> xi^-1 breaks t si t = si^-1 with the standard half-twists
         monkeypatch.setattr(action, "_prefix_reflect",
-                            lambda images: [invert(img) for img in images])
+                            lambda images, run=None: [invert(img) for img in images])
         action._gen_auts.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="does not act trivially"):
@@ -99,14 +99,59 @@ class TestValidateAction:
         # only the demand that (t si)^2 act as the identity itself refuses
         # it; word_to_aut's rewrite would be wrong by an inner part
         reflect = action._prefix_reflect
-        monkeypatch.setattr(action, "_prefix_reflect", lambda images: [
-            conjugate(img, images[0]) for img in reflect(images)])
+        monkeypatch.setattr(action, "_prefix_reflect", lambda images, run=None: [
+            conjugate(img, images[0]) for img in reflect(images, run)])
         action._gen_auts.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="t.twist.1 acts as a nontrivial inner"):
                 action._gen_auts(6)
         finally:
             action._gen_auts.cache_clear()
+
+    def test_reflection_mutants_are_refused_where_the_resume_skips(self, monkeypatch):
+        # the two mutants above at n = 30, where each second t of the
+        # validation resumes at the images its twist moved and takes most
+        # of the others from the recorded run
+        reflect = action._prefix_reflect
+        mutants = {"does not act trivially":
+                   lambda images, run=None: [invert(img) for img in images],
+                   "t.twist.1 acts as a nontrivial inner": lambda images, run=None: [
+                       conjugate(img, images[0]) for img in reflect(images, run)]}
+        for match, mutant in mutants.items():
+            monkeypatch.setattr(action, "_prefix_reflect", mutant)
+            action._gen_auts.cache_clear()
+            try:
+                with pytest.raises(RuntimeError, match=match):
+                    action._gen_auts(30)
+            finally:
+                action._gen_auts.cache_clear()
+
+    @pytest.mark.parametrize("n", [*range(3, 41), 80])
+    def test_resumed_reflection_relators_match_the_literal_evaluation(self, monkeypatch, n):
+        # _gen_auts reads each relator after its leading t from one shared
+        # state, and resumes the second t from one recorded run
+        evaluate, resumed = action._evaluate, {}
+
+        def spy(word, n, guard, start=None, run=None):
+            f = evaluate(word, n, guard, start, run)
+            if start is not None:
+                resumed[word] = f
+            return f
+
+        monkeypatch.setattr(action, "_evaluate", spy)
+        action._gen_auts.cache_clear()
+        try:
+            action._gen_auts(n)
+        finally:
+            action._gen_auts.cache_clear()
+        pres = build_presentation(n, "extended")
+        twists = {label: rel for label, rel in zip(pres.labels, pres.relators)
+                  if label.startswith("t.")}
+        # t.twist.1 moves x1, so it runs the peel; t.twist.(n-1) the s(n-1) branch
+        assert {"t.invol", "t.twist.1", f"t.twist.{n - 1}"} <= twists.keys()
+        assert len(twists) == n
+        for label, rel in twists.items():
+            assert resumed[rel[1:]] == evaluate(rel, n, action.DEFAULT_LENGTH_GUARD), label
 
 
 def far_relators(n):
@@ -139,8 +184,8 @@ class TestSparseForm:
         monkeypatch.setattr(action, "build_presentation", lambda n, flavor: pres._replace(
             relators=pres.relators + ((1, 2, -1, -2),), labels=pres.labels + ("bogus",)))
         evaluate, evaluated = action._evaluate, []
-        monkeypatch.setattr(action, "_evaluate", lambda word, n, guard: (
-            evaluated.append(word), evaluate(word, n, guard))[1])
+        monkeypatch.setattr(action, "_evaluate", lambda word, n, guard, *rest: (
+            evaluated.append(word), evaluate(word, n, guard, *rest))[1])
         action._gen_auts.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="relator bogus does not act trivially"):
@@ -212,6 +257,25 @@ class TestPrefixReflect:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_reduced_products(self, images):
         assert action._prefix_reflect(list(images)) == reflect_reference(images)
+
+    @given(_shared_images(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_resumed_run_matches_the_reduced_products(self, images, data):
+        # a filled run is resumed over images that differ from its own at
+        # a few positions: by a half-twist of two neighbours, which keeps
+        # their product and so the state after them, or by any other word
+        run = []
+        assert action._prefix_reflect(images, run) == reflect_reference(images)
+        changed = list(images)
+        for _ in range(data.draw(st.integers(0, 2)) if images else 0):
+            pos = data.draw(st.integers(0, len(images) - 1))
+            if pos + 1 < len(images) and data.draw(st.booleans()):
+                changed[pos:pos + 2] = action._half_twist(*changed[pos:pos + 2],
+                                                          data.draw(st.booleans()))
+            else:
+                changed[pos] = data.draw(st.sampled_from(images + [EPSILON, (2, 1)]))
+        assert action._prefix_reflect(changed, run) == reflect_reference(changed)
+        assert len(run) == len(images)
 
     def test_long_cancellations_of_the_second_reflection(self):
         # the images of t si at n = 80: each Pi f(xi) cancels about 80

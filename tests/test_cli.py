@@ -139,6 +139,15 @@ class TestEval:
         assert code == 65
         assert "parse error" in err
 
+    # str.isdigit passes superscript digits, which int() refuses, and
+    # int() reads every Unicode decimal digit, so s١ would be s1
+    @pytest.mark.parametrize("expr", ["s²", "g²", "d³", "s١", "s1^١", "s1^" + "9" * 5000],
+                             ids=["s²", "g²", "d³", "s١", "s1^١", "s1^(5000 digits)"])
+    def test_index_or_power_outside_ascii_digits_is_parse_error(self, capsys, expr):
+        code, out, err = run(capsys, "eval", "--n", "6", expr, "s1")
+        assert (code, out) == (65, "")
+        assert err.startswith("parse error: ")
+
     def test_n_required(self, capsys):
         code, _, _ = run(capsys, "eval", "s1", "s1")
         assert code == 64

@@ -70,7 +70,7 @@ class TestSuiteShapes:
     def test_failed_validation_fails_every_relator_row(self, monkeypatch):
         # xi -> xi^-1 breaks t si t = si^-1 with the standard half-twists
         monkeypatch.setattr(action, "_prefix_reflect",
-                            lambda images: [invert(img) for img in images])
+                            lambda images, run=None: [invert(img) for img in images])
         action._gen_auts.cache_clear()
         try:
             checks = verify_presentation(5)

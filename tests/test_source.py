@@ -58,6 +58,12 @@ in `_Enumerator.coincide`, guarded by the spanning check `spans_base`.
 So an index-1 result rests on those words generating the group, which
 the presentation tests derive from the relators.
 
+The prefix-reflection loop is written once, in `_prefix_reflect`, the
+one caller of its cancellation helper `_common_prefix`.  `_evaluate`
+and `_gen_auts`, which records the run the validation resumes, are its
+only callers, so the validation and `word_to_aut` read one statement of
+the reflection.
+
 The half-twist formulas are written once, in `_half_twist`, which
 `_evaluate` and `_sparse_identity` both call and neither restates: neither
 multiplies words itself with `_mul`.  So the sparse check of the far
@@ -263,6 +269,11 @@ def test_half_twist_step_is_written_once():
                                             "action.py:_sparse_identity"]
     for name in ("_evaluate", "_sparse_identity"):
         assert "_mul" not in called_names_in(definition(action, name))
+
+
+def test_prefix_reflection_loop_is_written_once():
+    assert callers(ROOT, "_common_prefix") == ["action.py:_prefix_reflect"]
+    assert callers(ROOT, "_prefix_reflect") == ["action.py:_evaluate", "action.py:_gen_auts"]
 
 
 def handlers(path, name):

@@ -7,6 +7,7 @@ from spheremcg.words import (
     EPSILON,
     ParseError,
     T_LETTER,
+    ascii_int,
     concat,
     cyclic_reduce,
     format_word,
@@ -121,6 +122,17 @@ class TestTextFormat:
             parse_word("x1", 6)
         with pytest.raises(ParseError):
             parse_word("s", 6)
+
+    def test_numbers_are_ascii_digits(self):
+        assert [ascii_int(t) for t in ("7", "007", "-7", "")] == [7, 7, None, None]
+        assert [ascii_int(t, signed=True) for t in ("-7", "--7", "-", "+7")] == [
+            -7, None, None, None]
+        # a superscript passes str.isdigit, and int() reads the others
+        assert [ascii_int(t, signed=True) for t in ("²", "١", "1_0", " 1")] == [None] * 4
+        # past the interpreter's limit on digits, int() raises
+        assert ascii_int("9" * 5000) is None
+        with pytest.raises(ParseError, match="bad token"):
+            parse_word("s١", 6)
 
     def test_format_examples(self):
         assert format_word((1, -2, T_LETTER)) == "s1 S2 t"
