@@ -48,15 +48,20 @@ inverse factors, to x1 and x2 alone; u of those two words pins the one
 candidate w; and u(x) = w v(x) w^-1 is checked on every basis letter.
 The conjugator is unique, so w is the witness u v^-1 would give.
 
-Orders are found at the quotient step first.  The order of a word is a
-multiple of the order m of its image under the puncture permutation and
-the mod-2 abelianization, so a word with m above the cap is answered
-without evaluation, and otherwise only the powers m, 2m, ... up to the
-cap get the inner test.  They are taken on the stored part alone, raised
+Orders are found at the quotient step first, on the cyclic core of the
+word: its end letters are peeled while they are inverse in the group, x
+and x^-1 or two reflections, since t^-1 = t.  Conjugate elements have
+the same order and the same quotient order, so the core answers for the
+word exactly.  The order of a word is a multiple of the order m of its
+image under the puncture permutation and the mod-2 abelianization, so a
+word with m above the cap is answered without evaluation, and otherwise
+only the powers m, 2m, ... up to the cap get the inner test.  They are taken on the stored part alone, raised
 to the m-th power by squaring with the carried conjugator of each
 compose dropped.  That changes each power by an inner automorphism, and
 inner automorphisms form a normal subgroup, so it is inner exactly when
-the same power of the word's automorphism is.
+the same power of the word's automorphism is.  The core holds other
+automorphisms than the whole word would, so the guard may trip at other
+inputs; a trip is still inconclusive.
 
 The guard bounds the letters held, stored images plus conjugator, after
 every letter and every compose.  On the product path it also bounds the
@@ -581,12 +586,17 @@ def order_of(u: Iterable[int], n: int, cap: int | None = None,
              guard: int = DEFAULT_LENGTH_GUARD) -> int | None:
     """Order of u in the extended group, or None if it exceeds the cap.
 
-    Only the multiples of the quotient order m up to the cap get the
-    exact inner test, on powers built by squaring from the stored part
-    of u's normalized automorphism, as the module docstring sets out.
+    The word is taken on its cyclic core (cyclic_reduce, which also
+    peels a pair of reflections, t^-1 = t): the core is a conjugate of
+    u, so it has the same order and the same quotient order m.  Only the
+    multiples of m up to the cap get the exact inner test, on powers
+    built by squaring from the stored part of the core's normalized
+    automorphism, as the module docstring sets out.  The guard bounds
+    the core's automorphisms, not the word's, so it may trip at other
+    inputs than on the whole word; a trip is still inconclusive.
     """
     require_punctures(n)
-    word = reduce(u)
+    word, _ = cyclic_reduce(u)
     if cap is None:
         cap = default_order_cap(n)
     if word == EPSILON:

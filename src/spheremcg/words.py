@@ -66,14 +66,17 @@ def power(word: Iterable[int], k: int) -> Word:
 
 
 def cyclic_reduce(word: Iterable[int]) -> tuple[Word, Word]:
-    """Split a word as (core, conjugator) with word = conjugator core conjugator^-1.
+    """Split a word as (core, conjugator) with word = conjugator core conjugator^-1
+    in the group.
 
-    The core is cyclically reduced.  The conjugator is the peeled prefix,
-    possibly empty.
+    End letters are peeled while they are inverse in the group: x and -x,
+    or two reflection letters of either sign, since t^-1 = t.  The
+    conjugator is the peeled prefix, possibly empty.
     """
     w = reduce(word)
     k = 0
-    while len(w) - 2 * k >= 2 and w[k] == -w[-1 - k]:
+    while len(w) - 2 * k >= 2 and (w[k] == -w[-1 - k]
+                                   or abs(w[k]) == abs(w[-1 - k]) == T_LETTER):
         k += 1
     return w[k:len(w) - k], w[:k]
 

@@ -13,6 +13,12 @@ def conjugate(word, by):
     return concat(by, word, invert(by))
 
 
+def typed_inverse(word):
+    """The inverse of a word as parse_word reads it when typed: letters
+    reversed and each twist negated, but t kept as +t, since t^-1 = t."""
+    return tuple(x if x == T_LETTER else -x for x in reversed(word))
+
+
 def plain(f):
     """The automorphism f with its carried conjugator folded into the
     images: the literal image of each basis letter, so that two forms of

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import conjugate, generator_images, plain
+from conftest import conjugate, generator_images, plain, typed_inverse
 from spheremcg import action
 from spheremcg.action import (
     CONVENTION,
@@ -628,6 +628,62 @@ class TestOrders:
                 assert pair is None or pair[0] == pair[1]
 
 
+def _known_order(name, n):
+    """The order of each element the harness pins, from the paper: a is
+    a conjugate of t a0, and b is t s(n-1)^-1 a2."""
+    twisted = 1 if n % 2 == 0 else 2
+    return {"a0": n, "a1": n - 1, "a2": n - 2, "t s1": 2,
+            "t a0": twisted * n, "a": twisted * n, "b": twisted * (n - 2)}[name]
+
+
+class TestOrdersOnTheCore:
+    """order_of answers on the cyclic core of the word: its end letters
+    are peeled while they are inverse in the group, t^-1 = t included."""
+
+    @given(st.integers(5, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.sampled_from(["a0", "a1", "a2", "t a0", "t s1", "a", "b"]),
+        st.lists(st.sampled_from([T, 1, -1, 2, -2, n - 1, 1 - n]), max_size=4),
+        st.lists(st.sampled_from([T, 1, -1, 2, -2, n - 1, 1 - n]), max_size=4),
+        st.booleans())))
+    @settings(max_examples=60, deadline=None)
+    def test_conjugate_has_the_order_of_its_core(self, case):
+        n, name, head, tail, typed = case
+        g = (*head, T, *tail)
+        # g^-1 as invert writes it (t^-1 as -t), or as typed, with +t
+        back = typed_inverse(g) if typed else invert(g)
+        word = parse_expression(name, n)
+        assert order_of(word, n) == _known_order(name, n)
+        assert order_of(concat(g, word, back), n) == _known_order(name, n)
+
+    def test_reflection_at_both_ends(self):
+        # t ... T: parse_word reads both as +t
+        word = parse_expression("t s2 a0 S2 T", 6)
+        assert word[0] == word[-1] == T
+        assert order_of(word, 6) == 6
+
+    def test_peel_leaves_nothing(self):
+        g = (1, T, -3, 2)
+        assert order_of(concat(g, (T, T), invert(g)), 6) == 1
+        assert order_of(g + (T, T) + typed_inverse(g), 6) == 1
+
+    def test_unpaired_ends_are_not_peeled(self):
+        # peeling s1 .. s1 as if it were a pair would leave t and a0,
+        # of orders 2 and 5
+        assert order_of(parse_expression("s1 t s1", 5), 5) == 2
+        assert order_of(parse_expression("s1 a0 s1", 5), 5) is None
+
+    def test_core_is_what_is_evaluated(self, monkeypatch):
+        action._gen_auts(7)  # the validation evaluates relators of its own
+        seen = []
+        evaluate = action._evaluate
+        monkeypatch.setattr(action, "_evaluate",
+                            lambda word, *args: seen.append(word) or evaluate(word, *args))
+        a0 = named_word("a0", 7)
+        assert order_of(concat((T, 3), a0, (-3, T)), 7) == 7
+        assert seen == [a0]
+
+
 class TestPunctureRange:
     """n outside 3..T_LETTER is refused at the library boundary, before
     any quotient step could answer from a meaningless permutation."""
@@ -732,9 +788,12 @@ class TestResourceGuard:
         (lambda g: equal_with_witness(
             power(concat((T,), named_word("a0", 13)), 13), (T,), 13, g), 50),
         (lambda g: order_of(named_word("a0", 10), 10, guard=g), 24),
+        # the guard reads the core a0, not the conjugate
+        (lambda g: order_of(concat((T, 3, 2), named_word("a0", 10), (-2, -3, T)), 10,
+                            guard=g), 24),
         # m = 18: the permutation's 9-cycle, doubled by the reflection
         (lambda g: order_of(concat((T,), named_word("a0", 9)), 9, guard=g), 64),
-    ], ids=["twists", "a10b-8", "ta0^13", "order-a0", "order-ta0"])
+    ], ids=["twists", "a10b-8", "ta0^13", "order-a0", "order-conjugate", "order-ta0"])
     def test_guard_trips_at_the_pinned_letter_count(self, call, least):
         call(least)
         with pytest.raises(ResourceLimitError):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from spheremcg import action
 from spheremcg.cli import main
 from spheremcg.harness import SUITES
 from spheremcg.words import T_LETTER
@@ -231,6 +232,33 @@ class TestOrder:
         code, out, _ = run(capsys, "order", "--n", "12", "s1 S2")
         assert code == 2
         assert out.startswith("inconclusive: automorphism images exceed")
+
+    # g t g^-1 with g^-1 written out: evaluated whole at the full g, it
+    # holds 182,994 letters, and its first squaring would write about
+    # 8.1 * 10^9 letters before cancelling.  Its cyclic core is t.
+    G = ("s3 s2 S1 s2 S4 S4 S4 S3 s4 s2 S4 s1 S3 S3 s1 S4 S1 s4 s2 S2 "
+         "s1 s1 s1 s1 S3 s4 S3 s1 s4 S4").split()
+
+    @pytest.mark.parametrize("letters", [30, 20])
+    def test_conjugate_of_t_answers_on_its_core(self, capsys, monkeypatch, letters):
+        # a spy on compose, not a timer, bounds the work: it refuses a
+        # fifth call and any automorphism past 1,000 letters, so a
+        # regression fails at its first large compose instead of stalling
+        calls = []
+        compose = action.compose
+
+        def spy(f, g, *args):
+            calls.append(f)
+            held = sum(map(len, f.images + g.images)) + len(f.conj) + len(g.conj)
+            assert len(calls) <= 4 and held <= 1000, "order_of composed past its core"
+            return compose(f, g, *args)
+
+        monkeypatch.setattr(action, "compose", spy)
+        g = self.G[:letters]
+        g_inv = [x.swapcase()[0] + x[1:] for x in reversed(g)]
+        code, out, _ = run(capsys, "order", "--n", "5", " ".join([*g, "t", *g_inv]))
+        assert (code, out.strip()) == (0, "2")
+        assert calls
 
 
 class TestEnumerate:

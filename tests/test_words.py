@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import conjugate
+from conftest import conjugate, typed_inverse
 from spheremcg.words import (
     EPSILON,
     ParseError,
@@ -105,6 +105,27 @@ class TestCyclicReduce:
         core, conj = cyclic_reduce(raw)
         assert conjugate(core, conj) == reduce(raw)
         assert not (len(core) >= 2 and core[0] == -core[-1])
+
+    def test_reflection_pair(self):
+        # t^-1 = t, so two reflection letters of either sign are a pair
+        t = T_LETTER
+        assert cyclic_reduce((t, 1, 2, t)) == ((1, 2), (t,))
+        assert cyclic_reduce((t, 1, -t)) == ((1,), (t,))
+        assert cyclic_reduce((-2, t, 1, t, 2)) == ((1,), (-2, t))
+        assert cyclic_reduce((3, t, t, -3)) == (EPSILON, (3, t))
+
+    def test_unpaired_ends_kept(self):
+        t = T_LETTER
+        assert cyclic_reduce((t,)) == ((t,), EPSILON)
+        assert cyclic_reduce((1, t, 1)) == ((1, t, 1), EPSILON)
+        assert cyclic_reduce((t, 1)) == ((t, 1), EPSILON)
+
+    @given(st.lists(st.sampled_from([1, 2, 3, -1, -2, -3, T_LETTER]), max_size=24))
+    def test_reassembly_with_reflections(self, raw):
+        core, conj = cyclic_reduce(raw)
+        assert conj + core + typed_inverse(conj) == reduce(raw)
+        assert not (len(core) >= 2 and (core[0] == -core[-1]
+                                        or core[0] == core[-1] == T_LETTER))
 
 
 class TestTextFormat:
