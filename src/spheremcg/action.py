@@ -80,7 +80,7 @@ standard half-twists and the prefix reflection
 xi -> x1..x(i-1) xi^-1 (x1..x(i-1))^-1.  It is not assumed correct: the
 generators are checked against every extended relator once per n before
 any word is evaluated, and the harness reports that check, with the
-conjugator found for each relator, as the convention and relator rows.
+nonempty conjugators it finds, as the convention and relator family rows.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .homs import (GF2Vec, Perm, abelianization_image, perm_cycles, perm_identity,
                    perm_image)
 from .presentation import DEFAULT_LENGTH_GUARD, ResourceLimitError, build_presentation
-from .words import EPSILON, T_LETTER, Word, cyclic_reduce, invert, reduce, require_punctures
+from .words import EPSILON, T_LETTER, Word, cyclic_core, invert, reduce, require_punctures
 
 
 class FreeAut(NamedTuple):
@@ -139,7 +139,7 @@ def _apply(table: Sequence[Word] | dict[int, Word], word: Iterable[int]) -> Word
     return tuple(out)
 
 
-# The generator convention fixed here, as the convention rows report it.
+# The generator convention fixed here, as the convention row reports it.
 CONVENTION = "sigma=standard reflection=prefix"
 
 
@@ -215,7 +215,7 @@ def _peel(images: list[Word]) -> tuple[list[Word], Word]:
     """The images conjugated by w0^-1, and w0, the peeled conjugator of
     the image of x1: the automorphism composed with an inner one, so
     that the image of x1 comes out cyclically reduced."""
-    _, w0 = cyclic_reduce(images[0])
+    _, w0 = cyclic_core(images[0])
     if not w0:
         return images, w0
     w0_inv = invert(w0)
@@ -302,10 +302,8 @@ def _gen_auts(n: int) -> dict[str, Word]:
     every other relator acts by the empty one.  Refused unless every
     extended relator acts as an inner automorphism, and the reflection
     relators t^2 and (t si)^2 as the identity itself, which is what lets
-    word_to_aut move each t to the right end of a word.  The oriented
-    relators are among them, so this one check, with the conjugators it
-    keeps, is what every convention row and every per-relator row
-    reports.
+    word_to_aut move each t to the right end of a word.  This one check,
+    with the conjugators it keeps, is what the presentation rows report.
 
     Each relator is evaluated literally, letter by letter, never through
     the rewrite the check justifies.  One without t or s(n-1) that
@@ -377,7 +375,7 @@ def _candidate(h1: Word, h2: Word) -> Word | None:
     conjugator of h1, so w = w0 x1^s for some s.  Then
     w0^-1 h2 w0 = x1^s x2 x1^-s, whose leading run of x1^(+-1) gives s.
     """
-    core, w0 = cyclic_reduce(h1)
+    core, w0 = cyclic_core(h1)
     if core != (1,):
         return None
     h = _mul(_mul(invert(w0), h2), w0)
@@ -586,7 +584,7 @@ def order_of(u: Iterable[int], n: int, cap: int | None = None,
              guard: int = DEFAULT_LENGTH_GUARD) -> int | None:
     """Order of u in the extended group, or None if it exceeds the cap.
 
-    The word is taken on its cyclic core (cyclic_reduce, which also
+    The word is taken on its cyclic core (cyclic_core, which also
     peels a pair of reflections, t^-1 = t): the core is a conjugate of
     u, so it has the same order and the same quotient order m.  Only the
     multiples of m up to the cap get the exact inner test, on powers
@@ -596,7 +594,7 @@ def order_of(u: Iterable[int], n: int, cap: int | None = None,
     inputs than on the whole word; a trip is still inconclusive.
     """
     require_punctures(n)
-    word, _ = cyclic_reduce(u)
+    word, _ = cyclic_core(reduce(u))
     if cap is None:
         cap = default_order_cap(n)
     if word == EPSILON:

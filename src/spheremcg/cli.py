@@ -93,16 +93,15 @@ def cmd_verify(n: int | None, limits: Limits, suite: str, machine: bool = False,
                out: str | None = None) -> int:
     if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         return _usage(f"cannot write --out: no directory for {out}")
+    if out is not None and os.path.isdir(out):
+        return _usage(f"cannot write --out: {out} is a directory")
     report = full_report(suite, n, limits)
     if out is not None:
         try:
             _write_atomic(out, report.to_json() + "\n")
         except OSError as exc:
             return _usage(f"cannot write --out: {exc}")
-    if machine:
-        sys.stdout.write(report.to_json() + "\n")
-    else:
-        sys.stdout.write(report.human() + "\n")
+    sys.stdout.write((report.to_json() if machine else report.human()) + "\n")
     return report.exit_code
 
 

@@ -65,15 +65,14 @@ def power(word: Iterable[int], k: int) -> Word:
     return reduce(base * k)
 
 
-def cyclic_reduce(word: Iterable[int]) -> tuple[Word, Word]:
-    """Split a word as (core, conjugator) with word = conjugator core conjugator^-1
-    in the group.
+def cyclic_core(w: Word) -> tuple[Word, Word]:
+    """Split a freely reduced word as (core, conjugator) with
+    w = conjugator core conjugator^-1 in the group.
 
     End letters are peeled while they are inverse in the group: x and -x,
     or two reflection letters of either sign, since t^-1 = t.  The
     conjugator is the peeled prefix, possibly empty.
     """
-    w = reduce(word)
     k = 0
     while len(w) - 2 * k >= 2 and (w[k] == -w[-1 - k]
                                    or abs(w[k]) == abs(w[-1 - k]) == T_LETTER):

@@ -3,7 +3,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import conjugate, generator_images, plain, typed_inverse
-from spheremcg import action
+from spheremcg import action, words
 from spheremcg.action import (
     CONVENTION,
     Factors,
@@ -344,6 +344,43 @@ class TestIsInner:
         partial = FreeAut(6, ((1,), conjugate((2,), (1, 1, 1)), (3,), (4,), (5,)))
         assert is_inner(partial) is None
         assert is_inner(word_to_aut((2,), 6)) is None
+
+
+class TestPeelReducesNothing:
+    def test_peel_and_candidate_call_no_reduce(self, monkeypatch):
+        # stored images and images of words are reduced already, so the
+        # peel of _peel and _candidate runs no free reduction
+        inside, seen = [], {"_peel": 0, "_candidate": 0, "reduce": 0}
+
+        def spy(name, fn):
+            def wrapped(*args):
+                seen[name] += 1
+                inside.append(name)
+                try:
+                    return fn(*args)
+                finally:
+                    inside.pop()
+            return wrapped
+
+        real_reduce = words.reduce
+
+        def reduce_spy(word):
+            seen["reduce"] += bool(inside)
+            return real_reduce(word)
+
+        for module in (words, action):
+            monkeypatch.setattr(module, "reduce", reduce_spy)
+        for name in ("_peel", "_candidate"):
+            monkeypatch.setattr(action, name, spy(name, getattr(action, name)))
+        n = 7
+        a = named_word("a", n)
+        assert equal_with_witness(concat((3, T, 1), (4, 2, -4), (-1, T, -3)),
+                                  concat((3, T, 1, 4), (2,), (-4, -1, T, -3)), n)[0]
+        assert order_of(concat((2, T), a, (T, -2)), n) == order_of(a, n)
+        a0 = named_word("a0", n)
+        assert equal_products([Power(a0, 3), (1,)], [(4,), Power(a0, 3)], Factors(n))[0]
+        assert seen["_peel"] and seen["_candidate"]
+        assert seen["reduce"] == 0
 
 
 def _letters(n):

@@ -76,8 +76,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("where", ("missing-dir", "directory"))
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
-        # a missing directory fails before the temporary file exists; a
-        # directory as the target fails after it, which must remove it
+        # a missing directory and a directory as the target both fail
+        # before the temporary file exists
         target = tmp_path / "dir"
         if where == "missing-dir":
             target = target / "report.json"
@@ -367,6 +367,13 @@ class TestLimits:
         assert code == 64
         assert out == ""
         assert err.startswith("error: cannot write --out")
+
+    def test_out_directory_is_refused_first(self, capsys, no_work, tmp_path):
+        code, out, err = run(capsys, "verify", "--n", "6", "--suite", "all",
+                             "--out", str(tmp_path))
+        assert code == 64
+        assert out == ""
+        assert err == f"error: cannot write --out: {tmp_path} is a directory\n"
 
     @pytest.mark.parametrize("command", READ_LIMITS)
     def test_n_beyond_the_reflection_letter(self, capsys, no_work, command):

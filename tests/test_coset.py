@@ -1,12 +1,15 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spheremcg import coset
+from spheremcg.action import equal_in_group
 from spheremcg.coset import enumerate_cosets
 from spheremcg.homs import perm_image
 from spheremcg.presentation import Presentation, build_presentation, named_word
-from spheremcg.words import T_LETTER
+from spheremcg.words import T_LETTER, concat, invert
 
 T = T_LETTER
 
@@ -397,3 +400,51 @@ def test_overflow_stats_are_pinned():
     s = result.stats
     assert (result.status, s.defined, s.max_alive, s.collapses) == \
         ("overflow", 28078, 20000, 8078)
+
+
+# Finished coset tables with more than one row, by n: the subgroups
+# <t s1, a0> (index 5 at n = 6, 9 at n = 10) and <t s1, a> (index 6 at
+# n = 10).  Each is a permutation action of the group on the cosets, so
+# one more finite quotient.
+QUOTIENT_TABLES = {6: (("a0", 5),), 10: (("a0", 9), ("a", 6))}
+
+
+@lru_cache(maxsize=None)
+def quotient_tables(n):
+    tables = []
+    for name, index in QUOTIENT_TABLES[n]:
+        pres = build_presentation(n, "extended")
+        subgens = ((T, 1), named_word(name, n))
+        result = enumerate_cosets(pres, subgens)
+        assert result.index == index and result.table.verify(pres, subgens)
+        tables.append(result.table)
+    return tables
+
+
+def _words(n, max_size):
+    letters = [T] + [s * i for i in range(1, n) for s in (1, -1)]
+    return st.lists(st.sampled_from(letters), max_size=max_size).map(tuple)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_oracle_agrees_with_finished_coset_tables(data):
+    # words the oracle calls equal act alike on every coset, so a pair a
+    # table separates gets "not equal".  A relator conjugate makes an
+    # equal pair; a square keeps the mod-2 image, so the pairs it makes
+    # often pass both quotients and are separated by a table alone
+    n = data.draw(st.sampled_from(sorted(QUOTIENT_TABLES)))
+    u, g = data.draw(_words(n, 8)), data.draw(_words(n, 4))
+    inserted = data.draw(st.booleans())
+    if inserted:
+        rel = data.draw(st.sampled_from(build_presentation(n, "extended").relators))
+        v = concat(u, g, rel, invert(g))
+    else:
+        v = concat(u, g, g)
+    equal = equal_in_group(u, v, n)
+    alike = all(table.trace(k, u) == table.trace(k, v)
+                for table in quotient_tables(n) for k in range(table.index))
+    if equal:
+        assert alike
+    if inserted:
+        assert equal

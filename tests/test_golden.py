@@ -26,6 +26,9 @@ their arguments: the reports where an index check overflows, tolerated
 Regenerate (only when a report change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, before writing each file, the check ids it gains (+) and
+loses (-), so the retired ids of a change can be read off its output.
 """
 
 import contextlib
@@ -129,12 +132,31 @@ def test_limit_hitting_reports_match_golden():
     assert codes == LIMITED_RUNS
 
 
+def _check_ids(text: str) -> set[str]:
+    """The check ids of a golden file: one report, or reports keyed by
+    suite or by arguments."""
+    data = json.loads(text)
+    reports = [data] if "checks" in data else data.values()
+    return {check["id"] for report in reports for check in report["checks"]}
+
+
+def _write(path: pathlib.Path, text: str) -> None:
+    """Write a golden file, first printing the check ids it gains (+)
+    and loses (-)."""
+    new = _check_ids(text)
+    old = _check_ids(path.read_text()) if path.exists() else set()
+    for sign, changed in (("+", new - old), ("-", old - new)):
+        for check_id in sorted(changed):
+            print(f"{path.name}: {sign}{check_id}")
+    path.write_text(text)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for n in NS:
-        (GOLDEN / f"n{n}.json").write_text(stripped_report(n)[1])
+        _write(GOLDEN / f"n{n}.json", stripped_report(n)[1])
     for n in ORACLE_NS:
-        (GOLDEN / f"n{n}-oracle.json").write_text(oracle_report(n)[1])
-    (GOLDEN / f"n{MAIN_N}-main.json").write_text(stripped_report(MAIN_N, "main")[1])
-    (GOLDEN / f"n{ODD_N}-odd.json").write_text(stripped_report(ODD_N, "odd")[1])
-    (GOLDEN / "max-cosets-50.json").write_text(limited_reports()[1])
+        _write(GOLDEN / f"n{n}-oracle.json", oracle_report(n)[1])
+    _write(GOLDEN / f"n{MAIN_N}-main.json", stripped_report(MAIN_N, "main")[1])
+    _write(GOLDEN / f"n{ODD_N}-odd.json", stripped_report(ODD_N, "odd")[1])
+    _write(GOLDEN / "max-cosets-50.json", limited_reports()[1])

@@ -37,15 +37,29 @@ def statuses(checks):
 
 
 class TestSuiteShapes:
-    def test_presentation_counts(self):
-        checks = verify_presentation(6)
-        assert len(checks) == 12 + 18 + 2 + 4
-        assert all(c.status == "pass" for c in checks)
-        assert "n6.pres.extended.t.twist.3" in ids(checks)
-        assert "n6.pres.hom.extended.psi" in ids(checks)
+    FAMILIES = ("t.invol", "t.twist", "comm", "braid", "sphere", "fulltwist")
 
-    def test_relator_rows_read_the_one_validation(self, monkeypatch):
-        # once _gen_auts has validated every relator, the rows evaluate none
+    @staticmethod
+    def covered(row):
+        """The relator count a family row states."""
+        return int(re.search(r"\((\d+) in all, n=", row.statement).group(1))
+
+    @pytest.mark.parametrize("n", (3, 4, 6, 13))
+    def test_family_rows_cover_every_relator(self, n):
+        rows = {c.id: c for c in verify_presentation(n)}
+        assert all(c.status == "pass" for c in rows.values())
+        families = [f for f in self.FAMILIES if n > 3 or f != "comm"]  # n = 3 has none
+        assert set(rows) == {f"n{n}.pres.extended.{f}" for f in families} | {
+            f"n{n}.pres.extended.convention", f"n{n}.pres.hom.extended.perm",
+            f"n{n}.pres.hom.extended.psi"}
+        counts = {f: self.covered(rows[f"n{n}.pres.extended.{f}"]) for f in families}
+        assert sum(counts.values()) == len(build_presentation(n, "extended").relators)
+        assert counts["t.twist"] == n - 1 and counts["braid"] == n - 2
+        assert counts.get("comm", 0) == (n - 2) * (n - 3) // 2
+
+    def test_family_rows_read_the_one_validation(self, monkeypatch):
+        # once _gen_auts has validated every relator, the rows evaluate none,
+        # and each lists the nonempty conjugators the oracle finds
         action._gen_auts(8)
         calls = []
         real = action._evaluate
@@ -59,15 +73,19 @@ class TestSuiteShapes:
         assert calls == []
         monkeypatch.undo()
         rows = {c.id: c for c in checks}
-        for flavor in ("oriented", "extended"):
-            pres = build_presentation(8, flavor)
-            for label, rel in zip(pres.labels, pres.relators):
-                row = rows[f"n8.pres.{flavor}.{label}"]
-                ok, conj = equal_with_witness(rel, EPSILON, 8)
-                assert ok and row.status == "pass"
-                assert row.witness == (format_word(conj) or "exact")
+        pres = build_presentation(8, "extended")
+        named = {f: [] for f in self.FAMILIES}
+        for label, rel in zip(pres.labels, pres.relators):
+            ok, conj = equal_with_witness(rel, EPSILON, 8)
+            assert ok
+            if conj:
+                named[label.rstrip("0123456789.")].append(f"{label}: {format_word(conj)}")
+        assert named["sphere"] == ["sphere: s1"]
+        for family, listed in named.items():
+            row = rows[f"n8.pres.extended.{family}"]
+            assert (row.status, row.witness) == ("pass", ", ".join(listed) or "exact")
 
-    def test_failed_validation_fails_every_relator_row(self, monkeypatch):
+    def test_broken_reflection_fails_every_family_row(self, monkeypatch):
         # xi -> xi^-1 breaks t si t = si^-1 with the standard half-twists
         monkeypatch.setattr(action, "_prefix_reflect",
                             lambda images, run=None: [invert(img) for img in images])
@@ -76,12 +94,34 @@ class TestSuiteShapes:
             checks = verify_presentation(5)
         finally:
             action._gen_auts.cache_clear()
+        assert len(checks) == 9
         for c in checks:
             if ".hom." in c.id:
                 assert c.status == "pass"
             else:
                 assert c.status == "fail"
-                assert "does not act trivially" in c.witness
+                assert "relator t.twist.1 does not act trivially at n=5" in c.witness
+
+    def test_broken_relator_is_named_in_its_family_row(self, monkeypatch):
+        # the validation stops at a commutator that is not one
+        pres = build_presentation(6, "extended")
+        broken = pres.relators[pres.labels.index("comm.2.5")]
+        monkeypatch.setattr(action, "build_presentation", lambda n, flavor: pres._replace(
+            relators=tuple((1, 2, -1, -2) if rel == broken else rel
+                           for rel in pres.relators)))
+        action._gen_auts.cache_clear()
+        try:
+            rows = {c.id: c for c in verify_presentation(6)}
+        finally:
+            action._gen_auts.cache_clear()
+        row = rows["n6.pres.extended.comm"]
+        assert row.status == "fail"
+        assert "relator comm.2.5 does not act trivially at n=6" in row.witness
+
+    @pytest.mark.parametrize("n, rows", [(3, 8), *((n, 9) for n in range(4, 41)), (80, 9)])
+    def test_presentation_suite_rows(self, capsys, n, rows):
+        assert cli.main(["verify", "--n", str(n), "--suite", "presentation", "--machine"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["checks"]) == rows
 
     def test_quotients_refuse_what_a_broken_oracle_accepts(self, monkeypatch):
         # an is_inner that accepts everything calls every evaluated pair
@@ -184,8 +224,9 @@ class TestSuiteShapes:
 class TestFullReport:
     def test_six_puncture_report(self):
         report = full_report("all", 6)
-        local = [c for c in report.checks if c.id.startswith("n6.")]
-        assert len(local) >= 60
+        local = [c.id.split(".")[1] for c in report.checks if c.id.startswith("n6.")]
+        assert {suite: local.count(suite) for suite in local} == {
+            "pres": 9, "prop22": 17, "sec3": 8, "lemY": 9, "lemZ": 5, "main": 5}
         assert len(set(ids(report.checks))) == len(report.checks)
         assert report.overall == "fail"
         assert report.exit_code == 1

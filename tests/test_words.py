@@ -9,7 +9,7 @@ from spheremcg.words import (
     T_LETTER,
     ascii_int,
     concat,
-    cyclic_reduce,
+    cyclic_core,
     format_word,
     invert,
     parse_word,
@@ -92,37 +92,37 @@ class TestConcatInvert:
 
 class TestCyclicReduce:
     def test_peels_conjugator(self):
-        assert cyclic_reduce((1, 2, -1)) == ((2,), (1,))
+        assert cyclic_core((1, 2, -1)) == ((2,), (1,))
 
     def test_already_reduced(self):
-        assert cyclic_reduce((2,)) == ((2,), EPSILON)
+        assert cyclic_core((2,)) == ((2,), EPSILON)
 
     def test_two_layers(self):
-        assert cyclic_reduce((1, 2, 3, -2, -1)) == ((3,), (1, 2))
+        assert cyclic_core((1, 2, 3, -2, -1)) == ((3,), (1, 2))
 
     @given(RAW)
     def test_reassembly(self, raw):
-        core, conj = cyclic_reduce(raw)
+        core, conj = cyclic_core(reduce(raw))
         assert conjugate(core, conj) == reduce(raw)
         assert not (len(core) >= 2 and core[0] == -core[-1])
 
     def test_reflection_pair(self):
         # t^-1 = t, so two reflection letters of either sign are a pair
         t = T_LETTER
-        assert cyclic_reduce((t, 1, 2, t)) == ((1, 2), (t,))
-        assert cyclic_reduce((t, 1, -t)) == ((1,), (t,))
-        assert cyclic_reduce((-2, t, 1, t, 2)) == ((1,), (-2, t))
-        assert cyclic_reduce((3, t, t, -3)) == (EPSILON, (3, t))
+        assert cyclic_core((t, 1, 2, t)) == ((1, 2), (t,))
+        assert cyclic_core((t, 1, -t)) == ((1,), (t,))
+        assert cyclic_core((-2, t, 1, t, 2)) == ((1,), (-2, t))
+        assert cyclic_core((3, t, t, -3)) == (EPSILON, (3, t))
 
     def test_unpaired_ends_kept(self):
         t = T_LETTER
-        assert cyclic_reduce((t,)) == ((t,), EPSILON)
-        assert cyclic_reduce((1, t, 1)) == ((1, t, 1), EPSILON)
-        assert cyclic_reduce((t, 1)) == ((t, 1), EPSILON)
+        assert cyclic_core((t,)) == ((t,), EPSILON)
+        assert cyclic_core((1, t, 1)) == ((1, t, 1), EPSILON)
+        assert cyclic_core((t, 1)) == ((t, 1), EPSILON)
 
     @given(st.lists(st.sampled_from([1, 2, 3, -1, -2, -3, T_LETTER]), max_size=24))
     def test_reassembly_with_reflections(self, raw):
-        core, conj = cyclic_reduce(raw)
+        core, conj = cyclic_core(reduce(raw))
         assert conj + core + typed_inverse(conj) == reduce(raw)
         assert not (len(core) >= 2 and (core[0] == -core[-1]
                                         or core[0] == core[-1] == T_LETTER))
