@@ -42,7 +42,8 @@ Identities whose sides share a long factor, or power one, go through the
 product path instead: each side is a product of factors, each a word or
 a power of a factor, and a Factors cache, owned by the caller for one
 run, evaluates each distinct factor once and composes powers by
-squaring.  u v^-1 is never composed.  Instead u = c_w v is decided as
+squaring, a power of a reflection word w through its square, below.
+u v^-1 is never composed.  Instead u = c_w v is decided as
 is_inner decides inner automorphisms: v^-1 is applied, through the
 inverse factors, to x1 and x2 alone; u of those two words pins the one
 candidate w; and u(x) = w v(x) w^-1 is checked on every basis letter.
@@ -55,13 +56,17 @@ the same order and the same quotient order, so the core answers for the
 word exactly.  The order of a word is a multiple of the order m of its
 image under the puncture permutation and the mod-2 abelianization, so a
 word with m above the cap is answered without evaluation, and otherwise
-only the powers m, 2m, ... up to the cap get the inner test.  They are taken on the stored part alone, raised
-to the m-th power by squaring with the carried conjugator of each
-compose dropped.  That changes each power by an inner automorphism, and
-inner automorphisms form a normal subgroup, so it is inner exactly when
-the same power of the word's automorphism is.  The core holds other
-automorphisms than the whole word would, so the guard may trip at other
-inputs; a trip is still inconclusive.
+only the powers m, 2m, ... up to the cap get the inner test.  They are
+taken on the stored part alone, raised to the m-th power by squaring
+with the carried conjugator of each compose dropped.  That changes each
+power by an inner automorphism, and inner automorphisms form a normal
+subgroup, so it is inner exactly when the same power of the word's
+automorphism is.  A reflection word w, one with an odd number of t,
+has even m, and F^m = (F^2)^(m/2) is raised from F^2, that of w w,
+whose reflections all cancel in the rewrite: no order, and no even
+power on the product path, runs the prefix reflection.  The core and
+the square hold other automorphisms than the whole word would, so the
+guard may trip at other inputs; a trip is still inconclusive.
 
 The guard bounds the letters held, stored images plus conjugator, after
 every letter and every compose.  On the product path it also bounds the
@@ -295,8 +300,22 @@ def _sparse_identity(word: Word, n: int) -> bool:
     return all(img == (i,) for i, img in moved.items())
 
 
+def _refusal_kept(validate):
+    """The cached validation, raising the RuntimeError it returns as its
+    refusal, so that a refused n is validated once, not once per row."""
+    def checked(n: int) -> dict[str, Word]:
+        result = validate(n)
+        if isinstance(result, RuntimeError):
+            raise result.with_traceback(None)
+        return result
+
+    checked.cache_clear = validate.cache_clear
+    return checked
+
+
+@_refusal_kept
 @lru_cache(maxsize=None)
-def _gen_auts(n: int) -> dict[str, Word]:
+def _gen_auts(n: int) -> dict[str, Word] | RuntimeError:
     """The nonempty conjugators the extended relators act by, by label,
     as the validation of the generator automorphisms at n finds them;
     every other relator acts by the empty one.  Refused unless every
@@ -312,10 +331,10 @@ def _gen_auts(n: int) -> dict[str, Word]:
     changes no witness and no refusal.  The relators that start with t
     are read on from the state after it, evaluated once, and each later
     t resumes one recorded _prefix_reflect run over that state, which
-    gives the images a run from the start would.  The check runs once
-    per n for every caller, under the default guard; build_presentation
-    refuses, as a tripped guard, an n whose extended relators alone would
-    hold more letters than that guard."""
+    gives the images a run from the start would.  The check and its
+    refusal run once per n for every caller, under the default guard,
+    whose trip is raised, not kept; build_presentation refuses, as a
+    tripped guard, an n whose relators alone would hold more than it."""
     witnesses = {}
     pres = build_presentation(n, "extended")
     after_t = _evaluate((T_LETTER,), n, DEFAULT_LENGTH_GUARD)
@@ -327,11 +346,11 @@ def _gen_auts(n: int) -> dict[str, Word]:
         start, word = (after_t, rel[1:]) if rel[0] == T_LETTER else (None, rel)
         witness = is_inner(_evaluate(word, n, DEFAULT_LENGTH_GUARD, start, run))
         if witness is None:
-            raise RuntimeError(f"relator {label} does not act trivially at n={n}")
+            return RuntimeError(f"relator {label} does not act trivially at n={n}")
         if witness:
             if T_LETTER in rel:
-                raise RuntimeError(f"relator {label} acts as a nontrivial inner "
-                                   f"automorphism at n={n}")
+                return RuntimeError(f"relator {label} acts as a nontrivial inner "
+                                    f"automorphism at n={n}")
             witnesses[label] = witness
     return witnesses
 
@@ -525,8 +544,8 @@ class Factors:
                 self.auts[factor] = self.aut(EPSILON)
             else:
                 base = factor.base if factor.k > 0 else _inverse(factor.base)
-                self.auts[factor] = _power(self.aut(base), abs(factor.k),
-                                           lambda f, g: compose(f, g, self.guard))
+                self.auts[factor] = _factor_power(base, abs(factor.k), self.aut,
+                                                  lambda f, g: compose(f, g, self.guard))
         return self.auts[factor]
 
     def product(self, factors: Sequence[Factor]) -> FreeAut:
@@ -580,6 +599,16 @@ def _power(f, k: int, product):
     return product(square, f) if k % 2 else square
 
 
+def _factor_power(base: Factor, k: int, evaluate, product):
+    """base^k for k >= 1 by squaring, under the given product, from the
+    automorphisms evaluate gives factors: for a reflection word w, one
+    with an odd number of t, (w w)^(k div 2), times w for an odd k."""
+    if k == 1 or isinstance(base, Power) or not abelianization_image(base)[1]:
+        return _power(evaluate(base), k, product)
+    square = _power(evaluate(base + base), k // 2, product)
+    return product(square, evaluate(base)) if k % 2 else square
+
+
 def order_of(u: Iterable[int], n: int, cap: int | None = None,
              guard: int = DEFAULT_LENGTH_GUARD) -> int | None:
     """Order of u in the extended group, or None if it exceeds the cap.
@@ -589,9 +618,10 @@ def order_of(u: Iterable[int], n: int, cap: int | None = None,
     u, so it has the same order and the same quotient order m.  Only the
     multiples of m up to the cap get the exact inner test, on powers
     built by squaring from the stored part of the core's normalized
-    automorphism, as the module docstring sets out.  The guard bounds
-    the core's automorphisms, not the word's, so it may trip at other
-    inputs than on the whole word; a trip is still inconclusive.
+    automorphism, or of its square's for a reflection word, whose m is
+    even, as the module docstring sets out.  The guard bounds those
+    automorphisms, not the word's, so it may trip at other inputs than
+    on the whole word; a trip is still inconclusive.
     """
     require_punctures(n)
     word, _ = cyclic_core(reduce(u))
@@ -607,8 +637,8 @@ def order_of(u: Iterable[int], n: int, cap: int | None = None,
         # the carried conjugator does not decide whether a power is inner
         return FreeAut(n, compose(f, g, guard).images)
 
-    f = FreeAut(n, word_to_aut(word, n, guard).images)
-    fm = g = _power(f, m, product)
+    fm = g = _factor_power(word, m, lambda w: FreeAut(n, word_to_aut(w, n, guard).images),
+                           product)
     for k in range(m, cap + 1, m):
         if k > m:
             g = product(g, fm)

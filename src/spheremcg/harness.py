@@ -336,10 +336,9 @@ def verify_lemma_z(n: int, limits: Limits | None = None) -> tuple[CheckResult, .
            f"ab = (a0 s{n - 1}^-1)^2 s{n - 5} s{n - 4} s{n - 2} (n={n})",
            ab, concat(rot2, (n - 5, n - 4, n - 2)))
     for k in range(1, n - 6):
-        rec.eq(f"n{n}.lemZ.dshift.k{k}",
-               f"(a0 s{n - 1}^-1)^2 moves the triple s{k} s{k + 1} s{k + 3} up by 2 (n={n})",
-               concat(rot2, named_word(f"d{k}", n)),
-               concat(named_word(f"d{k + 2}", n), rot2))
+        rec.eq_products(f"n{n}.lemZ.dshift.k{k}",
+                        f"(a0 s{n - 1}^-1)^2 moves the triple s{k} s{k + 1} s{k + 3} up by 2 (n={n})",
+                        [rot2, named_word(f"d{k}", n)], [named_word(f"d{k + 2}", n), rot2])
     rec.eq(f"n{n}.lemZ.ab_cycled",
            f"ab = s{n - 3} s{n - 2} s1 (a0 s{n - 1}^-1)^2 (n={n})",
            ab, concat((n - 3, n - 2, 1), rot2))

@@ -160,10 +160,10 @@ def validate_hom(pres: Presentation, kind: str) -> tuple[tuple[str, bool], ...]:
 
     kind is perm or psi.
     """
-    results = []
+    results, identity = [], perm_identity(pres.n)
     for label, rel in zip(pres.labels, pres.relators):
         if kind == "perm":
-            ok = perm_image(rel, pres.n) == perm_identity(pres.n)
+            ok = perm_image(rel, pres.n) == identity
         elif kind == "psi":
             ok = abelianization_image(rel) == (0, 0)
         else:

@@ -19,9 +19,15 @@ from spheremcg.action import (
     word_to_aut,
 )
 from spheremcg.presentation import build_presentation, named_word, parse_expression
-from spheremcg.words import EPSILON, T_LETTER, concat, invert, power, reduce
+from spheremcg.homs import abelianization_image
+from spheremcg.words import EPSILON, T_LETTER, concat, cyclic_core, invert, power, reduce
 
 T = T_LETTER
+
+
+def _reflects(word):
+    """Whether a word holds an odd number of t: a reflection word."""
+    return abelianization_image(word)[1] == 1
 
 
 def identity_aut(n):
@@ -499,6 +505,9 @@ class TestProducts:
         n = data.draw(st.integers(3, 10))
         letters = _letters(n)
         base = reduce(data.draw(st.lists(letters, min_size=1, max_size=6)))
+        if _reflects(base) != data.draw(st.booleans()):
+            # half the bases are reflection words, powered through their square
+            base = concat(base, (T,))
         k = data.draw(st.integers(-7, 7))
         tail = reduce(data.draw(st.lists(letters, max_size=4)))
         v = reduce(data.draw(st.lists(letters, max_size=8)))
@@ -628,18 +637,24 @@ class TestOrders:
         st.lists(st.sampled_from([T, n - 1, 1 - n, n - 2, 2 - n, 1, -1]), max_size=8),
         st.sampled_from(["a0", "a1", "t a0", "t", "s1", "t s1", "a0 a1"]
                         + ["a2", f"t s{n - 1}^-1 a2"] * (n >= 4)),
-        st.lists(st.sampled_from([T, n - 1, 1 - n, n - 2, 2 - n]), max_size=2))))
+        st.lists(st.sampled_from([T, n - 1, 1 - n, n - 2, 2 - n]), max_size=2),
+        st.booleans())))
     @settings(max_examples=80, deadline=None)
     def test_matches_power_by_power_reference(self, case):
         # v p r v^-1: a conjugate of a periodic element p when r is
-        # empty, and mostly of infinite order otherwise
-        n, v, p, r = case
+        # empty, and mostly of infinite order otherwise; half the words
+        # are reflection words, whose powers go through their square
+        n, v, p, r, odd = case
+        if _reflects(concat(parse_expression(p, n), r)) != odd:
+            r = [*r, T]
         word = concat(v, parse_expression(p, n), r, invert(v))
         guard = 20_000
 
         def reference(cap):
-            # every power up to the cap, one compose per step
-            if reduce(word) == EPSILON:
+            # every power up to the cap, one compose per step; a word
+            # whose cyclic core is empty, such as t t, has order 1 at
+            # every cap, as order_of answers it
+            if cyclic_core(reduce(word))[0] == EPSILON:
                 return 1
             f = g = plain(word_to_aut(word, n, guard))
             for k in range(1, cap + 1):
@@ -719,6 +734,38 @@ class TestOrdersOnTheCore:
         a0 = named_word("a0", 7)
         assert order_of(concat((T, 3), a0, (-3, T)), 7) == 7
         assert seen == [a0]
+
+
+class TestReflectionPowers:
+    """A reflection word is powered through its square, whose reflections
+    cancel in the rewrite: no order or power of one runs the prefix
+    reflection, but the odd power's one factor of the word itself."""
+
+    @pytest.fixture
+    def reflections(self, monkeypatch):
+        for n in (10, 11):
+            action._gen_auts(n)  # the validation reflects on its own
+        calls = []
+        reflect = action._prefix_reflect
+        monkeypatch.setattr(action, "_prefix_reflect",
+                            lambda *args: calls.append(args) or reflect(*args))
+        return calls
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_orders_run_no_prefix_reflection(self, reflections, n):
+        for name in ("t a0", *["a", "b"] * (n % 2 == 0)):
+            assert order_of(parse_expression(name, n), n) == _known_order(name, n)
+        assert reflections == []
+
+    def test_square_of_a_runs_no_prefix_reflection(self, reflections):
+        a = named_word("a", 10)
+        assert plain(Factors(10).aut(Power(a, 2))) == plain(word_to_aut(power(a, 2), 10))
+        assert reflections == []
+
+    def test_odd_power_reflects_once(self, reflections):
+        ta0 = concat((T,), named_word("a0", 11))
+        assert plain(Factors(11).aut(Power(ta0, 11))) == plain(word_to_aut(power(ta0, 11), 11))
+        assert len(reflections) == 2  # the factor t a0, then the flattened power
 
 
 class TestPunctureRange:
@@ -828,8 +875,9 @@ class TestResourceGuard:
         # the guard reads the core a0, not the conjugate
         (lambda g: order_of(concat((T, 3, 2), named_word("a0", 10), (-2, -3, T)), 10,
                             guard=g), 24),
-        # m = 18: the permutation's 9-cycle, doubled by the reflection
-        (lambda g: order_of(concat((T,), named_word("a0", 9)), 9, guard=g), 64),
+        # m = 18: the permutation's 9-cycle, doubled by the reflection,
+        # so the powers are built from (t a0)^2, evaluated without t
+        (lambda g: order_of(concat((T,), named_word("a0", 9)), 9, guard=g), 28),
     ], ids=["twists", "a10b-8", "ta0^13", "order-a0", "order-conjugate", "order-ta0"])
     def test_guard_trips_at_the_pinned_letter_count(self, call, least):
         call(least)

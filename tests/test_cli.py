@@ -239,13 +239,14 @@ class TestOrder:
     G = ("s3 s2 S1 s2 S4 S4 S4 S3 s4 s2 S4 s1 S3 S3 s1 S4 S1 s4 s2 S2 "
          "s1 s1 s1 s1 S3 s4 S3 s1 s4 S4").split()
 
-    @pytest.mark.parametrize("letters", [30, 20])
-    def test_conjugate_of_t_answers_on_its_core(self, capsys, monkeypatch, letters):
-        # a spy on compose, not a timer, bounds the work: it refuses a
-        # fifth call and any automorphism past 1,000 letters, so a
-        # regression fails at its first large compose instead of stalling
-        calls = []
-        compose = action.compose
+    def bounded_order(self, capsys, monkeypatch, letters, tail=()):
+        """The exit code and output of order on g t g^-1 tail, with g the
+        first letters of G, and the words word_to_aut evaluated.  A spy
+        on compose, not a timer, bounds the work: it refuses a fifth call
+        and any automorphism past 1,000 letters, so a regression fails
+        at its first large compose instead of stalling."""
+        calls, evaluated = [], []
+        compose, word_to_aut = action.compose, action.word_to_aut
 
         def spy(f, g, *args):
             calls.append(f)
@@ -254,11 +255,27 @@ class TestOrder:
             return compose(f, g, *args)
 
         monkeypatch.setattr(action, "compose", spy)
+        monkeypatch.setattr(action, "word_to_aut",
+                            lambda word, *args: evaluated.append(word) or word_to_aut(word, *args))
         g = self.G[:letters]
         g_inv = [x.swapcase()[0] + x[1:] for x in reversed(g)]
-        code, out, _ = run(capsys, "order", "--n", "5", " ".join([*g, "t", *g_inv]))
-        assert (code, out.strip()) == (0, "2")
-        assert calls
+        code, out, _ = run(capsys, "order", "--n", "5", " ".join([*g, "t", *g_inv, *tail]))
+        return code, out.strip(), evaluated
+
+    @pytest.mark.parametrize("letters", [30, 20])
+    def test_conjugate_of_t_answers_on_its_core(self, capsys, monkeypatch, letters):
+        # the core t is a reflection word, so only its square is evaluated
+        assert self.bounded_order(capsys, monkeypatch, letters) == (0, "2", [(T_LETTER,) * 2])
+
+    def test_conjugate_of_t_times_a_far_commutator_answers_through_its_square(
+            self, capsys, monkeypatch):
+        # s3 s1 S3 S1 is trivial in the group, so the word is a conjugate
+        # of t, but not as a word: its core is all of it, and its square
+        # loses every t in the rewrite
+        code, out, evaluated = self.bounded_order(capsys, monkeypatch, 30,
+                                                  "s3 s1 S3 S1".split())
+        assert (code, out) == (0, "2")
+        assert len(evaluated) == 1 and evaluated[0].count(T_LETTER) == 2
 
 
 class TestEnumerate:

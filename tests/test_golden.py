@@ -19,6 +19,11 @@ index-1 certificate is the largest in the golden set.
 report: `(t a0)^31 = t` with its witness s2 s4 .. s30, and the order 62
 of t a0.
 
+`n80-reflections.json` holds `verify --n 80 --suite section3` and
+`verify --n 81 --suite odd`, keyed by their arguments: every order and
+power row of a reflection word (a word with an odd number of t), at the
+n where long reflection images dominate; each run exits 0.
+
 `max-cosets-50.json` holds four runs at `--max-cosets 50`, keyed by
 their arguments: the reports where an index check overflows, tolerated
 (n=8 main, n=7 odd) or not (n=5 odd, sigma2).
@@ -46,6 +51,8 @@ ORACLE_NS = (16, 30)
 ORACLE_SUITES = ("presentation", "prop22", "section3", "lemma-y", "lemma-z")
 MAIN_N = 16
 ODD_N = 31
+# each reflection-heavy run's verify arguments, all exiting 0
+REFLECTION_RUNS = ("--n 80 --suite section3", "--n 81 --suite odd")
 EXIT_CODES = {3: 0, 4: 0, 5: 0, 6: 1, 7: 0, 8: 0, 9: 0, 10: 0}
 # each limited run's verify arguments, with its exit code
 LIMITED_RUNS = {
@@ -80,6 +87,14 @@ def oracle_report(n: int) -> tuple[set[int], str]:
     runs = {suite: stripped_payload(n, suite) for suite in ORACLE_SUITES}
     codes = {code for code, _ in runs.values()}
     payloads = {suite: payload for suite, (_, payload) in runs.items()}
+    return codes, json.dumps(payloads, indent=2) + "\n"
+
+
+def reflection_reports() -> tuple[set[int], str]:
+    """Exit codes and stripped reports of the reflection-heavy runs."""
+    runs = {args: _verify(args.split()) for args in REFLECTION_RUNS}
+    codes = {code for code, _ in runs.values()}
+    payloads = {args: payload for args, (_, payload) in runs.items()}
     return codes, json.dumps(payloads, indent=2) + "\n"
 
 
@@ -126,6 +141,12 @@ def test_odd_suite_report_matches_golden():
     assert code == 0
 
 
+def test_reflection_reports_match_golden():
+    codes, report = reflection_reports()
+    assert report == (GOLDEN / "n80-reflections.json").read_text()
+    assert codes == {0}
+
+
 def test_limit_hitting_reports_match_golden():
     codes, report = limited_reports()
     assert report == (GOLDEN / "max-cosets-50.json").read_text()
@@ -159,4 +180,5 @@ if __name__ == "__main__":
         _write(GOLDEN / f"n{n}-oracle.json", oracle_report(n)[1])
     _write(GOLDEN / f"n{MAIN_N}-main.json", stripped_report(MAIN_N, "main")[1])
     _write(GOLDEN / f"n{ODD_N}-odd.json", stripped_report(ODD_N, "odd")[1])
+    _write(GOLDEN / "n80-reflections.json", reflection_reports()[1])
     _write(GOLDEN / "max-cosets-50.json", limited_reports()[1])

@@ -102,6 +102,27 @@ class TestSuiteShapes:
                 assert c.status == "fail"
                 assert "relator t.twist.1 does not act trivially at n=5" in c.witness
 
+    @pytest.mark.parametrize("suite, rows", [(verify_presentation, 7), (verify_prop22, 13)])
+    def test_refused_validation_runs_once_per_suite(self, monkeypatch, suite, rows):
+        # the refusal is kept in _gen_auts' cache: each row that reads it
+        # fails with the same message, and the n = 5 presentation is
+        # built for the validation once
+        monkeypatch.setattr(action, "_prefix_reflect",
+                            lambda images, run=None: [invert(img) for img in images])
+        built = []
+        build = action.build_presentation
+        monkeypatch.setattr(action, "build_presentation",
+                            lambda n, flavor: built.append(n) or build(n, flavor))
+        action._gen_auts.cache_clear()
+        try:
+            checks = suite(5)
+        finally:
+            action._gen_auts.cache_clear()
+        assert built == [5]
+        failed = [c.witness for c in checks if c.status == "fail"]
+        assert failed == [
+            "error: RuntimeError('relator t.twist.1 does not act trivially at n=5')"] * rows
+
     def test_broken_relator_is_named_in_its_family_row(self, monkeypatch):
         # the validation stops at a commutator that is not one
         pres = build_presentation(6, "extended")
@@ -318,18 +339,25 @@ class TestReplay:
             images = reference_images(concat(u, invert(v)), n)
             assert images == tuple(conjugate((j,), witness) for j in range(1, n))
 
+    @staticmethod
+    def flattened(products):
+        return [(flatten(lhs), flatten(rhs), witness) for lhs, rhs, witness in products]
+
     def test_every_equality_row_at_8(self, monkeypatch):
         single, products = self.passing_rows(monkeypatch, 8, None)
-        assert len(single) >= 35 and len(products) >= 13
-        self.replay(8, single + [(flatten(lhs), flatten(rhs), witness)
-                                 for lhs, rhs, witness in products])
+        assert len(single) >= 34 and len(products) >= 14
+        self.replay(8, single + self.flattened(products))
 
-    def test_single_word_rows_at_30(self, monkeypatch):
-        # the flattened products take seconds under the reference here;
-        # the index rows are cut short, since no equality row reads them
-        single, _ = self.passing_rows(monkeypatch, 30, Limits(max_cosets=50))
-        assert len(single) >= 134
-        self.replay(30, single)
+    def test_single_word_and_short_product_rows_at_30(self, monkeypatch):
+        # the long flattened products take seconds under the reference
+        # here, so only those of at most 200 letters are replayed (the
+        # dshift and gshift rows); the index rows are cut short, since
+        # no equality row reads them
+        single, products = self.passing_rows(monkeypatch, 30, Limits(max_cosets=50))
+        short = [(u, v, witness) for u, v, witness in self.flattened(products)
+                 if len(u) + len(v) <= 200]
+        assert len(single) + len(short) >= 134
+        self.replay(30, single + short)
 
 
 class TestOrderRows:
