@@ -42,10 +42,10 @@ Identities whose sides share a long factor, or power one, go through the
 product path instead: each side is a product of factors, each a word or
 a power of a factor, and a Factors cache, owned by the caller for one
 run, evaluates each distinct factor once and composes powers by
-squaring, a power of a reflection word w through its square, below.
-u v^-1 is never composed.  Instead u = c_w v is decided as
-is_inner decides inner automorphisms: v^-1 is applied, through the
-inverse factors, to x1 and x2 alone; u of those two words pins the one
+squaring, those of a reflection word through its square, as below.
+u v^-1 is never composed.  Instead u = c_w v is decided as is_inner
+decides inner automorphisms: v^-1 is applied, through the inverse
+factors, to x1 and x2 alone; u of those two words pins the one
 candidate w; and u(x) = w v(x) w^-1 is checked on every basis letter.
 The conjugator is unique, so w is the witness u v^-1 would give.
 

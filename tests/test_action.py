@@ -738,8 +738,8 @@ class TestOrdersOnTheCore:
 
 class TestReflectionPowers:
     """A reflection word is powered through its square, whose reflections
-    cancel in the rewrite: no order or power of one runs the prefix
-    reflection, but the odd power's one factor of the word itself."""
+    cancel in the rewrite: no order and no even power of one runs the
+    prefix reflection."""
 
     @pytest.fixture
     def reflections(self, monkeypatch):
@@ -761,11 +761,6 @@ class TestReflectionPowers:
         a = named_word("a", 10)
         assert plain(Factors(10).aut(Power(a, 2))) == plain(word_to_aut(power(a, 2), 10))
         assert reflections == []
-
-    def test_odd_power_reflects_once(self, reflections):
-        ta0 = concat((T,), named_word("a0", 11))
-        assert plain(Factors(11).aut(Power(ta0, 11))) == plain(word_to_aut(power(ta0, 11), 11))
-        assert len(reflections) == 2  # the factor t a0, then the flattened power
 
 
 class TestPunctureRange:
