@@ -149,30 +149,17 @@ CONVENTION = "sigma=standard reflection=prefix"
 
 
 def _common_prefix(u: Word, v: Word) -> int:
-    """Length of the longest common prefix of u and v.  The first 8
-    letters are compared one by one, since most cancellations end there
-    and a slice costs more than a few letters; past them, whole slices,
-    in a doubling run of matching blocks and then by halving the block
-    the first difference lies in."""
-    if not u or not v or u[0] != v[0]:
-        return 0
-    m = min(len(u), len(v))
-    k = 1
-    while k < m and k < 8 and u[k] == v[k]:
-        k += 1
-    if k < 8:
-        return k
-    hi = 2 * k  # u[:k] == v[:k]; after the doubling, u[:hi] != v[:hi] or hi > m
-    while hi <= m and u[k:hi] == v[k:hi]:
-        k, hi = hi, 2 * hi
-    hi = min(hi, m + 1)
-    while hi - k > 1:
-        mid = (k + hi) // 2
-        if u[k:mid] == v[k:mid]:
-            k = mid
+    """Length of the longest common prefix of u and v, by halving the
+    range the first difference can lie in: each step compares one slice
+    of each word in C, never one letter at a time in Python."""
+    lo, hi = 0, min(len(u), len(v))  # u[:lo] == v[:lo], and the prefix is at most hi
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if u[lo:mid] == v[lo:mid]:
+            lo = mid
         else:
-            hi = mid
-    return k
+            hi = mid - 1
+    return lo
 
 
 def _prefix_reflect(images: Sequence[Word], run: list | None = None) -> list[Word]:

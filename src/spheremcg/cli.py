@@ -91,6 +91,8 @@ SUITE_TOKENS = tuple(SUITES) + ("all",)
 
 def cmd_verify(n: int | None, limits: Limits, suite: str, machine: bool = False,
                out: str | None = None) -> int:
+    if out is not None and not os.path.basename(out):
+        return _usage(f"cannot write --out: no file name in {out!r}")
     if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         return _usage(f"cannot write --out: no directory for {out}")
     if out is not None and os.path.isdir(out):

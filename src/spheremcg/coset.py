@@ -404,9 +404,6 @@ class _Enumerator:
                         break
                     continue
                 j, cols = record
-                if (j > 1 and table[trow + cols[1]] == UNDEF
-                        and table[krow + (cols[j] ^ 1)] == UNDEF):
-                    continue  # a gap of two or more yields nothing
                 f, i = t, 1
                 while i <= j:
                     e = table[f * width + cols[i]]

@@ -205,6 +205,8 @@ def parse_expression(text: str, n: int) -> Word:
     letters = 0
     for token in text.split():
         base, caret, exp_text = token.partition("^")
+        if not base:  # parse_word would read the empty word
+            raise ParseError(f"bad token {token!r}")
         exp = ascii_int(exp_text, signed=True) if caret else 1
         if exp is None:
             raise ParseError(f"bad power suffix in {token!r}")

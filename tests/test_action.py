@@ -297,6 +297,24 @@ class TestPrefixReflect:
         assert longest >= n - 2
 
 
+class TestCommonPrefix:
+    """_common_prefix halves a range by slice comparisons; it must give
+    the length a letter-by-letter walk gives."""
+
+    @given(*[st.lists(st.sampled_from([1, -1, 2, -2, T]), max_size=40)] * 3)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_a_letter_by_letter_walk(self, prefix, u_tail, v_tail):
+        # either tail may be empty, so either word may be empty or a
+        # prefix of the other; otherwise the continuations differ
+        assume(not u_tail or not v_tail or u_tail[0] != v_tail[0])
+        u, v = tuple(prefix + u_tail), tuple(prefix + v_tail)
+        k = 0
+        while k < min(len(u), len(v)) and u[k] == v[k]:
+            k += 1
+        assert k == len(prefix)
+        assert action._common_prefix(u, v) == action._common_prefix(v, u) == k
+
+
 class TestReflectionsLast:
     """word_to_aut reads each word with its reflections moved to the
     right end; the automorphism is the literal one, exactly."""
@@ -739,11 +757,12 @@ class TestOrdersOnTheCore:
 class TestReflectionPowers:
     """A reflection word is powered through its square, whose reflections
     cancel in the rewrite: no order and no even power of one runs the
-    prefix reflection."""
+    prefix reflection.  Nor does an equality, since a difference that
+    passes the mod-2 image holds an even number of t."""
 
     @pytest.fixture
     def reflections(self, monkeypatch):
-        for n in (10, 11):
+        for n in range(5, 12):
             action._gen_auts(n)  # the validation reflects on its own
         calls = []
         reflect = action._prefix_reflect
@@ -760,6 +779,13 @@ class TestReflectionPowers:
     def test_square_of_a_runs_no_prefix_reflection(self, reflections):
         a = named_word("a", 10)
         assert plain(Factors(10).aut(Power(a, 2))) == plain(word_to_aut(power(a, 2), 10))
+        assert reflections == []
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_equalities_run_no_prefix_reflection(self, reflections, n):
+        for u, v in (("t a0 t", "a0"), ("t s1 t s1", ""),
+                     (f"t s{n - 1}^-1 a2", f"a2 t s{n - 1}^-1")):
+            assert equal_with_witness(parse_expression(u, n), parse_expression(v, n), n)[0]
         assert reflections == []
 
 

@@ -346,12 +346,12 @@ POSITIONALS = {"order": ("t a0",), "eval": ("s1", "s1")}
 
 
 class TestLimits:
-    """Invalid limits are usage errors, rejected before any work starts."""
+    """Invalid limits and inputs are refused before any work starts."""
 
     @pytest.fixture
     def no_work(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("work started despite an invalid limit")
+            raise AssertionError("work started despite an invalid input")
         monkeypatch.setattr("spheremcg.cli.enumerate_cosets", refuse)
         monkeypatch.setattr("spheremcg.cli.order_of", refuse)
         monkeypatch.setattr("spheremcg.cli.full_report", refuse)
@@ -391,6 +391,28 @@ class TestLimits:
         assert code == 64
         assert out == ""
         assert err == f"error: cannot write --out: {tmp_path} is a directory\n"
+
+    @pytest.mark.parametrize("out_path", ("", "newfile/"))
+    def test_out_without_a_file_name_is_refused_first(self, capsys, no_work, out_path):
+        # neither names a file, though each passes the directory check:
+        # '' through the working directory's parent, 'newfile/' through
+        # the working directory
+        code, out, err = run(capsys, "verify", "--n", "6", "--suite", "all",
+                             "--out", out_path)
+        assert (code, out) == (64, "")
+        assert err == f"error: cannot write --out: no file name in {out_path!r}\n"
+
+    # parse_word reads an empty base as the empty word, so '^3' as a
+    # subgroup would be the trivial one, whose enumeration overflows
+    @pytest.mark.parametrize("token, argv", [
+        ("^2", ("eval", "--n", "5", "^2", "s1 S1")),
+        ("^-1", ("order", "--n", "5", "^-1")),
+        ("^3", ("enumerate", "--n", "5", "--subgroup", "^3"))],
+        ids=["eval", "order", "enumerate"])
+    def test_power_without_a_base_is_parse_error(self, capsys, no_work, token, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (65, "")
+        assert err == f"parse error: bad token {token!r}\n"
 
     @pytest.mark.parametrize("command", READ_LIMITS)
     def test_n_beyond_the_reflection_letter(self, capsys, no_work, command):
