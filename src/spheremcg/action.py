@@ -52,21 +52,28 @@ The conjugator is unique, so w is the witness u v^-1 would give.
 Orders are found at the quotient step first, on the cyclic core of the
 word: its end letters are peeled while they are inverse in the group, x
 and x^-1 or two reflections, since t^-1 = t.  Conjugate elements have
-the same order and the same quotient order, so the core answers for the
-word exactly.  The order of a word is a multiple of the order m of its
-image under the puncture permutation and the mod-2 abelianization, so a
-word with m above the cap is answered without evaluation, and otherwise
-only the powers m, 2m, ... up to the cap get the inner test.  They are
-taken on the stored part alone, raised to the m-th power by squaring
-with the carried conjugator of each compose dropped.  That changes each
-power by an inner automorphism, and inner automorphisms form a normal
-subgroup, so it is inner exactly when the same power of the word's
-automorphism is.  A reflection word w, one with an odd number of t,
-has even m, and F^m = (F^2)^(m/2) is raised from F^2, that of w w,
-whose reflections all cancel in the rewrite: no order, and no even
-power on the product path, runs the prefix reflection.  The core and
-the square hold other automorphisms than the whole word would, so the
-guard may trip at other inputs; a trip is still inconclusive.
+the same order and the same quotient order m, the order of the image
+under the puncture permutation and the mod-2 abelianization, so the core
+answers for the word exactly.  A finite order is m itself: if f has
+order d, m divides d, so f^m lies in the quotient's kernel.  There it
+fixes every puncture and, as the second mod-2 coordinate counts t, the
+orientation character, lies in the pure orientation-preserving group
+PMod(S_{0,n}).  That group has no torsion for n >= 3 (PMod(S_{0,3}) is
+trivial, and the Birman exact sequence has free kernels; Farb-Margalit,
+A Primer on Mapping Class Groups, ch. 4), so f^m = 1.  Only the m-th
+power gets the inner test, and a word with m above the cap none.  The
+answer m rests on the action being faithful; an infinite order, F^m not
+inner with m at most the cap, rests only on the validated homomorphism
+and that torsion-freeness.  F^m is taken on the stored part alone,
+raised by squaring with the carried conjugator of each compose dropped.
+That changes it by an inner automorphism, and inner automorphisms form a
+normal subgroup, so it is inner exactly when the m-th power of the
+word's automorphism is.  A reflection word w, one with an odd number of
+t, has even m, and F^m = (F^2)^(m/2) is raised from F^2, that of w w,
+whose reflections all cancel in the rewrite: no order, and no even power
+on the product path, runs the prefix reflection.  The core and the
+square hold other automorphisms than the whole word would, so the guard
+may trip at other inputs; a trip is still inconclusive.
 
 The guard bounds the letters held, stored images plus conjugator, after
 every letter and every compose.  On the product path it also bounds the
@@ -600,15 +607,11 @@ def order_of(u: Iterable[int], n: int, cap: int | None = None,
              guard: int = DEFAULT_LENGTH_GUARD) -> int | None:
     """Order of u in the extended group, or None if it exceeds the cap.
 
-    The word is taken on its cyclic core (cyclic_core, which also
-    peels a pair of reflections, t^-1 = t): the core is a conjugate of
-    u, so it has the same order and the same quotient order m.  Only the
-    multiples of m up to the cap get the exact inner test, on powers
-    built by squaring from the stored part of the core's normalized
-    automorphism, or of its square's for a reflection word, whose m is
-    even, as the module docstring sets out.  The guard bounds those
-    automorphisms, not the word's, so it may trip at other inputs than
-    on the whole word; a trip is still inconclusive.
+    Only the m-th power of the word's cyclic core, m its quotient order,
+    gets the inner test, as the module docstring sets out: m rests on
+    the action being faithful, and None with m at most the cap means an
+    infinite order, resting only on the validated homomorphism and the
+    torsion-freeness of PMod(S_{0,n}).
     """
     require_punctures(n)
     word, _ = cyclic_core(reduce(u))
@@ -624,11 +627,6 @@ def order_of(u: Iterable[int], n: int, cap: int | None = None,
         # the carried conjugator does not decide whether a power is inner
         return FreeAut(n, compose(f, g, guard).images)
 
-    fm = g = _factor_power(word, m, lambda w: FreeAut(n, word_to_aut(w, n, guard).images),
-                           product)
-    for k in range(m, cap + 1, m):
-        if k > m:
-            g = product(g, fm)
-        if is_inner(g) is not None:
-            return k
-    return None
+    fm = _factor_power(word, m, lambda w: FreeAut(n, word_to_aut(w, n, guard).images),
+                       product)
+    return m if is_inner(fm) is not None else None

@@ -148,7 +148,8 @@ class _Recorder:
 
     def order(self, check_id: str, statement: str, word: Word, expected: int) -> None:
         # capped at the expected order: a smaller order shows as itself,
-        # a larger or infinite one as None
+        # a larger or infinite one as None; one inner test decides it, as
+        # a finite order is the quotient order (order_of)
         def body():
             got = order_of(word, self.n, expected, self.limits.aut_guard)
             return ("pass", got) if got == expected else ("fail", got)

@@ -63,7 +63,7 @@ class Presentation(NamedTuple):
         return frozenset(self.generators) | frozenset(-g for g in self.generators)
 
 
-def build_presentation(n: int, flavor: str = "oriented") -> Presentation:
+def build_presentation(n: int, flavor: str) -> Presentation:
     """Presentation of the twist group of the n-punctured sphere.
 
     oriented: generators s1..s(n-1); commutations for distant indices, braid

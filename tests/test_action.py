@@ -641,6 +641,18 @@ class TestOrders:
         assert order_of(power(ta0, 3), 6) == 2
         assert order_of((T,), 6) == 2
 
+    @pytest.mark.parametrize("n, expr, order", [(6, "s1", None), (12, "s1 S2", None),
+                                                (9, "t a0", 18), (10, "a0", 10)])
+    def test_one_inner_test_per_order(self, monkeypatch, n, expr, order):
+        # a finite order is the quotient order m, so only the m-th power
+        # is tested: s1 at n = 6 has m = 2 and infinite order
+        action._gen_auts(n)  # the validation tests relators of its own
+        calls = []
+        is_inner = action.is_inner
+        monkeypatch.setattr(action, "is_inner", lambda f: calls.append(f) or is_inner(f))
+        assert order_of(parse_expression(expr, n), n) == order
+        assert len(calls) == 1
+
     def test_quotient_order_above_cap_is_not_evaluated(self, monkeypatch):
         # the puncture permutation is a 5-cycle times a 7-cycle, so the
         # order is a multiple of 35 and a cap of 30 decides it unevaluated

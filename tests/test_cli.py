@@ -229,7 +229,8 @@ class TestOrder:
         assert "flattens past 1000000 letters" in err
 
     def test_guard_trip_is_inconclusive(self, capsys):
-        code, out, _ = run(capsys, "order", "--n", "12", "s1 S2")
+        # m = 15, and the 15th power outgrows the 10^6-letter guard
+        code, out, _ = run(capsys, "order", "--n", "8", "s1 S2 s4 s5 s6 s7")
         assert code == 2
         assert out.startswith("inconclusive: automorphism images exceed")
 
@@ -239,12 +240,12 @@ class TestOrder:
     G = ("s3 s2 S1 s2 S4 S4 S4 S3 s4 s2 S4 s1 S3 S3 s1 S4 S1 s4 s2 S2 "
          "s1 s1 s1 s1 S3 s4 S3 s1 s4 S4").split()
 
-    def bounded_order(self, capsys, monkeypatch, letters, tail=()):
-        """The exit code and output of order on g t g^-1 tail, with g the
-        first letters of G, and the words word_to_aut evaluated.  A spy
-        on compose, not a timer, bounds the work: it refuses a fifth call
-        and any automorphism past 1,000 letters, so a regression fails
-        at its first large compose instead of stalling."""
+    def spied_order(self, capsys, monkeypatch, *argv):
+        """The exit code and output of order with argv, and the words
+        word_to_aut evaluated.  A spy on compose, not a timer, bounds the
+        work: it refuses a fifth call and any automorphism past 1,000
+        letters, so a regression fails at its first large compose instead
+        of stalling."""
         calls, evaluated = [], []
         compose, word_to_aut = action.compose, action.word_to_aut
 
@@ -257,10 +258,16 @@ class TestOrder:
         monkeypatch.setattr(action, "compose", spy)
         monkeypatch.setattr(action, "word_to_aut",
                             lambda word, *args: evaluated.append(word) or word_to_aut(word, *args))
+        code, out, _ = run(capsys, "order", *argv)
+        return code, out.strip(), evaluated
+
+    def bounded_order(self, capsys, monkeypatch, letters, tail=()):
+        """spied_order on g t g^-1 tail at n = 5, with g the first letters
+        of G."""
         g = self.G[:letters]
         g_inv = [x.swapcase()[0] + x[1:] for x in reversed(g)]
-        code, out, _ = run(capsys, "order", "--n", "5", " ".join([*g, "t", *g_inv, *tail]))
-        return code, out.strip(), evaluated
+        return self.spied_order(capsys, monkeypatch, "--n", "5",
+                                " ".join([*g, "t", *g_inv, *tail]))
 
     @pytest.mark.parametrize("letters", [30, 20])
     def test_conjugate_of_t_answers_on_its_core(self, capsys, monkeypatch, letters):
@@ -276,6 +283,19 @@ class TestOrder:
                                                   "s3 s1 S3 S1".split())
         assert (code, out) == (0, "2")
         assert len(evaluated) == 1 and evaluated[0].count(T_LETTER) == 2
+
+    def test_infinite_order_is_one_inner_test_of_the_quotient_power(self, capsys, monkeypatch):
+        # g10 t g10^-1 s1 is a reflection word with quotient order 2: its
+        # square, 443,290 letters, is not inner, so the order is infinite;
+        # no multiple of 2 is composed
+        code, out, evaluated = self.bounded_order(capsys, monkeypatch, 10, ["s1"])
+        assert (code, out) == (2, "exceeds cap 20")
+        assert len(evaluated) == 1
+
+    def test_large_cap_composes_one_power(self, capsys, monkeypatch):
+        code, out, _ = self.spied_order(capsys, monkeypatch, "--n", "6", "--order-cap",
+                                        "100000", "s1")
+        assert (code, out) == (2, "exceeds cap 100000")
 
 
 class TestEnumerate:
