@@ -180,7 +180,7 @@ def test_criterion_5_generation_certificates(order_of_smallest_group):
     if small.index != 12 or small.index != order_of_smallest_group:
         failures.append("n=3 total order vs Cayley closure")
     # the deduction pass certifies these far inside the default limits;
-    # plain HLT needs 449,287 cosets at n=12 and overflows at n=16
+    # plain HLT needs 449,175 cosets at n=12 and overflows at n=16
     for n in (8, 10, 12, 14, 16):
         result = enumerate_cosets(
             build_presentation(n, "extended"),

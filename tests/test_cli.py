@@ -311,12 +311,12 @@ class TestEnumerate:
         assert (code, out.splitlines()[0]) == (0, "index 1")
 
     def test_odd_frontier_certificate_under_default_limits(self, capsys):
-        # closes once t, s1 and a0 fix the subgroup coset, after 6,407
+        # closes once t, s1 and a0 fix the subgroup coset, after 6,404
         # merges instead of merging all but one of the 23,533 cosets
         code, out, _ = run(capsys, "enumerate", "--n", "81", "--subgroup", "t s1, t a0")
         assert (code, out.splitlines()[0]) == (0, "index 1")
         assert out.splitlines()[1].startswith(
-            "stats: defined=23533 max_alive=23533 collapses=6407 ")
+            "stats: defined=23533 max_alive=23533 collapses=6404 ")
 
     def test_overflow(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "6",
