@@ -135,11 +135,9 @@ def cmd_enumerate(n: int, limits: Limits, flavor: str, subgroup: str | None) -> 
                     if part.strip())
     pres = build_presentation(n, flavor)
     result = enumerate_cosets(pres, subgens, limits.max_cosets, limits.max_time)
-    s = result.stats
     overflow = result.status == "overflow"
     print("OVERFLOW" if overflow else f"index {result.index}")
-    print(f"stats: defined={s.defined} max_alive={s.max_alive} "
-          f"collapses={s.collapses} seconds={s.seconds:.2f}")
+    print(f"stats: {result.stats.counts()} seconds={result.stats.seconds:.2f}")
     return 2 if overflow else 0
 
 

@@ -84,6 +84,7 @@ from .presentation import Presentation
 from .words import Word
 
 UNDEF = -1
+DEFAULT_MAX_COSETS, DEFAULT_MAX_TIME = 10**6, 60.0
 
 # Rows the table holds at first; it doubles as needed.
 INITIAL_ROWS = 64
@@ -139,6 +140,10 @@ class EnumerationStats(NamedTuple):
     max_alive: int
     collapses: int
     seconds: float
+
+    def counts(self) -> str:
+        """The counts as `enumerate` and an overflowed index row print them."""
+        return f"defined={self.defined} max_alive={self.max_alive} collapses={self.collapses}"
 
 
 class CosetTable(NamedTuple):
@@ -509,14 +514,17 @@ class _Enumerator:
 
 
 def enumerate_cosets(pres: Presentation, subgens: tuple[Word, ...] = (),
-                     max_cosets: int = 10**6,
-                     max_time: float = 60.0) -> EnumerationResult:
+                     max_cosets: int = DEFAULT_MAX_COSETS,
+                     max_time: float = DEFAULT_MAX_TIME) -> EnumerationResult:
     """Index of the subgroup generated by subgens, by coset enumeration.
 
     Returns a finished result with the index and a verified standardized
     table, or an overflow result carrying the run statistics.  A run
-    closes at index 1 once each of the presentation's spanning words
-    leads coset 0 back to itself, with the one-row table.
+    closes at index 1, with a one-row table, once each of the
+    presentation's spanning words leads coset 0 back to itself.  That
+    "verified" proves nothing by itself, as CosetTable.verify passes
+    every one-row table: the result rests on the close's bookkeeping and
+    on the spanning words generating the group.
     """
     alphabet = pres.alphabet()
     for w in subgens:

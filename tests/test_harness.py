@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -441,8 +442,8 @@ class TestSuiteRegistry:
         assert calls == ["verify_prop22"]
 
 
-def synthetic(check_id, status, tolerated=False):
-    return CheckResult(check_id, "synthetic", status, None, 0, tolerated)
+def synthetic(check_id, status):
+    return CheckResult(check_id, "synthetic", status, None, 0)
 
 
 def limited_run(capsys, *argv):
@@ -453,40 +454,43 @@ def limited_run(capsys, *argv):
 
 
 class TestOverallRules:
-    def test_any_fail_wins(self):
-        report = Report((synthetic("a", "pass"), synthetic("b", "fail"),
-                         synthetic("n8.main.index", "overflow", tolerated=True)))
-        assert report.overall == "fail"
-        assert report.exit_code == 1
+    def test_fail_beats_overflow_beats_pass(self):
+        for k in range(4):
+            for combo in itertools.product(STATUSES, repeat=k):
+                report = Report(tuple(synthetic(f"r{i}", s) for i, s in enumerate(combo)))
+                # an overflow is inconclusive: no report holding one passes
+                want = "fail" if "fail" in combo else "overflow" if "overflow" in combo else "pass"
+                assert (report.overall, report.exit_code) == (
+                    want, {"pass": 0, "fail": 1, "overflow": 2}[want]), combo
 
-    def test_overflow_blocks_pass_at_small_n(self, capsys):
+    def test_index_overflow_blocks_pass(self, capsys):
         assert limited_run(capsys, "--n", "5", "--suite", "odd") == (
             2, {"n5.odd.index": "overflow"})
-
-    def test_best_effort_overflow_tolerated(self, capsys):
-        assert limited_run(capsys, "--n", "8", "--suite", "main") == (
-            0, {"n8.main.index": "overflow"})
         assert limited_run(capsys, "--n", "7", "--suite", "odd") == (
-            0, {"n7.odd.index": "overflow"})
+            2, {"n7.odd.index": "overflow"})
+        assert limited_run(capsys, "--n", "8", "--suite", "main") == (
+            2, {"n8.main.index": "overflow"})
 
-    def test_refused_presentation_is_not_tolerated(self):
-        # n = 578 lies in the best-effort range, but build_presentation
-        # refuses it before any coset is defined: the row names that
-        # refusal and fails the report
+    def test_refused_presentation_is_an_overflow(self):
+        # build_presentation refuses n = 578 before any coset is defined:
+        # the row names that refusal and makes the report an overflow
         rec = harness._Recorder("main", 578, None)
         rec.index("n578.main.index", "index 1", (), 1)
         (row,) = rec.checks
-        assert (row.status, row.tolerated) == ("overflow", False)
+        assert row.status == "overflow"
         assert row.witness == ("the extended relators at n=578 hold 1002826 letters, "
                                "over the 1000000-letter guard")
         assert Report(tuple(rec.checks)).exit_code == 2
 
-    def test_generation_overflow_not_tolerated(self, capsys):
+    def test_sigma2_conclusion_follows_the_report_rule(self, capsys, monkeypatch):
+        # an overflowed prerequisite leaves the conclusion inconclusive ...
         assert limited_run(capsys, "--suite", "sigma2") == (
-            1, {"sigma2.generation": "overflow", "sigma2.conclusion": "fail"})
-        generation = [c for c in verify_sigma2(Limits(max_cosets=50))
-                      if c.id == "sigma2.generation"]
-        assert Report(tuple(generation)).exit_code == 2
+            2, {"sigma2.generation": "overflow", "sigma2.conclusion": "overflow"})
+        # ... and a failed one, beside that overflow, refutes it
+        monkeypatch.setattr(harness, "abelianization_image", lambda word: (0, 0))
+        rows = {c.id: (c.status, c.witness) for c in verify_sigma2(Limits(max_cosets=50))}
+        assert rows["sigma2.psi.a"][0] == "fail"
+        assert rows["sigma2.conclusion"] == ("fail", "prerequisites not established")
 
 
 def _twist_table():

@@ -68,14 +68,21 @@ The half-twist formulas are written once, in `_half_twist`, which
 `_evaluate` and `_sparse_identity` both call and neither restates: neither
 multiplies words itself with `_mul`.  So the sparse check of the far
 relators reads the same step as every other evaluation.
+
+The fields of a check result are exactly the keys a JSON report writes
+per row, so no field the report leaves out can steer a verdict or an
+exit code.
 """
 
 import ast
 import importlib
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+from spheremcg.harness import CheckResult, Report
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -367,6 +374,11 @@ def test_index_one_is_raised_by_the_spanning_check_alone():
     ((owner, guard_calls),) = raise_sites(ROOT, "_IndexOne")
     assert owner == "coset.py:_Enumerator.coincide"
     assert "spans_base" in guard_calls
+
+
+def test_report_rows_write_every_check_result_field():
+    (row,) = json.loads(Report((CheckResult("x", "s", "pass", None, 0),)).to_json())["checks"]
+    assert list(row) == list(CheckResult._fields)
 
 
 def loaded_modules(statement):
