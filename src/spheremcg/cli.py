@@ -19,10 +19,10 @@ from .harness import SUITES, Limits, full_report
 from .homs import abelianization_image, format_gf2, format_perm, perm_image
 from .presentation import (
     FLAVORS,
-    NAME_HEADS,
     build_presentation,
     format_presentation,
     named_word,
+    names_at,
     parse_expression,
 )
 from .words import ParseError, format_word, require_punctures
@@ -144,11 +144,8 @@ def cmd_enumerate(n: int, limits: Limits, flavor: str, subgroup: str | None) -> 
 def cmd_dump(n: int, flavor: str) -> int:
     pres = build_presentation(n, flavor)
     print(format_presentation(pres))
-    for name in NAME_HEADS:
-        try:
-            print(f"{name} = {format_word(named_word(name, n))}")
-        except ParseError:
-            pass
+    for name in names_at(n):
+        print(f"{name} = {format_word(named_word(name, n))}")
     return 0
 
 

@@ -89,11 +89,6 @@ def gf2_rank(vectors: Iterable[GF2Vec]) -> int:
     return len(span).bit_length() - 1
 
 
-def span_gf2(vectors: Iterable[GF2Vec]) -> bool:
-    """True iff the vectors span all of (Z/2)^2."""
-    return gf2_rank(vectors) == 2
-
-
 def mat_mul(a: Mat2, b: Mat2) -> Mat2:
     return (
         a[0] * b[0] + a[1] * b[2],

@@ -7,6 +7,7 @@ and the coset enumerator contract.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from .words import (
@@ -16,7 +17,6 @@ from .words import (
     ascii_int,
     concat,
     format_word,
-    parse_word,
     power,
     reduce,
     require_punctures,
@@ -126,94 +126,105 @@ def format_presentation(pres: Presentation) -> str:
     return "\n".join(lines)
 
 
-def _gamma(k: int, n: int) -> Word:
+def _gamma(n: int, k: int) -> Word:
+    if k % 2 == 0 or not 1 <= k <= n - 1:
+        raise ParseError(f"g index must be odd in 1..{n - 1}, got {k}")
     # Indices live on the odd cycle mod n; n even keeps them in 1..n-1.
-    second = (k + 2) % n
-    third = (k + 4) % n
-    return reduce((k, second, -third))
+    return reduce((k, (k + 2) % n, -((k + 4) % n)))
 
 
-# The least n of each named element that needs one, and whether n must be
-# even; g<k> and d<k> stand for every index k.
-_LEAST_N = {"a2": (4, False), "a": (4, False), "b": (4, False),
-            "y": (4, True), "z": (6, True), "w": (6, True), "c": (6, True),
-            "g<k>": (6, True), "d<k>": (6, False)}
+def _delta(n: int, k: int) -> Word:
+    if not 1 <= k <= n - 5:
+        raise ParseError(f"d index must lie in 1..{n - 5}, got {k}")
+    return (k, k + 1, k + 3)
+
+
+# Every named element, in the order dump prints them: the least n it
+# needs (None for any n), whether n must be even, and its word at n.
+# a0, a1, a2 are the periodic rotations; a and b the two conjugated
+# reflection-rotations; y, z, w, c the even-index products used in the
+# generation argument; phi the half-twist word reversing the twist
+# indices.  g<k> and d<k>, the shifted triple products, stand for g and
+# d followed by an index k in ASCII digits; their words take k too, and
+# dump skips them.
+NAMES = {
+    "a0": (None, False, lambda n: tuple(range(1, n))),
+    "a1": (None, False, lambda n: tuple(range(1, n - 1))),
+    "a2": (4, False, lambda n: tuple(range(1, n - 2)) + (n - 2, n - 2)),
+    "a": (4, False, lambda n: reduce((n - 3, T_LETTER) + tuple(range(1, n)) + (-(n - 3),))),
+    "b": (4, False, lambda n: reduce((T_LETTER, -(n - 1)) + named_word("a2", n))),
+    "y": (4, True, lambda n: tuple(range(1, n, 2))),
+    "z": (6, True, lambda n: tuple(range(1, n - 4, 2)) + (n - 2,)),
+    "w": (6, True, lambda n: (-(n - 2), 1)),
+    "c": (6, True, lambda n: (-(n - 1), 1)),
+    "phi": (None, False,
+            lambda n: tuple(chain.from_iterable(range(i, 0, -1) for i in range(1, n - 1)))),
+    "g<k>": (6, True, _gamma),
+    "d<k>": (6, False, _delta),
+}
+
+
+def _head(name: str) -> str | None:
+    """The entry of NAMES that name reads as, g7 as g<k>, or None."""
+    indexed = name[:1] + "<k>"
+    if indexed in NAMES:
+        return indexed if ascii_int(name[1:]) is not None else None
+    return name if name in NAMES else None
+
+
+def _defined_at(head: str, n: int) -> bool:
+    least, even, _ = NAMES[head]
+    return least is None or n >= least and not (even and n % 2)
+
+
+def names_at(n: int) -> tuple[str, ...]:
+    """The names dump prints at n, in table order."""
+    return tuple(name for name in NAMES if not name.endswith("<k>") and _defined_at(name, n))
 
 
 def named_word(name: str, n: int) -> Word:
-    """The distinguished elements, as words in the extended generators.
-
-    a0, a1, a2 are the periodic rotations; a and b the two conjugated
-    reflection-rotations; y, z, w, c the even-index products used in the
-    generation argument; g<k> and d<k> the shifted triple products; phi
-    the half-twist word reversing the twist indices.
-    """
-    k = ascii_int(name[1:], signed=True) if name[:1] in ("g", "d") else None
-    head = name[0] + "<k>" if k is not None else name
-    if head in _LEAST_N:
-        least, even = _LEAST_N[head]
-        if n < least or (even and n % 2):
-            parity = "even " if even else ""
-            raise ParseError(f"{head} needs {parity}n >= {least}, got n={n}")
-    if name == "a0":
-        return tuple(range(1, n))
-    if name == "a1":
-        return tuple(range(1, n - 1))
-    if name == "a2":
-        return tuple(range(1, n - 2)) + (n - 2, n - 2)
-    if name == "a":
-        return reduce((n - 3, T_LETTER) + tuple(range(1, n)) + (-(n - 3),))
-    if name == "b":
-        return reduce((T_LETTER, -(n - 1)) + named_word("a2", n))
-    if name == "y":
-        return tuple(range(1, n, 2))
-    if name == "z":
-        return tuple(range(1, n - 4, 2)) + (n - 2,)
-    if name == "w":
-        return (-(n - 2), 1)
-    if name == "c":
-        return (-(n - 1), 1)
-    if name == "phi":
-        out: list[int] = []
-        for i in range(1, n - 1):
-            out.extend(range(i, 0, -1))
-        return tuple(out)
-    if head == "g<k>":
-        if k % 2 == 0 or not 1 <= k <= n - 1:
-            raise ParseError(f"g index must be odd in 1..{n - 1}, got {k}")
-        return _gamma(k, n)
-    if head == "d<k>":
-        if not 1 <= k <= n - 5:
-            raise ParseError(f"d index must lie in 1..{n - 5}, got {k}")
-        return (k, k + 1, k + 3)
-    raise ParseError(f"unknown element name {name!r}")
-
-
-# The fixed element names (g<k> and d<k> aside), in the order dump prints them.
-NAME_HEADS = ("a0", "a1", "a2", "a", "b", "y", "z", "w", "c", "phi")
+    """The word, in the extended generators, that a name of NAMES stands
+    for at n; a ParseError for any other name or outside the name's range."""
+    head = _head(name)
+    if head is None:
+        raise ParseError(f"unknown element name {name!r}")
+    least, even, build = NAMES[head]
+    if not _defined_at(head, n):
+        raise ParseError(f"{head} needs {'even ' if even else ''}n >= {least}, got n={n}")
+    return build(n) if head == name else build(n, int(name[1:]))
 
 
 def parse_expression(text: str, n: int) -> Word:
-    """Parse a product of word tokens and named elements into a reduced word.
+    """Parse a product of tokens into a reduced word.
 
-    Any token may carry a power suffix, ASCII digits after an optional
-    '-', as ascii_int reads it: a0^-1, s2^3, b^2.  An
-    expression whose tokens would flatten past DEFAULT_LENGTH_GUARD letters
-    in all is refused before any power is built.
+    A token is a letter, s<k> / S<k> for twist k and its inverse
+    (1 <= k <= n-1) or t / T for the reflection (an involution, so no
+    separate inverse), or a name of NAMES.  Any token may carry a power
+    suffix: a0^-1, s2^3, b^2.  Indices and powers are ASCII digits, a
+    power after an optional '-', as ascii_int reads them.  An expression
+    whose tokens would flatten past DEFAULT_LENGTH_GUARD letters in all
+    is refused before any power is built.
     """
     factors: list[tuple[Word, int]] = []
     letters = 0
     for token in text.split():
         base, caret, exp_text = token.partition("^")
-        if not base:  # parse_word would read the empty word
+        if not base:
             raise ParseError(f"bad token {token!r}")
         exp = ascii_int(exp_text, signed=True) if caret else 1
         if exp is None:
             raise ParseError(f"bad power suffix in {token!r}")
-        if base in NAME_HEADS or (base[:1] in ("g", "d") and ascii_int(base[1:]) is not None):
+        idx = ascii_int(base[1:]) if base[:1] in ("s", "S") else None
+        if base in ("t", "T"):
+            word = (T_LETTER,)
+        elif idx is not None:
+            if not 1 <= idx <= n - 1:
+                raise ParseError(f"twist index {idx} out of range for n={n}")
+            word = (idx if base[0] == "s" else -idx,)
+        elif _head(base) is not None:
             word = named_word(base, n)
         else:
-            word = parse_word(base, n)
+            raise ParseError(f"bad token {base!r}")
         letters += len(word) * abs(exp)
         if letters > DEFAULT_LENGTH_GUARD:
             raise ParseError(f"{text!r} flattens past {DEFAULT_LENGTH_GUARD} letters")

@@ -96,30 +96,9 @@ def ascii_int(text: str, signed: bool = False) -> int | None:
         return None
 
 
-def parse_word(text: str, n: int) -> Word:
-    """Parse whitespace-separated tokens into a reduced word.
-
-    Tokens: s<k> / S<k> for twist k and its inverse (1 <= k <= n-1, in
-    ASCII digits), t / T for the reflection (an involution, so no
-    separate inverse).
-    """
-    letters: list[int] = []
-    for token in text.split():
-        if token in ("t", "T"):
-            letters.append(T_LETTER)
-            continue
-        idx = ascii_int(token[1:]) if token[:1] in ("s", "S") else None
-        if idx is not None:
-            if not 1 <= idx <= n - 1:
-                raise ParseError(f"twist index {idx} out of range for n={n}")
-            letters.append(idx if token[0] == "s" else -idx)
-            continue
-        raise ParseError(f"bad token {token!r}")
-    return reduce(letters)
-
-
 def format_word(word: Iterable[int]) -> str:
-    """Inverse of parse_word on reduced words; empty word prints as ''."""
+    """The tokens parse_expression reads back as the word, if reduced;
+    the empty word prints as ''."""
     parts = []
     for letter in word:
         if abs(letter) == T_LETTER:

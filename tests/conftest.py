@@ -14,7 +14,7 @@ def conjugate(word, by):
 
 
 def typed_inverse(word):
-    """The inverse of a word as parse_word reads it when typed: letters
+    """The inverse of a word as parse_expression reads it when typed: letters
     reversed and each twist negated, but t kept as +t, since t^-1 = t."""
     return tuple(x if x == T_LETTER else -x for x in reversed(word))
 

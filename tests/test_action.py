@@ -739,7 +739,7 @@ class TestOrdersOnTheCore:
         assert order_of(concat(g, word, back), n) == _known_order(name, n)
 
     def test_reflection_at_both_ends(self):
-        # t ... T: parse_word reads both as +t
+        # t ... T: parse_expression reads both as +t
         word = parse_expression("t s2 a0 S2 T", 6)
         assert word[0] == word[-1] == T
         assert order_of(word, 6) == 6

@@ -365,18 +365,19 @@ READ_LIMITS = {
 POSITIONALS = {"order": ("t a0",), "eval": ("s1", "s1")}
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started despite an invalid input")
+    monkeypatch.setattr("spheremcg.cli.enumerate_cosets", refuse)
+    monkeypatch.setattr("spheremcg.cli.order_of", refuse)
+    monkeypatch.setattr("spheremcg.cli.full_report", refuse)
+    monkeypatch.setattr("spheremcg.cli.equal_in_group", refuse)
+    monkeypatch.setattr("spheremcg.cli.build_presentation", refuse)
+
+
 class TestLimits:
     """Invalid limits and inputs are refused before any work starts."""
-
-    @pytest.fixture
-    def no_work(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("work started despite an invalid input")
-        monkeypatch.setattr("spheremcg.cli.enumerate_cosets", refuse)
-        monkeypatch.setattr("spheremcg.cli.order_of", refuse)
-        monkeypatch.setattr("spheremcg.cli.full_report", refuse)
-        monkeypatch.setattr("spheremcg.cli.equal_in_group", refuse)
-        monkeypatch.setattr("spheremcg.cli.build_presentation", refuse)
 
     @pytest.mark.parametrize("value", ("0", "-1"))
     def test_max_cosets_below_one(self, capsys, no_work, value):
@@ -422,18 +423,6 @@ class TestLimits:
         assert (code, out) == (64, "")
         assert err == f"error: cannot write --out: no file name in {out_path!r}\n"
 
-    # parse_word reads an empty base as the empty word, so '^3' as a
-    # subgroup would be the trivial one, whose enumeration overflows
-    @pytest.mark.parametrize("token, argv", [
-        ("^2", ("eval", "--n", "5", "^2", "s1 S1")),
-        ("^-1", ("order", "--n", "5", "^-1")),
-        ("^3", ("enumerate", "--n", "5", "--subgroup", "^3"))],
-        ids=["eval", "order", "enumerate"])
-    def test_power_without_a_base_is_parse_error(self, capsys, no_work, token, argv):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (65, "")
-        assert err == f"parse error: bad token {token!r}\n"
-
     @pytest.mark.parametrize("command", READ_LIMITS)
     def test_n_beyond_the_reflection_letter(self, capsys, no_work, command):
         # from this n on, the twist token s<T_LETTER> would parse as t
@@ -452,6 +441,61 @@ class TestLimits:
         assert code == 64
         assert out == ""
         assert flag in err
+
+
+# Every refusal of the expression parser, with the n it is read at and
+# its exact message.  A power without a base is a bad token: an empty
+# base would read as the empty word, so '^3' as a subgroup would be the
+# trivial one, whose enumeration overflows.  The index of g<k> and d<k>
+# is read unsigned, so g-1 is no name.
+PARSE_REFUSALS = [
+    ("nope", 6, "bad token 'nope'"),
+    ("x1", 6, "bad token 'x1'"),
+    ("s", 6, "bad token 's'"),
+    ("s\u0661", 6, "bad token 's\u0661'"),
+    ("g-1", 8, "bad token 'g-1'"),
+    ("d+1", 8, "bad token 'd+1'"),
+    ("^3", 6, "bad token '^3'"),
+    ("^-1", 5, "bad token '^-1'"),
+    ("a0^x", 6, "bad power suffix in 'a0^x'"),
+    ("s1^--1", 6, "bad power suffix in 's1^--1'"),
+    ("t^+2", 6, "bad power suffix in 't^+2'"),
+    ("b^", 6, "bad power suffix in 'b^'"),
+    ("s0", 6, "twist index 0 out of range for n=6"),
+    ("S6", 6, "twist index 6 out of range for n=6"),
+    ("a2", 3, "a2 needs n >= 4, got n=3"),
+    ("a", 3, "a needs n >= 4, got n=3"),
+    ("b", 3, "b needs n >= 4, got n=3"),
+    ("y", 5, "y needs even n >= 4, got n=5"),
+    ("z", 4, "z needs even n >= 6, got n=4"),
+    ("w", 9, "w needs even n >= 6, got n=9"),
+    ("c", 7, "c needs even n >= 6, got n=7"),
+    ("g1", 7, "g<k> needs even n >= 6, got n=7"),
+    ("g2", 4, "g<k> needs even n >= 6, got n=4"),
+    ("d1", 5, "d<k> needs n >= 6, got n=5"),
+    ("g2", 8, "g index must be odd in 1..7, got 2"),
+    ("g9", 8, "g index must be odd in 1..7, got 9"),
+    ("d2", 6, "d index must lie in 1..1, got 2"),
+    ("d0", 7, "d index must lie in 1..2, got 0"),
+    ("a0^200001", 6, "'a0^200001' flattens past 1000000 letters"),
+    ("s1^-1000001", 6, "'s1^-1000001' flattens past 1000000 letters"),
+    ("a0^200000 s1", 6, "'a0^200000 s1' flattens past 1000000 letters"),
+]
+# each subcommand that parses expressions, with the arguments around one
+PARSING = {
+    "eval": lambda expr: ("eval", expr, "s1"),
+    "order": lambda expr: ("order", expr),
+    "enumerate": lambda expr: ("enumerate", "--subgroup", expr),
+}
+
+
+@pytest.mark.parametrize("command", PARSING)
+@pytest.mark.parametrize("expr, n, message", PARSE_REFUSALS)
+def test_parse_refusal(capsys, no_work, command, expr, n, message):
+    argv = PARSING[command](expr)
+    code, out, err = run(capsys, argv[0], "--n", str(n), *argv[1:])
+    assert (code, out) == (65, "")
+    assert err == f"parse error: {message}\n"
 
 
 class TestModuleEntryPoint:

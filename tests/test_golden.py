@@ -29,6 +29,11 @@ their arguments (n=8 main, n=7 odd, n=5 odd, sigma2).  In each an index
 check overflows, so each exits 2; in sigma2 the conclusion, which rests
 on that index row, is an overflow too.
 
+`dump.txt` holds `dump --n N --flavor F` for N = 3..12 in both flavors,
+each run headed by its arguments: the presentation and the named words
+defined at N, so a name added, dropped or moved in the listing shows.
+Each of those runs exits 0.
+
 One report rule decides every exit code: any `fail` gives 1, otherwise
 any `overflow` gives 2, otherwise 0.  So each pinned exit code is also
 recomputed from the statuses of its golden file alone.
@@ -66,6 +71,7 @@ LIMITED_RUNS = {
     "--n 5 --suite odd": 2,
     "--suite sigma2": 2,
 }
+DUMP_NS = range(3, 13)
 
 
 def _verify(args: list[str]) -> tuple[int, dict]:
@@ -112,6 +118,20 @@ def limited_reports() -> tuple[dict[str, int], str]:
     return codes, json.dumps(payloads, indent=2) + "\n"
 
 
+def dump_listing() -> tuple[set[int], str]:
+    """Exit codes and output of `dump` at every n of DUMP_NS, in both
+    flavors, each run headed by its arguments."""
+    codes, parts = set(), []
+    for n in DUMP_NS:
+        for flavor in ("oriented", "extended"):
+            args = ["dump", "--n", str(n), "--flavor", flavor]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                codes.add(main(args))
+            parts.append(f"$ {' '.join(args)}\n{out.getvalue()}")
+    return codes, "".join(parts)
+
+
 @pytest.mark.parametrize("n", NS)
 def test_report_matches_golden(n):
     code, report = stripped_report(n)
@@ -156,6 +176,12 @@ def test_limit_hitting_reports_match_golden():
     codes, report = limited_reports()
     assert report == (GOLDEN / "max-cosets-50.json").read_text()
     assert codes == LIMITED_RUNS
+
+
+def test_dump_listing_matches_golden():
+    codes, listing = dump_listing()
+    assert listing == (GOLDEN / "dump.txt").read_text()
+    assert codes == {0}
 
 
 def _reports(text: str) -> dict:
@@ -210,3 +236,4 @@ if __name__ == "__main__":
     _write(GOLDEN / f"n{ODD_N}-odd.json", stripped_report(ODD_N, "odd")[1])
     _write(GOLDEN / "n80-reflections.json", reflection_reports()[1])
     _write(GOLDEN / "max-cosets-50.json", limited_reports()[1])
+    (GOLDEN / "dump.txt").write_text(dump_listing()[1])

@@ -1,5 +1,6 @@
 import itertools
 import json
+import pathlib
 import re
 
 import pytest
@@ -291,6 +292,13 @@ class TestFullReport:
         for row in payload["checks"]:
             assert set(row) == {"id", "statement", "status", "witness", "millis"}
             assert row["status"] in STATUSES
+
+    def test_version_is_the_package_version(self):
+        # read by regex: tomllib is not in Python 3.10, which pyproject allows
+        pyproject = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+        assert harness.VERSION == declared
+        assert json.loads(full_report("n4", None).to_json())["version"] == declared
 
     def test_human_format(self):
         report = full_report("all", 6)

@@ -17,12 +17,11 @@ from spheremcg.homs import (
     perm_image,
     pgl2_image,
     proj_eq,
-    span_gf2,
     validate_hom,
 )
 from spheremcg.harness import verify_n4
-from spheremcg.presentation import build_presentation, named_word
-from spheremcg.words import T_LETTER, concat, parse_word, reduce
+from spheremcg.presentation import build_presentation, named_word, parse_expression
+from spheremcg.words import T_LETTER, concat, reduce
 
 T = T_LETTER
 
@@ -94,13 +93,13 @@ class TestAbelianization:
 
 class TestSpan:
     def test_both_generators_span(self):
-        assert span_gf2([(1, 1), (0, 1)]) is True
+        assert gf2_rank([(1, 1), (0, 1)]) == 2
 
     def test_single_vector(self):
-        assert span_gf2([(1, 1)]) is False
+        assert gf2_rank([(1, 1)]) == 1
 
     def test_empty(self):
-        assert span_gf2([]) is False
+        assert gf2_rank([]) == 0
 
     def test_ranks(self):
         assert gf2_rank([]) == 0
@@ -150,8 +149,8 @@ class TestPgl2:
         for name, target in (("x", (0, 1, 1, 0)), ("y", (-1, 0, 0, 1))):
             row = rows[f"n4.pgl2.witness.{name}"]
             assert row.status == "pass"
-            assert proj_eq(pgl2_image(parse_word(row.witness, 4)), target)
-        assert not proj_eq(pgl2_image(parse_word("t", 4)), (0, 1, 1, 0))
+            assert proj_eq(pgl2_image(parse_expression(row.witness, 4)), target)
+        assert not proj_eq(pgl2_image(parse_expression("t", 4)), (0, 1, 1, 0))
 
 
 class TestValidateHom:

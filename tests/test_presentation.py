@@ -194,6 +194,9 @@ class TestNamedWords:
         ("d0", 7, "d index must lie in 1..2, got 0"),
         ("q", 6, "unknown element name 'q'"),
         ("g", 6, "unknown element name 'g'"),
+        # the index is read as the parser reads it, unsigned ASCII digits
+        ("g-1", 8, "unknown element name 'g-1'"),
+        ("g<k>", 8, "unknown element name 'g<k>'"),
     ])
     def test_range_messages(self, name, n, message):
         with pytest.raises(ParseError) as excinfo:

@@ -25,8 +25,7 @@ cost on the oracle path.
 The puncture-range refusal (the `need n ...` messages) is written in one
 package function, which every caller goes through.
 
-A parse error is mapped to its exit code in `cli.main` alone; the one
-other handler, in `cmd_dump`, skips the names undefined at n.  Every
+A parse error is mapped to its exit code in `cli.main` alone.  Every
 other refused input, a `ValueError`, is mapped to the usage exit in
 `cli.main` alone too.  Within the harness, the suite range refusal is
 written in `_Recorder` alone, which every suite builds, and the CLI
@@ -303,7 +302,7 @@ def holding(path, text):
 
 def test_parse_error_exit_is_mapped_in_main_alone():
     cli = ROOT / "src" / "spheremcg" / "cli.py"
-    assert handlers(cli, "ParseError") == ["cmd_dump", "main"]
+    assert handlers(cli, "ParseError") == ["main"]
     assert [stmt.name for stmt in ast.parse(cli.read_text()).body
             if isinstance(stmt, DEFINITIONS) and "PARSE_EXIT" in _names(stmt)] == ["main"]
 

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import conjugate, typed_inverse
+from spheremcg.presentation import parse_expression
 from spheremcg.words import (
     EPSILON,
     ParseError,
@@ -12,7 +13,6 @@ from spheremcg.words import (
     cyclic_core,
     format_word,
     invert,
-    parse_word,
     power,
     reduce,
     require_punctures,
@@ -130,19 +130,19 @@ class TestCyclicReduce:
 
 class TestTextFormat:
     def test_parse_examples(self):
-        assert parse_word("s1 S1", 6) == EPSILON
-        assert parse_word("s3 t S3", 6) == (3, T_LETTER, -3)
-        assert parse_word("T", 6) == (T_LETTER,)
+        assert parse_expression("s1 S1", 6) == EPSILON
+        assert parse_expression("s3 t S3", 6) == (3, T_LETTER, -3)
+        assert parse_expression("T", 6) == (T_LETTER,)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ParseError):
-            parse_word("s0", 6)
+            parse_expression("s0", 6)
         with pytest.raises(ParseError):
-            parse_word("s6", 6)
+            parse_expression("s6", 6)
         with pytest.raises(ParseError):
-            parse_word("x1", 6)
+            parse_expression("x1", 6)
         with pytest.raises(ParseError):
-            parse_word("s", 6)
+            parse_expression("s", 6)
 
     def test_numbers_are_ascii_digits(self):
         assert [ascii_int(t) for t in ("7", "007", "-7", "")] == [7, 7, None, None]
@@ -153,7 +153,7 @@ class TestTextFormat:
         # past the interpreter's limit on digits, int() raises
         assert ascii_int("9" * 5000) is None
         with pytest.raises(ParseError, match="bad token"):
-            parse_word("s١", 6)
+            parse_expression("s١", 6)
 
     def test_format_examples(self):
         assert format_word((1, -2, T_LETTER)) == "s1 S2 t"
@@ -162,4 +162,4 @@ class TestTextFormat:
     @given(st.lists(st.sampled_from([1, 2, 3, -1, -2, -3, T_LETTER]),
                     max_size=12).map(reduce))
     def test_roundtrip(self, word):
-        assert parse_word(format_word(word), 4) == word
+        assert parse_expression(format_word(word), 4) == word
