@@ -99,26 +99,23 @@ def _layout(generators: tuple[int, ...], relators: tuple[Word, ...]):
     each letter, the relators as columns in the order the sweeps scan
     them, and, per first column, a record of every distinct cyclic
     conjugate of a relator or its inverse, in the order the deduction
-    pass traces them.  The scan list is the relators in the
-    presentation's order with the braid relations, of the shape
-    x y x Y X Y, moved to the end (a stable sort); the records keep the
-    presentation's order.  A record starts with the cycle's last index.
-    A four-letter cycle c0 c1 c2 c3 is then flat: c1, c2, c3 and their
-    inverse columns.  A longer or shorter cycle carries its columns and
-    inverts them as it goes, which keeps the long full-twist cycles at
-    one tuple each.  A rotation by a word's period gives the word again,
-    so only the rotations short of it are built: 80 instead of 6,480 per
-    direction for the full twist at n = 81.
+    pass traces them.  Only relators of at most six letters get records;
+    the longer ones, the sphere relator and the full twist, are left to
+    the sweeps.  The scan list is the relators in the presentation's
+    order with the braid relations, of the shape x y x Y X Y, moved to
+    the end (a stable sort); the records keep the presentation's order.
+    A record starts with the cycle's last index.  A four-letter cycle
+    c0 c1 c2 c3 is then flat: c1, c2, c3 and their inverse columns.  A
+    two- or six-letter cycle carries its columns and inverts them as it
+    goes.
     """
     letters = tuple(g for gen in generators for g in (gen, -gen))
     col = {letter: k for k, letter in enumerate(letters)}
     rel_cols = tuple(tuple(col[letter] for letter in rel) for rel in relators)
     buckets: list[dict[tuple, None]] = [{} for _ in letters]
-    for rc in rel_cols:
+    for rc in (rc for rc in rel_cols if len(rc) <= 6):
         for cols in (rc, tuple(c ^ 1 for c in reversed(rc))):
-            period = next((p for p in range(1, len(cols))
-                           if cols[p:] + cols[:p] == cols), len(cols))
-            for s in range(period):
+            for s in range(len(cols)):
                 cycle = cols[s:] + cols[:s]
                 if len(cycle) == 4:
                     rest = cycle[1:]
