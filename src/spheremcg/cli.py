@@ -136,7 +136,7 @@ def cmd_enumerate(n: int, limits: Limits, flavor: str, subgroup: str | None) -> 
     pres = build_presentation(n, flavor)
     result = enumerate_cosets(pres, subgens, limits.max_cosets, limits.max_time)
     overflow = result.status == "overflow"
-    print("OVERFLOW" if overflow else f"index {result.index}")
+    print(f"OVERFLOW: {result.reason}" if overflow else f"index {result.index}")
     print(f"stats: {result.stats.counts()} seconds={result.stats.seconds:.2f}")
     return 2 if overflow else 0
 
@@ -144,8 +144,11 @@ def cmd_enumerate(n: int, limits: Limits, flavor: str, subgroup: str | None) -> 
 def cmd_dump(n: int, flavor: str) -> int:
     pres = build_presentation(n, flavor)
     print(format_presentation(pres))
+    alphabet = pres.alphabet()
     for name in names_at(n):
-        print(f"{name} = {format_word(named_word(name, n))}")
+        word = named_word(name, n)
+        if alphabet.issuperset(word):
+            print(f"{name} = {format_word(word)}")
     return 0
 
 

@@ -81,7 +81,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .presentation import Presentation
-from .words import Word
+from .words import Word, format_word
 
 UNDEF = -1
 DEFAULT_MAX_COSETS, DEFAULT_MAX_TIME = 10**6, 60.0
@@ -191,10 +191,11 @@ class EnumerationResult(NamedTuple):
     index: int | None
     table: CosetTable | None
     stats: EnumerationStats
+    reason: str | None = None  # what stopped an overflowed run
 
 
 class _Overflow(Exception):
-    pass
+    """A run stopped without a table; the message is the reason."""
 
 
 class _IndexOne(Exception):
@@ -205,7 +206,7 @@ class _Enumerator:
     def __init__(self, pres: Presentation, subgens: tuple[Word, ...],
                  max_cosets: int, max_time: float):
         self.subgens = subgens
-        self.max_cosets = max_cosets
+        self.max_cosets, self.max_time = max_cosets, max_time
         self.deadline = time.monotonic() + max_time
         self.letters, self.col, self.rel_cols, self.cycles = _layout(
             pres.generators, pres.relators)
@@ -232,7 +233,7 @@ class _Enumerator:
     def define(self, coset: int, c: int) -> int:
         new = len(self.parent)
         if new - self.collapses >= self.max_cosets:
-            raise _Overflow
+            raise _Overflow(f"coset limit {self.max_cosets}")
         width = self.width
         row = new * width
         table = self.table
@@ -256,7 +257,7 @@ class _Enumerator:
         """One tick per definition, deduction and merge; a sweep without one is clean."""
         self.ticks += 1
         if self.ticks % 1024 == 0 and time.monotonic() > self.deadline:
-            raise _Overflow
+            raise _Overflow(f"time limit {self.max_time:g}s")
 
     def scan(self, coset: int, cols: tuple[int, ...]) -> None:
         """Trace one relation cycle at a coset, filling as it goes.
@@ -497,7 +498,7 @@ class _Enumerator:
             for c in range(width):
                 t = table[coset * width + c]
                 if t == UNDEF:
-                    raise _Overflow
+                    raise _Overflow("infinite index (entry open after a clean sweep)")
                 t = find(t)
                 if t not in order:
                     order[t] = len(order)
@@ -527,7 +528,8 @@ def enumerate_cosets(pres: Presentation, subgens: tuple[Word, ...] = (),
     for w in subgens:
         for letter in w:
             if letter not in alphabet:
-                raise ValueError(f"subgroup word letter {letter} outside the alphabet")
+                raise ValueError(f"subgroup word letter {format_word((letter,))} "
+                                 "outside the alphabet")
     start = time.monotonic()
     enum = _Enumerator(pres, tuple(subgens), max_cosets, max_time)
     try:
@@ -535,12 +537,12 @@ def enumerate_cosets(pres: Presentation, subgens: tuple[Word, ...] = (),
         table = enum.standardized()
     except _IndexOne:
         table = CosetTable(enum.letters, ((0,) * enum.width,))
-    except _Overflow:
-        table = None
+    except _Overflow as exc:
+        table, reason = None, str(exc)
     stats = EnumerationStats(len(enum.parent), enum.max_alive, enum.collapses,
                              time.monotonic() - start)
     if table is None:
-        return EnumerationResult("overflow", None, None, stats)
+        return EnumerationResult("overflow", None, None, stats, reason)
     if not table.verify(pres, tuple(subgens)):
         raise RuntimeError("finished table failed verification")
     return EnumerationResult("finished", table.index, table, stats)

@@ -151,7 +151,7 @@ class _Recorder:
             result = enumerate_cosets(build_presentation(self.n, "extended"), subgens,
                                       self.limits.max_cosets, self.limits.max_time)
             if result.status == "overflow":
-                return "overflow", result.stats.counts()
+                return "overflow", f"{result.reason}: {result.stats.counts()}"
             return ("pass" if result.index == expected else "fail"), result.index
 
         self.run(check_id, statement, body)

@@ -178,7 +178,8 @@ def _defined_at(head: str, n: int) -> bool:
 
 
 def names_at(n: int) -> tuple[str, ...]:
-    """The names dump prints at n, in table order."""
+    """The names defined at n, in table order; dump prints those whose
+    word lies in its flavor's alphabet."""
     return tuple(name for name in NAMES if not name.endswith("<k>") and _defined_at(name, n))
 
 

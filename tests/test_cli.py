@@ -9,6 +9,7 @@ import pytest
 from spheremcg import action
 from spheremcg.cli import main
 from spheremcg.harness import SUITES
+from spheremcg.presentation import names_at
 from spheremcg.words import T_LETTER
 
 
@@ -322,7 +323,12 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--n", "6",
                            "--max-cosets", "50")
         assert code == 2
-        assert out.splitlines()[0] == "OVERFLOW"
+        assert out.splitlines()[:2] == ["OVERFLOW: coset limit 50",
+                                        "stats: defined=50 max_alive=50 collapses=0 seconds=0.00"]
+
+    def test_time_limit_overflow_names_the_limit(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--n", "6", "--max-time", "0.05")
+        assert (code, out.splitlines()[0]) == (2, "OVERFLOW: time limit 0.05s")
 
     def test_subgroup_parse_error(self, capsys):
         code, _, _ = run(capsys, "enumerate", "--n", "6", "--subgroup", "a,q9")
@@ -338,6 +344,12 @@ class TestEnumerate:
                          "oriented", "--subgroup", "t s1")
         assert code == 64
 
+    def test_alphabet_refusal_names_the_token(self, capsys):
+        # a = s3 t s1 s2 s3 s4 s5 S3 at n = 6 holds the reflection
+        code, out, err = run(capsys, "enumerate", "--n", "6", "--flavor",
+                             "oriented", "--subgroup", "a")
+        assert (code, out, err) == (64, "", "error: subgroup word letter t outside the alphabet\n")
+
 
 class TestDump:
     def test_header_and_named_words(self, capsys):
@@ -351,6 +363,22 @@ class TestDump:
         code, out, _ = run(capsys, "dump", "--n", "3")
         assert code == 0
         assert not any(line.startswith("b =") for line in out.splitlines())
+
+    @pytest.mark.parametrize("flavor", ("oriented", "extended"))
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_listed_names_pass_the_flavor_alphabet_check(self, capsys, n, flavor):
+        # enumerate accepts each name dump lists in the flavor, and
+        # refuses each defined name it leaves out
+        code, out, _ = run(capsys, "dump", "--n", str(n), "--flavor", flavor)
+        assert code == 0
+        listed = [line.split(" = ")[0] for line in out.splitlines() if " = " in line]
+        assert listed and set(listed) <= set(names_at(n))
+        for name in names_at(n):
+            code = run(capsys, "enumerate", "--n", str(n), "--flavor", flavor,
+                       "--subgroup", name, "--max-cosets", "1")[0]
+            assert code == (2 if name in listed else 64), name
+        if flavor == "extended":
+            assert listed == list(names_at(n))
 
 
 LIMIT_FLAGS = ("--max-cosets", "--max-time", "--order-cap")

@@ -265,7 +265,7 @@ class TestTableInvariants:
 class TestLimits:
     def test_coset_budget_overflow(self):
         result = enumerate_cosets(CYCLIC_5, max_cosets=3)
-        assert result.status == "overflow"
+        assert (result.status, result.reason) == ("overflow", "coset limit 3")
         assert result.index is None
         assert result.table is None
         assert result.stats.defined <= 4
@@ -284,17 +284,21 @@ class TestLimits:
         # run stops there instead of defining cosets up to the limit
         result = enumerate_cosets(toy((1, 2), [(1, 1)]), max_cosets=10**5)
         assert (result.status, result.table) == ("overflow", None)
+        assert result.reason == "infinite index (entry open after a clean sweep)"
         assert result.stats.defined == 2
 
     def test_time_budget_overflow(self):
         pres = build_presentation(6, "extended")
         result = enumerate_cosets(pres, (), max_cosets=10**9, max_time=0.05)
-        assert result.status == "overflow"
+        assert (result.status, result.reason) == ("overflow", "time limit 0.05s")
 
     def test_alphabet_validation(self):
         pres = build_presentation(6, "oriented")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^subgroup word letter t outside the alphabet$"):
             enumerate_cosets(pres, ((T,),))
+
+    def test_finished_run_has_no_overflow_reason(self):
+        assert enumerate_cosets(CYCLIC_5).reason is None
 
 
 @pytest.mark.parametrize("flavor", ("oriented", "extended"))

@@ -490,6 +490,17 @@ class TestOverallRules:
                                "over the 1000000-letter guard")
         assert Report(tuple(rec.checks)).exit_code == 2
 
+    @pytest.mark.parametrize("limits, reason", [
+        (Limits(max_cosets=30000), "coset limit 30000"),
+        (Limits(max_time=0.05), "time limit 0.05s"),
+    ])
+    def test_overflowed_index_row_names_its_limit(self, limits, reason):
+        rec = harness._Recorder("main", 12, limits)
+        rec.index("n12.main.index", "index 1", (), 1)  # the trivial subgroup: infinite index
+        (row,) = rec.checks
+        assert row.status == "overflow"
+        assert row.witness.startswith(f"{reason}: defined=")
+
     def test_sigma2_conclusion_follows_the_report_rule(self, capsys, monkeypatch):
         # an overflowed prerequisite leaves the conclusion inconclusive ...
         assert limited_run(capsys, "--suite", "sigma2") == (
