@@ -19,17 +19,28 @@ A deduction pass (Felsch-style deduction processing inside HLT) follows
 every scan of a sweep.  Each table entry a coincidence writes goes on a
 stack; for a stacked entry (k, c) -> t the pass traces at k, without
 defining, every relator cycle (a cyclic conjugate of a relator or its
-inverse) that begins with column c.  A gap of one is a deduction, which
-is stacked in turn; a closed trace with two different ends is a
-coincidence.  Definitions and scan deductions are not stacked: the
-sweeps trace them anyway, and stacking them cost more than it saved.
-Each fact the pass derives is a consequence of a relator cycle traced
-from a coset, the same kind of fact a scan derives, so results stay
-sound; completeness still rests on the final clean sweep.  The cycles
-through an entry that start at its other end are the inverses of
-cycles that start with c at k, so one direction suffices.  On the
-even-n <a, b> certificates the pass cuts the cosets defined about
-84-fold (5,330 instead of 449,175 at n = 12).
+inverse) of at most six letters that begins with column c.  A gap of
+one is a deduction, which is stacked in turn; a closed trace with two
+different ends is a coincidence.  Definitions and scan deductions are
+not stacked: the sweeps trace them anyway, and stacking them cost more
+than it saved.  Each fact the pass derives is a consequence of a
+relator cycle traced from a coset, the same kind of fact a scan
+derives, so results stay sound; completeness still rests on the final
+clean sweep.  The cycles through an entry that start at its other end
+are the inverses of cycles that start with c at k, so one direction
+suffices.  On the even-n <a, b> certificates the pass cuts the cosets
+defined about 84-fold (5,330 instead of 449,175 at n = 12).
+
+From n = 5 on, those are t t, t si t si, the commutators and the braid
+relations.  The two relators that grow with n, the sphere relator
+(2(n-1) letters) and the full twist (n(n-1)), are left to the sweeps,
+which still scan every relator at every live coset.  On the even-n
+<a, b> certificates their cycles gave no deduction or coincidence out
+of 2,763 traced at n = 8, 7,755 at n = 12, 19,221 at n = 16 and 68,253
+at n = 24, and leaving them out cut the run from 13.1 to 10.5 ms at
+n = 8 and from 1.27 to 0.86 s at n = 32 on a 2-core machine.  Since
+the pass is only an acceleration, this keeps results sound and
+complete.
 
 The sweeps scan a coset's relators in the presentation's order with the
 braid relations, of the shape x y x Y X Y, moved to the end; the
@@ -47,7 +58,7 @@ the back-pointer d c^-1 at x when it still names y, as coset-table
 merges usually do (Holt-Eick-O'Brien, Handbook of Computational Group
 Theory, ch. 5), so later traces through it need no union-find lookup.
 And the deduction pass traces a four-letter cycle (a commutator, or
-t si t si), most of the cycles at n = 10..15, with an unrolled kernel
+t si t si), 73-82% of its cycles at n = 10..16, with an unrolled kernel
 whose outcome is the generic trace's.  Every union-find reader resolves
 an entry to its root, so neither changes a step, nor the statistics of
 a run, which are derived: defined is the union-find's length, and the
@@ -100,8 +111,8 @@ def _layout(generators: tuple[int, ...], relators: tuple[Word, ...]):
     them, and, per first column, a record of every distinct cyclic
     conjugate of a relator or its inverse, in the order the deduction
     pass traces them.  Only relators of at most six letters get records;
-    the longer ones, the sphere relator and the full twist, are left to
-    the sweeps.  The scan list is the relators in the presentation's
+    the longer ones (the sphere relator from n = 5 on, the full twist
+    from n = 4 on) are left to the sweeps.  The scan list is the relators in the presentation's
     order with the braid relations, of the shape x y x Y X Y, moved to
     the end (a stable sort); the records keep the presentation's order.
     A record starts with the cycle's last index.  A four-letter cycle
@@ -517,12 +528,14 @@ def enumerate_cosets(pres: Presentation, subgens: tuple[Word, ...] = (),
     """Index of the subgroup generated by subgens, by coset enumeration.
 
     Returns a finished result with the index and a verified standardized
-    table, or an overflow result carrying the run statistics.  A run
-    closes at index 1, with a one-row table, once each of the
-    presentation's spanning words leads coset 0 back to itself.  That
-    "verified" proves nothing by itself, as CosetTable.verify passes
-    every one-row table: the result rests on the close's bookkeeping and
-    on the spanning words generating the group.
+    table, or an overflow result carrying the run statistics and the
+    reason the run stopped: the coset limit, the time limit, or an entry
+    left open after a clean sweep.  A run closes at index 1, with a
+    one-row table, once each of the presentation's spanning words leads
+    coset 0 back to itself.  That "verified" proves nothing by itself,
+    as CosetTable.verify passes every one-row table: the result rests on
+    the close's bookkeeping and on the spanning words generating the
+    group.
     """
     alphabet = pres.alphabet()
     for w in subgens:

@@ -319,16 +319,14 @@ class TestEnumerate:
         assert out.splitlines()[1].startswith(
             "stats: defined=23533 max_alive=23533 collapses=6404 ")
 
-    def test_overflow(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "--n", "6",
-                           "--max-cosets", "50")
+    @pytest.mark.parametrize("limit, reason", [(("--max-cosets", "50"), "coset limit 50"),
+                                               (("--max-time", "0.05"), "time limit 0.05s")])
+    def test_overflow(self, capsys, limit, reason):
+        code, out, _ = run(capsys, "enumerate", "--n", "6", *limit)
         assert code == 2
-        assert out.splitlines()[:2] == ["OVERFLOW: coset limit 50",
-                                        "stats: defined=50 max_alive=50 collapses=0 seconds=0.00"]
-
-    def test_time_limit_overflow_names_the_limit(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "--n", "6", "--max-time", "0.05")
-        assert (code, out.splitlines()[0]) == (2, "OVERFLOW: time limit 0.05s")
+        lines = out.splitlines()
+        assert lines[0] == f"OVERFLOW: {reason}"
+        assert lines[1].startswith("stats: defined=")
 
     def test_subgroup_parse_error(self, capsys):
         code, _, _ = run(capsys, "enumerate", "--n", "6", "--subgroup", "a,q9")
