@@ -62,7 +62,9 @@ t si t si), 73-82% of its cycles at n = 10..16, with an unrolled kernel
 whose outcome is the generic trace's.  Every union-find reader resolves
 an entry to its root, so neither changes a step, nor the statistics of
 a run, which are derived: defined is the union-find's length, and the
-live cosets are that less the merges, whose peak is max_alive.
+live cosets are that less the merges, whose peak is max_alive.  The
+table holds one row per defined coset, dead ones included: each
+definition appends a blank row, and a merge blanks the row it empties.
 
 Index-1 runs close early.  Every table entry is a consequence
 (H w_i g = H w_j), so a word that leads coset 0 back to itself lies in
@@ -96,9 +98,6 @@ from .words import Word, format_word
 
 UNDEF = -1
 DEFAULT_MAX_COSETS, DEFAULT_MAX_TIME = 10**6, 60.0
-
-# Rows the table holds at first; it doubles as needed.
-INITIAL_ROWS = 64
 
 
 @lru_cache(maxsize=64)
@@ -227,7 +226,7 @@ class _Enumerator:
                                 for w in pres.spanning)
                           or tuple((c,) for c in range(self.width)))
         self.blank_row = array("i", [UNDEF]) * self.width
-        self.table = self.blank_row * INITIAL_ROWS
+        self.table = self.blank_row[:]  # coset 0's row, a copy: it grows
         self.parent = array("i", [0])
         self.stack: list[tuple[int, int]] = []
         self.max_alive = 1
@@ -248,13 +247,9 @@ class _Enumerator:
         width = self.width
         row = new * width
         table = self.table
-        if row + width > len(table):
-            # doubled in place, so every reference to the table stays
-            # valid; the table must never be viewed through a memoryview,
-            # since an exported buffer makes the resize raise BufferError.
-            # The copied rows are stale until this blanks each one.
-            table *= 2
-        table[row:row + width] = self.blank_row
+        # extended in place, so every reference to the table stays valid;
+        # a memoryview of it would make the resize raise BufferError
+        table += self.blank_row
         self.parent.append(new)
         alive = new + 1 - self.collapses
         if alive > self.max_alive:

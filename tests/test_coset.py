@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 from functools import lru_cache
 
 import pytest
@@ -315,22 +317,42 @@ GROWTH_CASES = [(SYM_6, ()),
                 (build_presentation(6, "extended"), (named_word("a", 6), named_word("b", 6)))]
 
 
-def test_table_doubles_from_one_row(monkeypatch):
-    # from a one-row table both runs double it about ten times, and each
-    # doubling must keep every row written so far
-    expected = [enumerate_cosets(p, s) for p, s in GROWTH_CASES]
-    assert [r.index for r in expected] == [720, 1]
-    monkeypatch.setattr(coset, "INITIAL_ROWS", 1)
-    for (p, s), want in zip(GROWTH_CASES, expected):
-        got = enumerate_cosets(p, s)
-        assert got.stats.defined > 2 ** 9
-        assert (got.index, got.table) == (want.index, want.table)
-        assert got.stats.defined == want.stats.defined
+def grown(pres, subgens, max_cosets=coset.DEFAULT_MAX_COSETS):
+    """The enumerator after a run, however the run ended."""
+    enum = coset._Enumerator(pres, tuple(subgens), max_cosets, 60.0)
+    with contextlib.suppress(coset._IndexOne, coset._Overflow):
+        enum.run()
+    return enum
+
+
+# S6 in full, then <a, b> at n = 6, which closes at index 1; with a
+# limit of 100 cosets both overflow.  The digest is of the S6 table's
+# rows as the doubling table gave them.
+GROWTH_RUNS = [(GROWTH_CASES[0], coset.DEFAULT_MAX_COSETS, 720, (1122, 726, 402), "6a246cf152c90f44"),
+               (GROWTH_CASES[1], coset.DEFAULT_MAX_COSETS, 1, (592, 566, 286), None),
+               (GROWTH_CASES[0], 100, None, (114, 100, 14), None),
+               (GROWTH_CASES[1], 100, None, (100, 100, 0), None)]
+
+
+@pytest.mark.parametrize("case, max_cosets, index, counts, digest", GROWTH_RUNS,
+                         ids=("S6", "ab6-index-1", "S6-overflow", "ab6-overflow"))
+def test_table_holds_one_row_per_defined_coset(case, max_cosets, index, counts, digest):
+    # every definition appends one blank row and nothing else grows it,
+    # so the table ends exactly as long as the cosets defined
+    enum = grown(*case, max_cosets=max_cosets)
+    assert len(enum.table) == len(enum.parent) * enum.width
+    assert (len(enum.parent), enum.max_alive, enum.collapses) == counts
+    result = enumerate_cosets(*case, max_cosets=max_cosets)
+    assert (result.index, tuple(result.stats)[:3]) == (index, counts)
+    if max_cosets == 100:
+        assert (result.reason, result.table) == ("coset limit 100", None)
+    if digest:
+        assert hashlib.sha256(repr(result.table.rows).encode()).hexdigest()[:16] == digest
 
 
 def test_table_is_assigned_once_per_run(monkeypatch):
     # the table grows in place, so references taken before a definition
-    # stay valid: the attribute is never rebound
+    # stay valid: the attribute is never rebound, and starts as one row
     assigned = []
 
     def spy(self, name, value):
@@ -338,7 +360,6 @@ def test_table_is_assigned_once_per_run(monkeypatch):
             assigned.append(len(value))
         object.__setattr__(self, name, value)
 
-    monkeypatch.setattr(coset, "INITIAL_ROWS", 1)
     monkeypatch.setattr(coset._Enumerator, "__setattr__", spy)
     for p, s in GROWTH_CASES:
         assigned.clear()

@@ -40,6 +40,10 @@ the product path lives only as long as the suite run that owns it.
 `_layout` is the one in `coset.py`, so the cycle records the deduction
 pass reads are built once per presentation, never once per enumeration.
 
+The coset table grows in `_Enumerator.define` alone, by one blank row
+appended in place (`table += blank_row`): no `*=` doubles it, so it
+holds exactly one row per defined coset and no stale copies.
+
 `_peel` is called only by `_evaluate` and `compose`, so every automorphism
 the package builds is normalized by one of the two.
 
@@ -224,6 +228,35 @@ def test_generator_table_is_the_one_cache_in_action():
 
 def test_layout_is_the_one_cache_in_coset():
     assert cached_definitions(ROOT / "src" / "spheremcg" / "coset.py") == ["_layout"]
+
+
+GROWING_METHODS = {"append", "extend", "insert", "fromlist", "frombytes", "fromfile"}
+
+
+def table_growths(path):
+    """Each statement of a module that may enlarge a `table`, bare or as
+    an attribute: the definition holding it, as Class.method, and the
+    operator or method name."""
+    found = []
+    for stmt in ast.parse(path.read_text(), str(path)).body:
+        if not isinstance(stmt, DEFINITIONS):
+            continue
+        members = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+        for fn in (m for m in members if isinstance(m, DEFINITIONS)):
+            owner = stmt.name if fn is stmt else f"{stmt.name}.{fn.name}"
+            for node in ast.walk(fn):
+                if isinstance(node, ast.AugAssign) and "table" in _names(node.target):
+                    found.append((owner, type(node.op).__name__))
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in GROWING_METHODS
+                      and "table" in _names(node.func.value)):
+                    found.append((owner, node.func.attr))
+    return found
+
+
+def test_define_alone_grows_the_coset_table_by_rows():
+    # one blank row per definition, appended in place: no doubling
+    assert table_growths(ROOT / "src" / "spheremcg" / "coset.py") == [("_Enumerator.define", "Add")]
 
 
 def callers(root, name):
