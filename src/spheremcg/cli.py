@@ -25,7 +25,7 @@ from .presentation import (
     names_at,
     parse_expression,
 )
-from .words import ParseError, format_word, require_punctures
+from .words import ParseError, ascii_int, format_word, require_punctures
 
 USAGE_EXIT = 64
 PARSE_EXIT = 65
@@ -41,12 +41,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-# Limit types for argparse, so a bad limit is a usage error (64) found
-# before any work starts.  They are public because argparse names the
-# type function when a value does not parse at all.
+# Number types for argparse, so a bad number is a usage error (64) found
+# before any work starts.  Numbers are written in ASCII digits, the rule
+# of the expression parser too; int() and float() alone would also read
+# other Unicode digits and underscores.  They are public because
+# argparse names the type function when a value does not parse at all.
+
+def integer(text: str) -> int:
+    value = ascii_int(text, signed=True)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not an integer in ASCII digits: {text!r}")
+    return value
+
 
 def positive_count(text: str) -> int:
-    value = int(text)
+    value = integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -54,6 +63,8 @@ def positive_count(text: str) -> int:
 
 def positive_seconds(text: str) -> float:
     """A time limit; nan would never expire and inf is no limit."""
+    if not text.isascii() or "_" in text:
+        raise argparse.ArgumentTypeError(f"not a number in ASCII digits: {text!r}")
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
@@ -168,7 +179,7 @@ def _build_parser() -> _Parser:
 
     def command(name, summary, need_n=True):
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--n", type=int, required=need_n,
+        p.add_argument("--n", type=integer, required=need_n,
                        help="number of punctures")
         return p
 

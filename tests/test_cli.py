@@ -425,6 +425,32 @@ class TestLimits:
         assert code == 64
         assert "--order-cap" in err
 
+    # numbers are ASCII digits, as in the expression parser: int() and
+    # float() alone would read other Unicode digits and underscores
+    @pytest.mark.parametrize("argv, flag", [
+        (("order", "--n", "\u0666", "t a0"), "--n"),
+        (("order", "--n", "6_0", "t a0"), "--n"),
+        (("order", "--n", "+6", "t a0"), "--n"),
+        (("enumerate", "--n", "6", "--subgroup", "a,b", "--max-cosets", "1_000"), "--max-cosets"),
+        (("enumerate", "--n", "6", "--subgroup", "a,b", "--max-cosets", "\u0661\u0660"),
+         "--max-cosets"),
+        (("order", "--n", "6", "--order-cap", "\u0661\u0660", "t a0"), "--order-cap"),
+        (("order", "--n", "6", "--order-cap", "1_0", "t a0"), "--order-cap"),
+        (("verify", "--n", "6", "--max-time", "\u0661"), "--max-time"),
+        (("verify", "--n", "6", "--max-time", "1_0"), "--max-time"),
+    ], ids=("n-arabic", "n-underscore", "n-plus", "max-cosets-underscore",
+            "max-cosets-arabic", "order-cap-arabic", "order-cap-underscore",
+            "max-time-arabic", "max-time-underscore"))
+    def test_number_not_in_ascii_digits(self, capsys, no_work, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert f"argument {flag}: not a" in err
+
+    def test_negative_n_is_read_and_refused_as_a_puncture_count(self, capsys, no_work):
+        code, out, err = run(capsys, "order", "--n", "-1", "t a0")
+        assert (code, out) == (64, "")
+        assert err == "error: need n >= 3, got -1\n"
+
     def test_out_without_a_directory_is_refused_first(self, capsys, no_work, tmp_path):
         code, out, err = run(capsys, "verify", "--n", "6", "--suite", "all",
                              "--out", str(tmp_path / "missing-dir" / "r.json"))
