@@ -326,8 +326,8 @@ def grown(pres, subgens, max_cosets=coset.DEFAULT_MAX_COSETS):
 
 
 # S6 in full, then <a, b> at n = 6, which closes at index 1; with a
-# limit of 100 cosets both overflow.  The digest is of the S6 table's
-# rows as the doubling table gave them.
+# limit of 100 cosets both overflow.  The digest pins the rows of the
+# standardized S6 table.
 GROWTH_RUNS = [(GROWTH_CASES[0], coset.DEFAULT_MAX_COSETS, 720, (1122, 726, 402), "6a246cf152c90f44"),
                (GROWTH_CASES[1], coset.DEFAULT_MAX_COSETS, 1, (592, 566, 286), None),
                (GROWTH_CASES[0], 100, None, (114, 100, 14), None),
