@@ -64,16 +64,14 @@ A Primer on Mapping Class Groups, ch. 4), so f^m = 1.  Only the m-th
 power gets the inner test, and a word with m above the cap none.  The
 answer m rests on the action being faithful; an infinite order, F^m not
 inner with m at most the cap, rests only on the validated homomorphism
-and that torsion-freeness.  F^m is taken on the stored part alone,
-raised by squaring with the carried conjugator of each compose dropped.
-That changes it by an inner automorphism, and inner automorphisms form a
-normal subgroup, so it is inner exactly when the m-th power of the
-word's automorphism is.  A reflection word w, one with an odd number of
-t, has even m, and F^m = (F^2)^(m/2) is raised from F^2, that of w w,
-whose reflections all cancel in the rewrite: no order, and no even power
-on the product path, runs the prefix reflection.  The core and the
-square hold other automorphisms than the whole word would, so the guard
-may trip at other inputs; a trip is still inconclusive.
+and that torsion-freeness.  F^m is raised by squaring through compose,
+exactly, as a power on the product path is.  A reflection word w, one
+with an odd number of t, has even m, and F^m = (F^2)^(m/2) is raised
+from F^2, that of w w, whose reflections all cancel in the rewrite: no
+order, and no even power on the product path, runs the prefix
+reflection.  The core and the square hold other automorphisms than the
+whole word would, so the guard may trip at other inputs; a trip is
+still inconclusive.
 
 The guard bounds the letters held, stored images plus conjugator, after
 every letter and every compose.  On the product path it also bounds the
@@ -538,8 +536,7 @@ class Factors:
                 self.auts[factor] = self.aut(EPSILON)
             else:
                 base = factor.base if factor.k > 0 else _inverse(factor.base)
-                self.auts[factor] = _factor_power(base, abs(factor.k), self.aut,
-                                                  lambda f, g: compose(f, g, self.guard))
+                self.auts[factor] = _factor_power(base, abs(factor.k), self.aut, self.guard)
         return self.auts[factor]
 
     def product(self, factors: Sequence[Factor]) -> FreeAut:
@@ -584,23 +581,19 @@ def _quotient_order(word: Word, n: int) -> int:
     return lcm(m, 2) if any(abelianization_image(word)) else m
 
 
-def _power(f, k: int, product):
-    """f^k for k >= 1 by squaring, under the given product."""
-    if k == 1:
-        return f
-    half = _power(f, k // 2, product)
-    square = product(half, half)
-    return product(square, f) if k % 2 else square
-
-
-def _factor_power(base: Factor, k: int, evaluate, product):
-    """base^k for k >= 1 by squaring, under the given product, from the
-    automorphisms evaluate gives factors: for a reflection word w, one
-    with an odd number of t, (w w)^(k div 2), times w for an odd k."""
-    if k == 1 or isinstance(base, Power) or not abelianization_image(base)[1]:
-        return _power(evaluate(base), k, product)
-    square = _power(evaluate(base + base), k // 2, product)
-    return product(square, evaluate(base)) if k % 2 else square
+def _factor_power(base: Factor, k: int, evaluate, guard: int) -> FreeAut:
+    """base^k for k >= 1, composed by squaring from the automorphisms
+    evaluate gives factors: for a reflection word w, one with an odd
+    number of t, (w w)^(k div 2), times w for an odd k."""
+    if k > 1 and not isinstance(base, Power) and abelianization_image(base)[1]:
+        square = _factor_power(base + base, k // 2, evaluate, guard)
+        return compose(square, evaluate(base), guard) if k % 2 else square
+    f = power = evaluate(base)
+    for bit in bin(k)[3:]:  # square-and-multiply over the bits after the leading one
+        power = compose(power, power, guard)
+        if bit == "1":
+            power = compose(power, f, guard)
+    return power
 
 
 def order_of(u: Iterable[int], n: int, cap: int | None = None,
@@ -622,11 +615,5 @@ def order_of(u: Iterable[int], n: int, cap: int | None = None,
     m = _quotient_order(word, n)
     if m > cap:
         return None
-
-    def product(f: FreeAut, g: FreeAut) -> FreeAut:
-        # the carried conjugator does not decide whether a power is inner
-        return FreeAut(n, compose(f, g, guard).images)
-
-    fm = _factor_power(word, m, lambda w: FreeAut(n, word_to_aut(w, n, guard).images),
-                       product)
+    fm = _factor_power(word, m, lambda w: word_to_aut(w, n, guard), guard)
     return m if is_inner(fm) is not None else None

@@ -83,7 +83,9 @@ lemma, not on an independent check.
 
 Termination is not guaranteed in general (the index may be infinite);
 callers bound the run by coset count and wall time and must treat
-overflow as inconclusive.
+overflow as inconclusive.  The coset count (max_cosets, --max-cosets)
+is the number of the table's rows, dead cosets included, so it bounds
+the table's memory, four bytes a column per row, as well as the work.
 """
 
 from __future__ import annotations
@@ -242,7 +244,7 @@ class _Enumerator:
 
     def define(self, coset: int, c: int) -> int:
         new = len(self.parent)
-        if new - self.collapses >= self.max_cosets:
+        if new >= self.max_cosets:
             raise _Overflow(f"coset limit {self.max_cosets}")
         width = self.width
         row = new * width

@@ -653,6 +653,20 @@ class TestOrders:
         assert order_of(parse_expression(expr, n), n) == order
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("n, expr, m", [(10, "a", 10), (9, "t a0", 18), (6, "s1 s2 s3", 4)])
+    def test_inner_test_reads_the_exact_power(self, monkeypatch, n, expr, m):
+        # the one power tested is the m-th power of the cyclic core
+        # itself, carried conjugator included: t a0 at n = 9 is raised
+        # through its square, and s1 s2 s3 has infinite order
+        action._gen_auts(n)  # the validation tests relators of its own
+        core = cyclic_core(reduce(parse_expression(expr, n)))[0]
+        assert action._quotient_order(core, n) == m
+        tested = []
+        is_inner = action.is_inner
+        monkeypatch.setattr(action, "is_inner", lambda f: tested.append(f) or is_inner(f))
+        order_of(parse_expression(expr, n), n)
+        assert [plain(f) for f in tested] == [plain(word_to_aut(power(core, m), n))]
+
     def test_quotient_order_above_cap_is_not_evaluated(self, monkeypatch):
         # the puncture permutation is a 5-cycle times a 7-cycle, so the
         # order is a multiple of 35 and a cap of 30 decides it unevaluated
@@ -792,6 +806,16 @@ class TestReflectionPowers:
         a = named_word("a", 10)
         assert plain(Factors(10).aut(Power(a, 2))) == plain(word_to_aut(power(a, 2), 10))
         assert reflections == []
+
+    @pytest.mark.parametrize("n, k", [(7, 5), (8, 3)])
+    def test_factor_power_is_the_cached_power(self, n, k):
+        # an odd power of a reflection word: the square's power times the
+        # word, the same automorphism on the product path and in order_of
+        w = parse_expression("t a0", n)
+        direct = action._factor_power(w, k, lambda f: word_to_aut(f, n),
+                                       action.DEFAULT_LENGTH_GUARD)
+        assert Factors(n).aut(Power(w, k)) == direct
+        assert plain(direct) == plain(word_to_aut(power(w, k), n))
 
     @pytest.mark.parametrize("n", range(5, 11))
     def test_equalities_run_no_prefix_reflection(self, reflections, n):

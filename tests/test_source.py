@@ -47,6 +47,11 @@ holds exactly one row per defined coset and no stale copies.
 `_peel` is called only by `_evaluate` and `compose`, so every automorphism
 the package builds is normalized by one of the two.
 
+`FreeAut` is built only by `_evaluate` and `compose` too, so no caller
+rewraps the images of an automorphism with its carried conjugator
+dropped: every power, an order's included, is an exact product of
+`compose`.
+
 `word_to_aut` alone moves a word's reflections to its right end
 (`_reflections_last`), and neither `_gen_auts` nor its sparse check
 `_sparse_identity` reaches it, directly or through other functions of
@@ -271,6 +276,10 @@ def callers(root, name):
 
 def test_peel_is_called_by_evaluate_and_compose_alone():
     assert callers(ROOT, "_peel") == ["action.py:_evaluate", "action.py:compose"]
+
+
+def test_free_aut_is_built_by_evaluate_and_compose_alone():
+    assert callers(ROOT, "FreeAut") == ["action.py:_evaluate", "action.py:compose"]
 
 
 def definition(path, name):
