@@ -292,22 +292,8 @@ def _sparse_identity(word: Word, n: int) -> bool:
     return all(img == (i,) for i, img in moved.items())
 
 
-def _refusal_kept(validate):
-    """The cached validation, raising the RuntimeError it returns as its
-    refusal, so that a refused n is validated once, not once per row."""
-    def checked(n: int) -> dict[str, Word]:
-        result = validate(n)
-        if isinstance(result, RuntimeError):
-            raise result.with_traceback(None)
-        return result
-
-    checked.cache_clear = validate.cache_clear
-    return checked
-
-
-@_refusal_kept
 @lru_cache(maxsize=None)
-def _gen_auts(n: int) -> dict[str, Word] | RuntimeError:
+def _gen_auts(n: int) -> dict[str, Word]:
     """The nonempty conjugators the extended relators act by, by label,
     as the validation of the generator automorphisms at n finds them;
     every other relator acts by the empty one.  Refused unless every
@@ -323,9 +309,9 @@ def _gen_auts(n: int) -> dict[str, Word] | RuntimeError:
     changes no witness and no refusal.  The relators that start with t
     are read on from the state after it, evaluated once, and each later
     t resumes one recorded _prefix_reflect run over that state, which
-    gives the images a run from the start would.  The check and its
-    refusal run once per n for every caller, under the default guard,
-    whose trip is raised, not kept; build_presentation refuses, as a
+    gives the images a run from the start would.  A passing check runs
+    once per n, under the default guard; a refusal is raised to each row
+    that asks, like a guard trip, and build_presentation refuses, as a
     tripped guard, an n whose relators alone would hold more than it."""
     witnesses = {}
     pres = build_presentation(n, "extended")
@@ -338,11 +324,11 @@ def _gen_auts(n: int) -> dict[str, Word] | RuntimeError:
         start, word = (after_t, rel[1:]) if rel[0] == T_LETTER else (None, rel)
         witness = is_inner(_evaluate(word, n, DEFAULT_LENGTH_GUARD, start, run))
         if witness is None:
-            return RuntimeError(f"relator {label} does not act trivially at n={n}")
+            raise RuntimeError(f"relator {label} does not act trivially at n={n}")
         if witness:
             if T_LETTER in rel:
-                return RuntimeError(f"relator {label} acts as a nontrivial inner "
-                                    f"automorphism at n={n}")
+                raise RuntimeError(f"relator {label} acts as a nontrivial inner "
+                                   f"automorphism at n={n}")
             witnesses[label] = witness
     return witnesses
 
@@ -433,11 +419,6 @@ def equal_with_witness(u: Iterable[int], v: Iterable[int], n: int,
         return False, None
     witness = is_inner(word_to_aut(diff, n, guard))
     return witness is not None, witness
-
-
-def equal_in_group(u: Iterable[int], v: Iterable[int], n: int,
-                   guard: int = DEFAULT_LENGTH_GUARD) -> bool:
-    return equal_with_witness(u, v, n, guard)[0]
 
 
 class Power(NamedTuple):

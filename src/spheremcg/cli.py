@@ -13,7 +13,7 @@ import os
 import sys
 import tempfile
 
-from .action import ResourceLimitError, default_order_cap, equal_in_group, order_of
+from .action import ResourceLimitError, default_order_cap, equal_with_witness, order_of
 from .coset import enumerate_cosets
 from .harness import SUITES, Limits, full_report
 from .homs import abelianization_image, format_gf2, format_perm, perm_image
@@ -121,7 +121,7 @@ def cmd_verify(n: int | None, limits: Limits, suite: str, machine: bool = False,
 def cmd_eval(n: int, limits: Limits, left: str, right: str) -> int:
     u = parse_expression(left, n)
     v = parse_expression(right, n)
-    equal = equal_in_group(u, v, n, limits.aut_guard)
+    equal = equal_with_witness(u, v, n, limits.aut_guard)[0]
     print(f"equal: {'yes' if equal else 'no'}")
     print(f"perm: {format_perm(perm_image(u, n))} vs {format_perm(perm_image(v, n))}")
     pu, pv = abelianization_image(u), abelianization_image(v)

@@ -237,12 +237,11 @@ def verify_section3(n: int, limits: Limits | None = None) -> tuple[CheckResult, 
     ts = concat(t, (-(n - 1),))
     rec.eq(f"n{n}.sec3.commute_a2", f"t s{n - 1}^-1 commutes with a2 (n={n})",
            concat(ts, a2), concat(a2, ts))
-    rec.order(f"n{n}.sec3.order.ta0",
-              f"order(t a0) = {n if n % 2 == 0 else 2 * n} (n={n})",
-              concat(t, a0), n if n % 2 == 0 else 2 * n)
-    rec.order(f"n{n}.sec3.order.tsa2",
-              f"order(t s{n - 1}^-1 a2) = {n - 2 if n % 2 == 0 else 2 * (n - 2)} (n={n})",
-              concat(ts, a2), n - 2 if n % 2 == 0 else 2 * (n - 2))
+    factor = 1 if n % 2 == 0 else 2
+    rec.order(f"n{n}.sec3.order.ta0", f"order(t a0) = {factor * n} (n={n})",
+              concat(t, a0), factor * n)
+    rec.order(f"n{n}.sec3.order.tsa2", f"order(t s{n - 1}^-1 a2) = {factor * (n - 2)} (n={n})",
+              concat(ts, a2), factor * (n - 2))
     return tuple(rec.checks)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from spheremcg.action import FreeAut, equal_in_group
+from spheremcg.action import FreeAut, equal_with_witness
 from spheremcg.words import EPSILON, T_LETTER, concat, invert
 
 
@@ -80,7 +80,7 @@ def cayley_order(n: int) -> int:
         for rep in frontier:
             for g in gens:
                 w = concat(rep, g)
-                if not any(equal_in_group(w, known, n) for known in reps):
+                if not any(equal_with_witness(w, known, n)[0] for known in reps):
                     reps.append(w)
                     fresh.append(w)
         frontier = fresh

@@ -15,7 +15,7 @@ import time
 from conftest import conjugate, plain
 from spheremcg.action import (
     compose,
-    equal_in_group,
+    equal_with_witness,
     order_of,
     word_to_aut,
 )
@@ -53,7 +53,7 @@ def test_criterion_1_presentation_soundness():
     for n in range(3, 11):
         for flavor in ("oriented", "extended"):
             pres = build_presentation(n, flavor)
-            if not all(equal_in_group(rel, EPSILON, n) for rel in pres.relators):
+            if not all(equal_with_witness(rel, EPSILON, n)[0] for rel in pres.relators):
                 failures.append(f"n={n} {flavor} relators")
             for kind in ("perm", "psi"):
                 if not all(ok for _, ok in validate_hom(pres, kind)):
@@ -69,12 +69,11 @@ def test_criterion_2_rotation_orders_and_conjugation():
             if order_of(named_word(f"a{j}", n), n) != n - j:
                 failures.append(f"n={n} order a{j}")
         lhs = invert(tuple(range(1, n - 1)) + (n - 1, n - 1))
-        if not equal_in_group(lhs, tuple(range(n - 2, 0, -1)), n):
+        if not equal_with_witness(lhs, tuple(range(n - 2, 0, -1)), n)[0]:
             failures.append(f"n={n} inverse form")
         phi = named_word("phi", n)
         for i in range(1, n - 1):
-            if not equal_in_group(concat(phi, (i,), invert(phi)),
-                                  (n - 1 - i,), n):
+            if not equal_with_witness(concat(phi, (i,), invert(phi)), (n - 1 - i,), n)[0]:
                 failures.append(f"n={n} phi i={i}")
     _criterion(2, "rotation orders and half-twist reversal", failures, t0)
 
@@ -85,14 +84,14 @@ def test_criterion_3_reflection_interactions():
     for n in range(4, 11):
         a0 = named_word("a0", n)
         a2 = named_word("a2", n)
-        if not equal_in_group(concat((T,), a0, (T,)), a0, n):
+        if not equal_with_witness(concat((T,), a0, (T,)), a0, n)[0]:
             failures.append(f"n={n} reflect a0")
         for k in range(n // 2 + 1):
             word = concat((T,), tuple(range(1, 2 * k, 2)))
-            if not equal_in_group(concat(word, word), (), n):
+            if not equal_with_witness(concat(word, word), (), n)[0]:
                 failures.append(f"n={n} involution k={k}")
         ts = (T, -(n - 1))
-        if not equal_in_group(concat(ts, a2), concat(a2, ts), n):
+        if not equal_with_witness(concat(ts, a2), concat(a2, ts), n)[0]:
             failures.append(f"n={n} commute")
         if order_of(concat((T,), a0), n) != (n if n % 2 == 0 else 2 * n):
             failures.append(f"n={n} order t a0")
@@ -134,13 +133,13 @@ def test_criterion_4_even_lemma_chains():
         a = named_word("a", n)
         ainvb = concat(invert(a), named_word("b", n))
         c_word = concat(ainvb, named_word("w", n), invert(ainvb))
-        if not equal_in_group(c_word, _chain_c_value(n), n):
+        if not equal_with_witness(c_word, _chain_c_value(n), n)[0]:
             failures.append(f"n={n} value of c")
         g1 = named_word("g1", n)
         for k in range(1, n // 2 + 1):
             target = named_word(f"g{(2 * k + 1) % n}", n)
             shifted = concat(power(a, 2 * k), g1, power(a, -2 * k))
-            if not equal_in_group(shifted, target, n):
+            if not equal_with_witness(shifted, target, n)[0]:
                 failures.append(f"n={n} powered shift k={k}")
     _criterion(4, "even-puncture lemma chains", failures, t0)
 
@@ -153,10 +152,10 @@ def test_chain_target_discrepancy_value_pinned():
     (1 4)(5 6) for c against (1 2)(5 6) for the target."""
     ainvb = concat(invert(named_word("a", 6)), named_word("b", 6))
     c_actual = concat(ainvb, named_word("w", 6), invert(ainvb))
-    assert not equal_in_group(c_actual, named_word("c", 6), 6)
+    assert not equal_with_witness(c_actual, named_word("c", 6), 6)[0]
     assert perm_image(c_actual, 6) == (4, 2, 3, 1, 6, 5)
     assert perm_image(named_word("c", 6), 6) == (2, 1, 3, 4, 6, 5)
-    assert equal_in_group(c_actual, (-5, 3, 2, 1, -2, -3), 6)
+    assert equal_with_witness(c_actual, (-5, 3, 2, 1, -2, -3), 6)[0]
 
 
 def test_criterion_5_generation_certificates(order_of_smallest_group):
@@ -231,15 +230,15 @@ def test_criterion_8_property_suite():
     for _ in range(100):
         pairs.append((_random_word(rng), _random_word(rng), None))
     for i, (u, v, planted) in enumerate(pairs):
-        forward = equal_in_group(u, v, 6)
+        forward = equal_with_witness(u, v, 6)[0]
         if planted and not forward:
             failures.append(f"pair {i}: planted equality missed")
         if forward and (perm_image(u, 6) != perm_image(v, 6)
                         or abelianization_image(u) != abelianization_image(v)):
             failures.append(f"pair {i}: equality contradicts invariants")
-        if forward != equal_in_group(v, u, 6):
+        if forward != equal_with_witness(v, u, 6)[0]:
             failures.append(f"pair {i}: asymmetric")
-        if not equal_in_group(u, u, 6):
+        if not equal_with_witness(u, u, 6)[0]:
             failures.append(f"pair {i}: not reflexive")
     for i in range(100):
         u, v = _random_word(rng, 8), _random_word(rng, 8)

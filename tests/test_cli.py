@@ -90,6 +90,22 @@ class TestVerify:
         assert err.startswith("error: cannot write --out")
         assert not list(tmp_path.rglob(".report-*"))
 
+    def test_failed_write_keeps_the_old_report(self, capsys, tmp_path, monkeypatch):
+        # a write that fails past the pre-checks, here a full disk at the
+        # rename, removes its temporary file and leaves the target alone
+        target = tmp_path / "r.json"
+        target.write_bytes(b"old report\n")
+
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", no_space)
+        code, out, err = run(capsys, "verify", "--suite", "sigma2", "--out", str(target))
+        assert (code, out) == (64, "")
+        assert err == "error: cannot write --out: [Errno 28] No space left on device\n"
+        assert not list(tmp_path.glob(".report-*"))
+        assert target.read_bytes() == b"old report\n"
+
     def test_missing_n_for_scoped_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "prop22")
         assert code == 64
@@ -398,7 +414,7 @@ def no_work(monkeypatch):
     monkeypatch.setattr("spheremcg.cli.enumerate_cosets", refuse)
     monkeypatch.setattr("spheremcg.cli.order_of", refuse)
     monkeypatch.setattr("spheremcg.cli.full_report", refuse)
-    monkeypatch.setattr("spheremcg.cli.equal_in_group", refuse)
+    monkeypatch.setattr("spheremcg.cli.equal_with_witness", refuse)
     monkeypatch.setattr("spheremcg.cli.build_presentation", refuse)
 
 

@@ -105,22 +105,16 @@ class TestSuiteShapes:
                 assert "relator t.twist.1 does not act trivially at n=5" in c.witness
 
     @pytest.mark.parametrize("suite, rows", [(verify_presentation, 7), (verify_prop22, 13)])
-    def test_refused_validation_runs_once_per_suite(self, monkeypatch, suite, rows):
-        # the refusal is kept in _gen_auts' cache: each row that reads it
-        # fails with the same message, and the n = 5 presentation is
-        # built for the validation once
+    def test_refused_validation_fails_every_row_that_reads_it(self, monkeypatch, suite, rows):
+        # _gen_auts raises its refusal to each row that asks, so each one
+        # fails with the same message
         monkeypatch.setattr(action, "_prefix_reflect",
                             lambda images, run=None: [invert(img) for img in images])
-        built = []
-        build = action.build_presentation
-        monkeypatch.setattr(action, "build_presentation",
-                            lambda n, flavor: built.append(n) or build(n, flavor))
         action._gen_auts.cache_clear()
         try:
             checks = suite(5)
         finally:
             action._gen_auts.cache_clear()
-        assert built == [5]
         failed = [c.witness for c in checks if c.status == "fail"]
         assert failed == [
             "error: RuntimeError('relator t.twist.1 does not act trivially at n=5')"] * rows
@@ -263,6 +257,11 @@ class TestFullReport:
             assert "sigma2.conclusion" in present
             assert all(i.startswith((f"n{n}.", "n4.", "sigma2.")) for i in present)
             assert report.overall == "pass"
+
+    def test_duplicate_check_ids_are_refused(self, monkeypatch):
+        monkeypatch.setitem(harness.SUITES, "sigma2", (harness.SUITES["n4"][0], None))
+        with pytest.raises(RuntimeError, match="^duplicate check ids in report$"):
+            full_report("all", 8)
 
     def test_n_without_a_suite_is_refused(self):
         with pytest.raises(ValueError, match="need n >= 3"):

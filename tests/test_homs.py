@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import perm_compose
+from spheremcg import homs
 from spheremcg.homs import (
     MAT_ID,
     abelianization_image,
@@ -151,6 +152,24 @@ class TestPgl2:
             assert row.status == "pass"
             assert proj_eq(pgl2_image(parse_expression(row.witness, 4)), target)
         assert not proj_eq(pgl2_image(parse_expression("t", 4)), (0, 1, 1, 0))
+
+    def test_refused_model_fails_every_row_that_reads_it(self, monkeypatch):
+        # s2 -> [[1,0],[1,1]] breaks the braid relation of s1 and s2;
+        # the rows that do not read the model still pass
+        monkeypatch.setattr(homs, "_S_PARABOLIC_LOWER", (1, 0, 1, 1))
+        homs._pgl2_gens.cache_clear()
+        try:
+            rows = {c.id: c for c in verify_n4()}
+        finally:
+            homs._pgl2_gens.cache_clear()
+        error = "error: RuntimeError('relator braid.1 does not map to the identity at n=4')"
+        refused = ("n4.pgl2.relators", "n4.pgl2.witness.x", "n4.pgl2.witness.y")
+        assert len(rows) == 8
+        for check_id, row in rows.items():
+            if check_id in refused:
+                assert (row.status, row.witness) == ("fail", error), check_id
+            else:
+                assert row.status == "pass", check_id
 
 
 class TestValidateHom:

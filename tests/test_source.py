@@ -40,6 +40,11 @@ the product path lives only as long as the suite run that owns it.
 `_layout` is the one in `coset.py`, so the cycle records the deduction
 pass reads are built once per presentation, never once per enumeration.
 
+No package function returns an exception instance for its caller to
+raise.  A cached validation raises its refusal, which `lru_cache` does
+not keep, so `_gen_auts` is a plain cache, with `lru_cache` its one
+decorator, as `homs._pgl2_gens` is.
+
 The coset table grows in `_Enumerator.define` alone, by one blank row
 appended in place (`table += blank_row`): no `*=` doubles it, so it
 holds exactly one row per defined coset and no stale copies.
@@ -233,6 +238,28 @@ def test_generator_table_is_the_one_cache_in_action():
 
 def test_layout_is_the_one_cache_in_coset():
     assert cached_definitions(ROOT / "src" / "spheremcg" / "coset.py") == ["_layout"]
+
+
+def returned_exceptions(root):
+    """The package functions, as module:function, with a `return` of a
+    call to a name ending in `Error`."""
+    found = []
+    for path in sorted((root / "src" / "spheremcg").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.Return) and isinstance(node.value, ast.Call)
+                    and ast.unparse(node.value.func).endswith("Error")
+                    for node in ast.walk(fn)):
+                found.append(f"{path.name}:{fn.name}")
+    return found
+
+
+def test_cached_validations_raise_their_refusals():
+    assert returned_exceptions(ROOT) == []
+    tree = ast.parse((ROOT / "src" / "spheremcg" / "action.py").read_text())
+    gen_auts, = [stmt for stmt in tree.body
+                 if isinstance(stmt, ast.FunctionDef) and stmt.name == "_gen_auts"]
+    assert [_names(d) for d in gen_auts.decorator_list] == [{"lru_cache"}]
 
 
 GROWING_METHODS = {"append", "extend", "insert", "fromlist", "frombytes", "fromfile"}
