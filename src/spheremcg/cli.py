@@ -71,11 +71,6 @@ def positive_seconds(text: str) -> float:
     return value
 
 
-def _usage(message: str) -> int:
-    sys.stderr.write(f"error: {message}\n")
-    return USAGE_EXIT
-
-
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
@@ -103,17 +98,17 @@ SUITE_TOKENS = tuple(SUITES) + ("all",)
 def cmd_verify(n: int | None, limits: Limits, suite: str, machine: bool = False,
                out: str | None = None) -> int:
     if out is not None and not os.path.basename(out):
-        return _usage(f"cannot write --out: no file name in {out!r}")
+        raise ValueError(f"cannot write --out: no file name in {out!r}")
     if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
-        return _usage(f"cannot write --out: no directory for {out}")
+        raise ValueError(f"cannot write --out: no directory for {out}")
     if out is not None and os.path.isdir(out):
-        return _usage(f"cannot write --out: {out} is a directory")
+        raise ValueError(f"cannot write --out: {out} is a directory")
     report = full_report(suite, n, limits)
     if out is not None:
         try:
             _write_atomic(out, report.to_json() + "\n")
         except OSError as exc:
-            return _usage(f"cannot write --out: {exc}")
+            raise ValueError(f"cannot write --out: {exc}") from None
     sys.stdout.write((report.to_json() if machine else report.human()) + "\n")
     return report.exit_code
 
@@ -234,8 +229,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return PARSE_EXIT
-    except ValueError as exc:  # a refused input: n, suite range or subgroup letter
-        return _usage(str(exc))
+    except ValueError as exc:  # a refused input: n, suite range, subgroup letter or --out
+        sys.stderr.write(f"error: {exc}\n")
+        return USAGE_EXIT
     except ResourceLimitError as exc:  # verify reports a trip inside a check as a row
         print(f"inconclusive: {exc}")
         return 2

@@ -31,6 +31,7 @@ from .homs import (
     mat_inv,
     mat_mul,
     mat_neg,
+    perm_image,
     pgl2_image,
     proj_eq,
     validate_hom,
@@ -184,9 +185,9 @@ def verify_presentation(n: int, limits: Limits | None = None) -> tuple[CheckResu
     rec.run(f"n{n}.pres.extended.convention",
             f"selected generator convention satisfies all relators (n={n}, extended)",
             conv_body)
-    for kind in ("perm", "psi"):
-        def hom_body(kind=kind):
-            bad = [label for label, ok in validate_hom(pres, kind) if not ok]
+    for kind, image in (("perm", lambda w: perm_image(w, n)), ("psi", abelianization_image)):
+        def hom_body(image=image):
+            bad = validate_hom(pres, image)
             return ("fail", ", ".join(bad)) if bad else ("pass", f"{len(pres.relators)} relators")
 
         rec.run(f"n{n}.pres.hom.extended.{kind}",

@@ -490,6 +490,41 @@ def test_overflow_stats_are_pinned():
         ("overflow", 20000, 13675, 6406)
 
 
+def test_deduction_follows_a_target_merged_since_it_was_stacked(monkeypatch):
+    # a coincidence can merge away the target t of a stacked entry
+    # (k, c) -> t while k survives; the pass then traces from find(t).
+    # <t s2 s1 s3 t, s2 s4> at n = 6 pops such entries.
+    merged = []
+
+    class Stack(list):
+        def __init__(self, enum):
+            super().__init__()
+            self.enum = enum
+
+        def pop(self):
+            k, c = entry = super().pop()
+            enum = self.enum
+            t = enum.table[k * enum.width + c]
+            if t != coset.UNDEF and enum.parent[t] != t:
+                merged.append(entry)
+            return entry
+
+    init = coset._Enumerator.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        self.stack = Stack(self)
+
+    monkeypatch.setattr(coset._Enumerator, "__init__", recording)
+    pres = build_presentation(6, "extended")
+    subgens = ((T, 2, 1, 3, T), (2, 4))
+    result = enumerate_cosets(pres, subgens)
+    assert merged
+    s = result.stats
+    assert (result.index, s.defined, s.max_alive, s.collapses) == (12, 870, 852, 858)
+    assert len(result.table.rows) == 12 and result.table.verify(pres, subgens)
+
+
 # Finished coset tables with more than one row, by n: the subgroups
 # <t s1, a0> (index 5 at n = 6, 9 at n = 10) and <t s1, a> (index 6 at
 # n = 10).  Each is a permutation action of the group on the cosets, so

@@ -29,6 +29,12 @@ their arguments (n=8 main, n=7 odd, n=5 odd, sigma2).  In each an index
 check overflows, so each exits 2; in sigma2 the conclusion, which rests
 on that index row, is an overflow too.
 
+`digests.json` holds, for `verify --n N --suite all` at N = 11..16 and
+`verify --n 80 --suite presentation`, keyed by their arguments, the
+exit code, the row count and the sha256 of the stripped report: the
+range past N = 10 that a refactor is checked over, at the cost of
+running it, not of storing it.
+
 `dump.txt` holds `dump --n N --flavor F` for N = 3..12 in both flavors,
 each run headed by its arguments: the presentation and the named words
 defined at N, so a name added, dropped or moved in the listing shows.
@@ -43,10 +49,12 @@ Regenerate (only when a report change is intended) with
     PYTHONPATH=src python tests/test_golden.py
 
 which prints, before writing each file, the check ids it gains (+) and
-loses (-), so the retired ids of a change can be read off its output.
+loses (-), so the retired ids of a change can be read off its output,
+and each run of `digests.json` whose digest changed.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -72,6 +80,9 @@ LIMITED_RUNS = {
     "--suite sigma2": 2,
 }
 DUMP_NS = range(3, 13)
+# each digested run's verify arguments
+DIGEST_RUNS = tuple(f"--n {n} --suite all" for n in range(11, 17)) + (
+    "--n 80 --suite presentation",)
 
 
 def _verify(args: list[str]) -> tuple[int, dict]:
@@ -116,6 +127,18 @@ def limited_reports() -> tuple[dict[str, int], str]:
     codes = {args: code for args, (code, _) in runs.items()}
     payloads = {args: payload for args, (_, payload) in runs.items()}
     return codes, json.dumps(payloads, indent=2) + "\n"
+
+
+def digests() -> dict[str, dict]:
+    """Exit code, row count and sha256 of the stripped report, per
+    digested run."""
+    found = {}
+    for args in DIGEST_RUNS:
+        code, payload = _verify(args.split())
+        text = json.dumps(payload, indent=2) + "\n"
+        found[args] = {"exit": code, "rows": len(payload["checks"]),
+                       "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    return found
 
 
 def dump_listing() -> tuple[set[int], str]:
@@ -178,6 +201,10 @@ def test_limit_hitting_reports_match_golden():
     assert codes == LIMITED_RUNS
 
 
+def test_report_digests_match_golden():
+    assert digests() == json.loads((GOLDEN / "digests.json").read_text())
+
+
 def test_dump_listing_matches_golden():
     codes, listing = dump_listing()
     assert listing == (GOLDEN / "dump.txt").read_text()
@@ -209,7 +236,8 @@ def test_pinned_exit_codes_follow_from_the_statuses():
     pinned[f"n{ODD_N}-odd.json"] = {None: 0}
     pinned["n80-reflections.json"] = dict.fromkeys(REFLECTION_RUNS, 0)
     pinned["max-cosets-50.json"] = LIMITED_RUNS
-    assert sorted(pinned) == sorted(path.name for path in GOLDEN.glob("*.json"))
+    assert sorted(pinned) == sorted(path.name for path in GOLDEN.glob("*.json")
+                                    if path.name != "digests.json")
     for name, codes in pinned.items():
         reports = _reports((GOLDEN / name).read_text())
         assert {key: _report_rule(report) for key, report in reports.items()} == codes, name
@@ -237,3 +265,9 @@ if __name__ == "__main__":
     _write(GOLDEN / "n80-reflections.json", reflection_reports()[1])
     _write(GOLDEN / "max-cosets-50.json", limited_reports()[1])
     (GOLDEN / "dump.txt").write_text(dump_listing()[1])
+    path = GOLDEN / "digests.json"
+    old = json.loads(path.read_text()) if path.exists() else {}
+    new = digests()
+    for args in sorted(args for args in new if old.get(args) != new[args]):
+        print(f"{path.name}: {args}")
+    path.write_text(json.dumps(new, indent=2) + "\n")

@@ -135,6 +135,16 @@ class TestSuiteShapes:
         assert row.status == "fail"
         assert "relator comm.2.5 does not act trivially at n=6" in row.witness
 
+    def test_broken_quotient_names_its_relators_in_its_hom_row(self, monkeypatch):
+        # a psi that reads the length mod 4 misses the relators of 2, 6,
+        # 10 and 30 letters; the row lists them in presentation order
+        monkeypatch.setattr(harness, "abelianization_image", lambda w: (len(w) % 4 // 2, 0))
+        rows = {c.id: c for c in verify_presentation(6)}
+        row = rows.pop("n6.pres.hom.extended.psi")
+        assert (row.status, row.witness) == (
+            "fail", "t.invol, braid.1, braid.2, braid.3, braid.4, sphere, fulltwist")
+        assert rows and all(c.status == "pass" for c in rows.values())
+
     @pytest.mark.parametrize("n, rows", [(3, 8), *((n, 9) for n in range(4, 41)), (80, 9)])
     def test_presentation_suite_rows(self, capsys, n, rows):
         assert cli.main(["verify", "--n", str(n), "--suite", "presentation", "--machine"]) == 0

@@ -176,20 +176,19 @@ class TestValidateHom:
     @pytest.mark.parametrize("kind", ("perm", "psi"))
     @pytest.mark.parametrize("flavor", ("oriented", "extended"))
     def test_invariant_assignments(self, kind, flavor):
-        pres = build_presentation(6, flavor)
-        results = validate_hom(pres, kind)
-        assert len(results) == len(pres.relators)
-        assert all(ok for _, ok in results)
+        image = {"perm": lambda w: perm_image(w, 6), "psi": abelianization_image}[kind]
+        assert validate_hom(build_presentation(6, flavor), image) == []
 
     def test_projective_assignment(self):
         for rel in build_presentation(4, "extended").relators:
             assert proj_eq(pgl2_image(rel), MAT_ID)
 
-    def test_unknown_kind(self):
-        # the projective model is checked once, where its generators are built
-        for kind in ("torsion", "pgl2"):
-            with pytest.raises(ValueError):
-                validate_hom(build_presentation(4, "extended"), kind)
+    def test_failures_are_listed_in_presentation_order(self):
+        # the length mod 4 kills the relators of 4 letters and no other
+        # at n=6: t.invol has 2, braid.k 6, sphere 10 and fulltwist 30
+        pres = build_presentation(6, "extended")
+        assert validate_hom(pres, lambda w: len(w) % 4) == [
+            "t.invol", "braid.1", "braid.2", "braid.3", "braid.4", "sphere", "fulltwist"]
 
 
 class TestFormatting:

@@ -33,6 +33,11 @@ does not restate it.  `full_report` is the one builder of a report for
 any `--suite` token, so the refusals of a missing or an unwanted `--n`
 are written there alone.
 
+No helper of `cli.py` writes a usage error itself: `cmd_verify` raises
+its `--out` refusals as `ValueError`s for `main` to map, so `_Parser`,
+for argparse's own refusals, and `main` are the only definitions there
+that name `USAGE_EXIT`.
+
 The harness builds no flattened power: it writes powers as factors of
 the product path, so `words.power` is left to the expression parser.
 `_gen_auts` is the one `lru_cache` in `action.py`, so the factor cache of
@@ -81,6 +86,13 @@ The half-twist formulas are written once, in `_half_twist`, which
 `_evaluate` and `_sparse_identity` both call and neither restates: neither
 multiplies words itself with `_mul`.  So the sparse check of the far
 relators reads the same step as every other evaluation.
+
+Every finite quotient is checked against the relators by one function,
+`homs.validate_hom`, which takes the quotient's image map: the perm and
+psi rows of `verify_presentation` and the PGL2 generators of
+`homs._pgl2_gens` are its only callers, and no other definition of
+`homs.py` reads a presentation's labels and relators, so the rule that
+a quotient kills every relator is written once.
 
 The fields of a check result are exactly the keys a JSON report writes
 per row, so no field the report leaves out can steer a verdict or an
@@ -378,6 +390,23 @@ def test_parse_error_exit_is_mapped_in_main_alone():
 
 def test_refused_input_exit_is_mapped_in_main_alone():
     assert handlers(ROOT / "src" / "spheremcg" / "cli.py", "ValueError") == ["main"]
+
+
+def test_usage_exit_is_named_by_the_parser_and_main_alone():
+    body = ast.parse((ROOT / "src" / "spheremcg" / "cli.py").read_text()).body
+    definitions = [stmt for stmt in body if isinstance(stmt, DEFINITIONS)]
+    assert "_usage" not in [stmt.name for stmt in definitions]
+    assert [stmt.name for stmt in definitions
+            if "USAGE_EXIT" in _names(stmt)] == ["_Parser", "main"]
+
+
+def test_every_quotient_is_checked_by_validate_hom_alone():
+    homs = ROOT / "src" / "spheremcg" / "homs.py"
+    assert callers(ROOT, "validate_hom") == ["harness.py:verify_presentation",
+                                             "homs.py:_pgl2_gens"]
+    assert [stmt.name for stmt in ast.parse(homs.read_text()).body
+            if isinstance(stmt, DEFINITIONS)
+            and {"labels", "relators"} <= _names(stmt)] == ["validate_hom"]
 
 
 def test_suite_range_is_checked_in_the_recorder_alone():
