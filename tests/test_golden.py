@@ -30,10 +30,12 @@ check overflows, so each exits 2; in sigma2 the conclusion, which rests
 on that index row, is an overflow too.
 
 `digests.json` holds, for `verify --n N --suite all` at N = 11..16 and
-`verify --n 80 --suite presentation`, keyed by their arguments, the
-exit code, the row count and the sha256 of the stripped report: the
-range past N = 10 that a refactor is checked over, at the cost of
-running it, not of storing it.
+`verify --n 80` with the presentation, prop22, lemma-y and lemma-z
+suites, keyed by their arguments, the exit code, the row count and the
+sha256 of the stripped report: the range past N = 10 that a refactor is
+checked over, at the cost of running it, not of storing it.  The three
+n = 80 identity suites carry the longest conjugators the oracle holds
+in tier-1, with witnesses of up to 609 characters.
 
 `dump.txt` holds `dump --n N --flavor F` for N = 3..12 in both flavors,
 each run headed by its arguments: the presentation and the named words
@@ -81,8 +83,8 @@ LIMITED_RUNS = {
 }
 DUMP_NS = range(3, 13)
 # each digested run's verify arguments
-DIGEST_RUNS = tuple(f"--n {n} --suite all" for n in range(11, 17)) + (
-    "--n 80 --suite presentation",)
+DIGEST_RUNS = tuple(f"--n {n} --suite all" for n in range(11, 17)) + tuple(
+    f"--n 80 --suite {suite}" for suite in ("presentation", "prop22", "lemma-y", "lemma-z"))
 
 
 def _verify(args: list[str]) -> tuple[int, dict]:
