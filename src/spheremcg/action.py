@@ -208,15 +208,17 @@ def _prefix_reflect(images: Sequence[Word], run: list | None = None) -> list[Wor
     return out
 
 
-def _peel(images: list[Word]) -> tuple[list[Word], Word]:
-    """The images conjugated by w0^-1, and w0, the peeled conjugator of
-    the image of x1: the automorphism composed with an inner one, so
-    that the image of x1 comes out cyclically reduced."""
+def _peel(images: list[Word], conj: Word) -> tuple[list[Word], Word]:
+    """x -> conj images(x) conj^-1 rewritten with the image of x1
+    cyclically reduced: the images conjugated by w0^-1, w0 the peeled
+    conjugator of the image of x1, and the carried conjugator conj w0.
+    The one step that merges a peeled conjugator into a carried one; the
+    images object itself comes back when w0 is empty."""
     _, w0 = cyclic_core(images[0])
     if not w0:
-        return images, w0
+        return images, conj
     w0_inv = invert(w0)
-    return [_mul(_mul(w0_inv, img), w0) for img in images], w0
+    return [_mul(_mul(w0_inv, img), w0) for img in images], _mul(conj, w0)
 
 
 def _half_twist(a: Word, b: Word, positive: bool) -> tuple[Word, Word]:
@@ -232,9 +234,10 @@ def _evaluate(word: Iterable[int], n: int, guard: int, start: FreeAut | None = N
               run: list | None = None) -> FreeAut:
     """Normalized automorphism of the word, letters applied right to left,
     or of start after it when start is given, each t through
-    _prefix_reflect with the run.  The stored letters the guard reads
+    _prefix_reflect with the run.  The carried conjugator is a word,
+    merged with each peel by _peel.  The stored letters the guard reads
     are counted as they change and recounted only where every image is
-    rewritten.
+    rewritten: after a t, and after a peel that changed the images.
 
     A half-twist si^+-1 with i < n-1 rewrites the images of xi and
     x(i+1) directly, through _half_twist.  s(n-1)^+-1 fixes
@@ -243,9 +246,9 @@ def _evaluate(word: Iterable[int], n: int, guard: int, start: FreeAut | None = N
     and (x1..x(n-1))^-1 for its inverse.
     """
     if start:
-        images, conj, stored = list(start.images), list(start.conj), sum(map(len, start.images))
+        images, conj, stored = list(start.images), start.conj, sum(map(len, start.images))
     else:
-        images, conj, stored = [(i,) for i in range(1, n)], [], n - 1
+        images, conj, stored = [(i,) for i in range(1, n)], EPSILON, n - 1
     for letter in word:
         i = abs(letter)
         if i == T_LETTER:
@@ -263,18 +266,13 @@ def _evaluate(word: Iterable[int], n: int, guard: int, start: FreeAut | None = N
             images[-1] = img
         else:
             raise ValueError(f"letter {letter} outside the alphabet for n={n}")
-        if i == 1 or i == T_LETTER:  # x1 moved: peel its image's conjugator into c
-            images, w0 = _peel(images)
-            if w0:
-                stored = sum(map(len, images))
-                for x in w0:
-                    if conj and conj[-1] == -x:
-                        conj.pop()
-                    else:
-                        conj.append(x)
+        if i == 1 or i == T_LETTER:  # x1 moved: peel its image's conjugator into conj
+            peeled, conj = _peel(images, conj)
+            if peeled is not images:
+                images, stored = peeled, sum(map(len, peeled))
         if stored + len(conj) > guard:
             raise ResourceLimitError(f"automorphism images exceed {guard} letters")
-    return FreeAut(n, tuple(images), tuple(conj))
+    return FreeAut(n, tuple(images), conj)
 
 
 def _sparse_identity(word: Word, n: int) -> bool:
@@ -339,21 +337,13 @@ def _reflections_last(word: Iterable[int]) -> Word:
     is appended if the count is odd.  t si = si^-1 t and t^2 = 1 hold
     exactly as automorphisms, as _gen_auts checks, so the result
     evaluates to the word's automorphism itself."""
-    out: list[int] = []
-    odd = False
+    flipped, odd = [], False
     for letter in word:
         if abs(letter) == T_LETTER:
             odd = not odd
-            continue
-        if odd:
-            letter = -letter
-        if out and out[-1] == -letter:
-            out.pop()
         else:
-            out.append(letter)
-    if odd:
-        out.append(T_LETTER)
-    return tuple(out)
+            flipped.append(-letter if odd else letter)
+    return reduce(flipped) + (T_LETTER,) * odd
 
 
 def word_to_aut(word: Iterable[int], n: int,
@@ -434,11 +424,11 @@ Factor = Word | Power
 
 def compose(f: FreeAut, g: FreeAut, guard: int = DEFAULT_LENGTH_GUARD) -> FreeAut:
     """f after g, exactly: (c_a F')(c_b G') = c_(a F'(b)) (F' G'), with the
-    conjugator of the image of x1 peeled into the carried one as
+    conjugator of the image of x1 peeled into a F'(b) by _peel, as
     _evaluate peels it.  The guard bounds the letters held afterwards."""
     table = _signed(f.images)
-    images, w0 = _peel([_apply(table, img) for img in g.images])
-    conj = _mul(_mul(f.conj, _apply(table, g.conj)), w0)
+    images, conj = _peel([_apply(table, img) for img in g.images],
+                         _mul(f.conj, _apply(table, g.conj)))
     if sum(map(len, images)) + len(conj) > guard:
         raise ResourceLimitError(f"automorphism images exceed {guard} letters")
     return FreeAut(f.n, tuple(images), conj)

@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import tempfile
+from typing import IO
 
 from .action import ResourceLimitError, default_order_cap, equal_with_witness, order_of
 from .coset import enumerate_cosets
@@ -24,6 +25,7 @@ from .presentation import (
     named_word,
     names_at,
     parse_expression,
+    parse_expressions,
 )
 from .words import ParseError, ascii_int, format_word, require_punctures
 
@@ -71,25 +73,32 @@ def positive_seconds(text: str) -> float:
     return value
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _reserve(path: str) -> tuple[IO[str], str]:
+    """A temporary file beside path, open for writing with the mode
+    open(path, "w") would give, and its name: the report is written
+    there and renamed over path, so path changes whole or not at all."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+    fh = os.fdopen(fd, "w")
     umask = os.umask(0)  # setting the umask is the only way to read it
     os.umask(umask)
     try:
-        try:  # mkstemp made it 0600; give it the mode open(path, "w") would
+        try:  # mkstemp made it 0600
             os.fchmod(fd, os.stat(path).st_mode & 0o7777)
         except FileNotFoundError:
             os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        _discard(fh, tmp)
         raise
+    return fh, tmp
+
+
+def _discard(fh: IO[str], tmp: str) -> None:
+    fh.close()
+    try:
+        os.unlink(tmp)
+    except OSError:
+        pass
 
 
 SUITE_TOKENS = tuple(SUITES) + ("all",)
@@ -103,12 +112,24 @@ def cmd_verify(n: int | None, limits: Limits, suite: str, machine: bool = False,
         raise ValueError(f"cannot write --out: no directory for {out}")
     if out is not None and os.path.isdir(out):
         raise ValueError(f"cannot write --out: {out} is a directory")
-    report = full_report(suite, n, limits)
-    if out is not None:
-        try:
-            _write_atomic(out, report.to_json() + "\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write --out: {exc}") from None
+    try:  # reserved before any suite runs, so a bad path costs no work
+        reserved = _reserve(out) if out is not None else None
+    except OSError as exc:
+        raise ValueError(f"cannot write --out: {exc}") from None
+    try:
+        report = full_report(suite, n, limits)
+        if reserved:
+            fh, tmp = reserved
+            try:
+                with fh:
+                    fh.write(report.to_json() + "\n")
+                os.replace(tmp, out)
+            except OSError as exc:
+                raise ValueError(f"cannot write --out: {exc}") from None
+    except BaseException:
+        if reserved:
+            _discard(*reserved)
+        raise
     sys.stdout.write((report.to_json() if machine else report.human()) + "\n")
     return report.exit_code
 
@@ -136,9 +157,7 @@ def cmd_order(n: int, limits: Limits, expr: str, cap: int | None) -> int:
 
 
 def cmd_enumerate(n: int, limits: Limits, flavor: str, subgroup: str | None) -> int:
-    subgens = tuple(parse_expression(part, n)
-                    for part in (subgroup.split(",") if subgroup else ())
-                    if part.strip())
+    subgens = parse_expressions([part for part in (subgroup or "").split(",") if part.strip()], n)
     pres = build_presentation(n, flavor)
     result = enumerate_cosets(pres, subgens, limits.max_cosets, limits.max_time)
     overflow = result.status == "overflow"

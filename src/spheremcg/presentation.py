@@ -8,7 +8,7 @@ and the coset enumerator contract.
 from __future__ import annotations
 
 from itertools import chain
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .words import (
     ParseError,
@@ -195,39 +195,49 @@ def named_word(name: str, n: int) -> Word:
     return build(n) if head == name else build(n, int(name[1:]))
 
 
-def parse_expression(text: str, n: int) -> Word:
-    """Parse a product of tokens into a reduced word.
+def parse_expressions(texts: Sequence[str], n: int) -> tuple[Word, ...]:
+    """Parse products of tokens into reduced words, one per text.
 
     A token is a letter, s<k> / S<k> for twist k and its inverse
     (1 <= k <= n-1) or t / T for the reflection (an involution, so no
     separate inverse), or a name of NAMES.  Any token may carry a power
     suffix: a0^-1, s2^3, b^2.  Indices and powers are ASCII digits, a
-    power after an optional '-', as ascii_int reads them.  An expression
-    whose tokens would flatten past DEFAULT_LENGTH_GUARD letters in all
-    is refused before any power is built.
+    power after an optional '-', as ascii_int reads them.  The texts
+    share one budget: once their tokens would together flatten past
+    DEFAULT_LENGTH_GUARD letters, they are refused before any power is
+    built.
     """
-    factors: list[tuple[Word, int]] = []
+    parsed: list[list[tuple[Word, int]]] = []
     letters = 0
-    for token in text.split():
-        base, caret, exp_text = token.partition("^")
-        if not base:
-            raise ParseError(f"bad token {token!r}")
-        exp = ascii_int(exp_text, signed=True) if caret else 1
-        if exp is None:
-            raise ParseError(f"bad power suffix in {token!r}")
-        idx = ascii_int(base[1:]) if base[:1] in ("s", "S") else None
-        if base in ("t", "T"):
-            word = (T_LETTER,)
-        elif idx is not None:
-            if not 1 <= idx <= n - 1:
-                raise ParseError(f"twist index {idx} out of range for n={n}")
-            word = (idx if base[0] == "s" else -idx,)
-        elif _head(base) is not None:
-            word = named_word(base, n)
-        else:
-            raise ParseError(f"bad token {base!r}")
-        letters += len(word) * abs(exp)
-        if letters > DEFAULT_LENGTH_GUARD:
-            raise ParseError(f"{text!r} flattens past {DEFAULT_LENGTH_GUARD} letters")
-        factors.append((word, exp))
-    return concat(*(power(word, exp) for word, exp in factors))
+    for text in texts:
+        factors: list[tuple[Word, int]] = []
+        for token in text.split():
+            base, caret, exp_text = token.partition("^")
+            if not base:
+                raise ParseError(f"bad token {token!r}")
+            exp = ascii_int(exp_text, signed=True) if caret else 1
+            if exp is None:
+                raise ParseError(f"bad power suffix in {token!r}")
+            idx = ascii_int(base[1:]) if base[:1] in ("s", "S") else None
+            if base in ("t", "T"):
+                word = (T_LETTER,)
+            elif idx is not None:
+                if not 1 <= idx <= n - 1:
+                    raise ParseError(f"twist index {idx} out of range for n={n}")
+                word = (idx if base[0] == "s" else -idx,)
+            elif _head(base) is not None:
+                word = named_word(base, n)
+            else:
+                raise ParseError(f"bad token {base!r}")
+            letters += len(word) * abs(exp)
+            if letters > DEFAULT_LENGTH_GUARD:
+                raise ParseError(f"{','.join(texts)!r} flattens past "
+                                 f"{DEFAULT_LENGTH_GUARD} letters")
+            factors.append((word, exp))
+        parsed.append(factors)
+    return tuple(concat(*(power(word, exp) for word, exp in factors)) for factors in parsed)
+
+
+def parse_expression(text: str, n: int) -> Word:
+    """The word of one expression, as parse_expressions reads it."""
+    return parse_expressions([text], n)[0]

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import conjugate, generator_images, plain, typed_inverse
+from conftest import conjugate, generator_images, plain, reference_images, typed_inverse
 from spheremcg import action, words
 from spheremcg.action import (
     CONVENTION,
@@ -331,6 +331,23 @@ class TestReflectionsLast:
         assert action._reflections_last((1, T, -1, T, 2)) == (1, 1, 2)
         assert action._reflections_last((1, -T, 1, -T, 2)) == (2,)
         assert action._reflections_last((T, T)) == EPSILON
+
+
+class TestCarriedConjugator:
+    """The automorphisms word_to_aut and compose return, with their
+    carried conjugators folded back in, are the literal ones: each
+    stored image conjugated by the carried conjugator equals the image
+    reference_images composes one generator at a time, with no rewrite,
+    no peel and no product path."""
+
+    @given(st.integers(3, 9).flatmap(lambda n: st.tuples(
+        st.just(n), *[st.lists(_letters(n), max_size=10)] * 2)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reference_images(self, case):
+        n, u, v = case
+        expected = reference_images(concat(u, v), n)
+        assert plain(word_to_aut(u + v, n)).images == expected
+        assert plain(compose(word_to_aut(u, n), word_to_aut(v, n))).images == expected
 
 
 class TestIsInner:

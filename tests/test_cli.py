@@ -106,6 +106,41 @@ class TestVerify:
         assert not list(tmp_path.glob(".report-*"))
         assert target.read_bytes() == b"old report\n"
 
+    def test_failed_cleanup_keeps_the_failed_write_message(self, capsys, tmp_path,
+                                                           monkeypatch):
+        # the temporary file cannot be removed either: the write's own
+        # error is reported, and the target is still left alone
+        target = tmp_path / "r.json"
+        target.write_bytes(b"old report\n")
+
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        def busy(path):
+            raise OSError(16, "Device or resource busy")
+
+        monkeypatch.setattr(os, "replace", no_space)
+        monkeypatch.setattr(os, "unlink", busy)
+        code, out, err = run(capsys, "verify", "--suite", "sigma2", "--out", str(target))
+        assert (code, out) == (64, "")
+        assert err == "error: cannot write --out: [Errno 28] No space left on device\n"
+        assert target.read_bytes() == b"old report\n"
+
+    def test_interrupted_report_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        # the temporary file is reserved before the report is built, and
+        # removed when building it fails, however it fails
+        target = tmp_path / "r.json"
+        target.write_bytes(b"old report\n")
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("spheremcg.cli.full_report", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "--suite", "sigma2", "--out", str(target)])
+        assert not list(tmp_path.glob(".report-*"))
+        assert target.read_bytes() == b"old report\n"
+
     def test_missing_n_for_scoped_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "prop22")
         assert code == 64
@@ -365,6 +400,13 @@ class TestEnumerate:
         assert (code, out, err) == (64, "", "error: subgroup word letter t outside the alphabet\n")
 
 
+    def test_subgroup_parts_within_the_budget_are_read(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--n", "6",
+                           "--subgroup", "s1^400000,s1^400000", "--max-cosets", "1")
+        assert code == 2
+        assert out.startswith("OVERFLOW: coset limit 1\n")
+
+
 class TestDump:
     def test_header_and_named_words(self, capsys):
         code, out, _ = run(capsys, "dump", "--n", "6")
@@ -481,6 +523,15 @@ class TestLimits:
         assert out == ""
         assert err == f"error: cannot write --out: {tmp_path} is a directory\n"
 
+    def test_out_name_too_long_is_refused_first(self, capsys, no_work, tmp_path):
+        # the temporary file is reserved, and the target's mode read,
+        # before any suite runs
+        code, out, err = run(capsys, "verify", "--suite", "sigma2",
+                             "--out", str(tmp_path / f"{'x' * 300}.json"))
+        assert (code, out) == (64, "")
+        assert err.startswith("error: cannot write --out")
+        assert not list(tmp_path.glob(".report-*"))
+
     @pytest.mark.parametrize("out_path", ("", "newfile/"))
     def test_out_without_a_file_name_is_refused_first(self, capsys, no_work, out_path):
         # neither names a file, though each passes the directory check:
@@ -490,6 +541,13 @@ class TestLimits:
                              "--out", out_path)
         assert (code, out) == (64, "")
         assert err == f"error: cannot write --out: no file name in {out_path!r}\n"
+
+    def test_subgroup_parts_share_one_letter_budget(self, capsys, no_work):
+        # each part alone is within the budget; together they are not
+        code, out, err = run(capsys, "enumerate", "--n", "6",
+                             "--subgroup", "s1^600000,s1^600000")
+        assert (code, out) == (65, "")
+        assert err == "parse error: 's1^600000,s1^600000' flattens past 1000000 letters\n"
 
     @pytest.mark.parametrize("command", READ_LIMITS)
     def test_n_beyond_the_reflection_letter(self, capsys, no_work, command):

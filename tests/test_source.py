@@ -82,6 +82,16 @@ and `_gen_auts`, which records the run the validation resumes, are its
 only callers, so the validation and `word_to_aut` read one statement of
 the reflection.
 
+Free reduction is written in `words.reduce`, `action._mul` and the
+`_apply` kernel alone: no function of `action.py` cancels letters on a
+list with `.pop`.  The carried conjugator is a word that `_peel` merges
+with each peeled one through `_mul`, in `_evaluate` and `compose`
+alike.
+
+`_reflections_last` only flips the signs of the twist letters and drops
+the reflections; it leaves the cancellation to `reduce`, so the rewrite
+states no reduction rule of its own.
+
 The half-twist formulas are written once, in `_half_twist`, which
 `_evaluate` and `_sparse_identity` both call and neither restates: neither
 multiplies words itself with `_mul`.  So the sparse check of the far
@@ -347,6 +357,16 @@ def test_reflections_are_moved_by_word_to_aut_alone():
     assert "_sparse_identity" in reached(action, "_gen_auts")
     for name in ("_gen_auts", "_sparse_identity"):
         assert not {"word_to_aut", "_reflections_last"} & reached(action, name)
+
+
+def test_no_function_of_the_action_pops_a_list():
+    tree = ast.parse((ROOT / "src" / "spheremcg" / "action.py").read_text())
+    assert "pop" not in called_names_in(tree)
+
+
+def test_reflections_last_reduces_through_reduce():
+    action = ROOT / "src" / "spheremcg" / "action.py"
+    assert "reduce" in called_names_in(definition(action, "_reflections_last"))
 
 
 def test_half_twist_step_is_written_once():
