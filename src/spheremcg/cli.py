@@ -73,32 +73,18 @@ def positive_seconds(text: str) -> float:
     return value
 
 
-def _reserve(path: str) -> tuple[IO[str], str]:
-    """A temporary file beside path, open for writing with the mode
-    open(path, "w") would give, and its name: the report is written
-    there and renamed over path, so path changes whole or not at all."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
-    fh = os.fdopen(fd, "w")
+def _reserve(path: str) -> tuple[IO[str], str, int]:
+    """A temporary file beside path, open for writing, its name, and the
+    mode open(path, "w") would give path: the report is written there
+    and renamed over path, so path changes whole or not at all."""
     umask = os.umask(0)  # setting the umask is the only way to read it
     os.umask(umask)
     try:
-        try:  # mkstemp made it 0600
-            os.fchmod(fd, os.stat(path).st_mode & 0o7777)
-        except FileNotFoundError:
-            os.fchmod(fd, 0o666 & ~umask)
-    except BaseException:
-        _discard(fh, tmp)
-        raise
-    return fh, tmp
-
-
-def _discard(fh: IO[str], tmp: str) -> None:
-    fh.close()
-    try:
-        os.unlink(tmp)
-    except OSError:
-        pass
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".report-")
+    return os.fdopen(fd, "w"), tmp, mode
 
 
 SUITE_TOKENS = tuple(SUITES) + ("all",)
@@ -119,16 +105,21 @@ def cmd_verify(n: int | None, limits: Limits, suite: str, machine: bool = False,
     try:
         report = full_report(suite, n, limits)
         if reserved:
-            fh, tmp = reserved
+            fh, tmp, mode = reserved
             try:
                 with fh:
                     fh.write(report.to_json() + "\n")
+                    os.fchmod(fh.fileno(), mode)  # mkstemp made it 0600
                 os.replace(tmp, out)
             except OSError as exc:
                 raise ValueError(f"cannot write --out: {exc}") from None
     except BaseException:
         if reserved:
-            _discard(*reserved)
+            reserved[0].close()
+            try:
+                os.unlink(reserved[1])
+            except OSError:
+                pass
         raise
     sys.stdout.write((report.to_json() if machine else report.human()) + "\n")
     return report.exit_code

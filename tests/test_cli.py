@@ -399,7 +399,6 @@ class TestEnumerate:
                              "oriented", "--subgroup", "a")
         assert (code, out, err) == (64, "", "error: subgroup word letter t outside the alphabet\n")
 
-
     def test_subgroup_parts_within_the_budget_are_read(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "6",
                            "--subgroup", "s1^400000,s1^400000", "--max-cosets", "1")
