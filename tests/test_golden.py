@@ -29,11 +29,13 @@ their arguments (n=8 main, n=7 odd, n=5 odd, sigma2).  In each an index
 check overflows, so each exits 2; in sigma2 the conclusion, which rests
 on that index row, is an overflow too.
 
-`digests.json` holds, for `verify --n N --suite all` at N = 11..16 and
-`verify --n 80` with the presentation, prop22, lemma-y and lemma-z
-suites, keyed by their arguments, the exit code, the row count and the
-sha256 of the stripped report: the range past N = 10 that a refactor is
-checked over, at the cost of running it, not of storing it.  The three
+`digests.json` holds, for `verify --n N --suite all` at N = 11..16,
+`verify --n 41 --suite prop22` and `verify --n 80` with the
+presentation, prop22, lemma-y and lemma-z suites, keyed by their
+arguments, the exit code, the row count and the sha256 of the stripped
+report: the range past N = 10 that a refactor is checked over, at the
+cost of running it, not of storing it.  The n = 41 run holds the
+rotation identities at an odd n past the reports above.  The three
 n = 80 identity suites carry the longest conjugators the oracle holds
 in tier-1, with witnesses of up to 609 characters.
 
@@ -83,7 +85,8 @@ LIMITED_RUNS = {
 }
 DUMP_NS = range(3, 13)
 # each digested run's verify arguments
-DIGEST_RUNS = tuple(f"--n {n} --suite all" for n in range(11, 17)) + tuple(
+DIGEST_RUNS = tuple(f"--n {n} --suite all" for n in range(11, 17)) + (
+    "--n 41 --suite prop22",) + tuple(
     f"--n 80 --suite {suite}" for suite in ("presentation", "prop22", "lemma-y", "lemma-z"))
 
 
