@@ -43,10 +43,13 @@ product path instead: each side is a product of factors, each a word or
 a power of a factor, and a Factors cache, owned by the caller for one
 run, evaluates each distinct factor once and composes powers by
 squaring, those of a reflection word through its square, as below.
-u v^-1 is never composed.  Instead u = c_w v is decided as is_inner
-decides inner automorphisms: v^-1 is applied, through the inverse
-factors, to x1 and x2 alone; u of those two words pins the one
-candidate w; and u(x) = w v(x) w^-1 is checked on every basis letter.
+A one-letter word after a product's first factor is not composed: it
+is read onto the running product by word_to_aut from it, so it
+rewrites only the images its generator moves.  u v^-1 is never
+composed.  Instead u = c_w v is decided as is_inner decides inner
+automorphisms: v^-1 is applied, through the inverse factors, to x1 and
+x2 alone; u of those two words pins the one candidate w; and
+u(x) = w v(x) w^-1 is checked on every basis letter.
 The conjugator is unique, so w is the witness u v^-1 would give.
 
 Orders are found at the quotient step first, on the cyclic core of the
@@ -346,13 +349,14 @@ def _reflections_last(word: Iterable[int]) -> Word:
     return reduce(flipped) + (T_LETTER,) * odd
 
 
-def word_to_aut(word: Iterable[int], n: int,
-                guard: int = DEFAULT_LENGTH_GUARD) -> FreeAut:
-    """Normalized automorphism of the word, letters applied right to left:
-    the one evaluation entry.  The word is read with its reflections
-    moved to the right end, so _prefix_reflect runs at most once."""
+def word_to_aut(word: Iterable[int], n: int, guard: int = DEFAULT_LENGTH_GUARD,
+                start: FreeAut | None = None) -> FreeAut:
+    """Normalized automorphism of the word, letters applied right to left,
+    or of start after it when start is given: the one evaluation entry.
+    The word is read with its reflections moved to the right end, so
+    _prefix_reflect runs at most once."""
     _gen_auts(n)  # the validation the rewrite rests on
-    return _evaluate(_reflections_last(word), n, guard)
+    return _evaluate(_reflections_last(word), n, guard, start)
 
 
 def _candidate(h1: Word, h2: Word) -> Word | None:
@@ -511,11 +515,18 @@ class Factors:
         return self.auts[factor]
 
     def product(self, factors: Sequence[Factor]) -> FreeAut:
-        """The normalized automorphism of a product, factors left to right."""
-        first, *rest = [self.aut(f) for f in factors or [EPSILON]]
+        """The normalized automorphism of a product, factors left to right.
+        A word of one letter after the first factor is read onto the
+        running product, as _evaluate reads a letter; every other factor
+        is composed."""
+        first, *rest = factors or [EPSILON]
+        aut = self.aut(first)
         for f in rest:
-            first = compose(first, f, self.guard)
-        return first
+            if isinstance(f, Power) or len(f) != 1:
+                aut = compose(aut, self.aut(f), self.guard)
+            else:
+                aut = word_to_aut(f, self.n, self.guard, aut)
+        return aut
 
     def preimages(self, factors: Sequence[Factor]) -> list[Word]:
         """The inverse of a product applied to x1 and x2 alone, through the

@@ -215,9 +215,9 @@ def verify_prop22(n: int, limits: Limits | None = None) -> tuple[CheckResult, ..
     for j in range(3):
         rot = named_word(f"a{j}", n)
         for i in range(1, n - 1 - j):
-            rec.eq(f"n{n}.prop22.shift.a{j}.i{i}",
-                   f"a{j} s{i} a{j}^-1 = s{i + 1} (n={n})",
-                   concat(rot, (i,), invert(rot)), (i + 1,))
+            rec.eq_products(f"n{n}.prop22.shift.a{j}.i{i}",
+                            f"a{j} s{i} a{j}^-1 = s{i + 1} (n={n})",
+                            [rot, (i,)], [(i + 1,), rot])
     return tuple(rec.checks)
 
 

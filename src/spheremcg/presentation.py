@@ -140,7 +140,8 @@ def _delta(n: int, k: int) -> Word:
 
 
 # Every named element, in the order dump prints them: the least n it
-# needs (None for any n), whether n must be even, and its word at n.
+# needs (None for any n), whether n must be even, the number of letters
+# of its word at n, counted without building it, and its word at n.
 # a0, a1, a2 are the periodic rotations; a and b the two conjugated
 # reflection-rotations; y, z, w, c the even-index products used in the
 # generation argument; phi the half-twist word reversing the twist
@@ -148,19 +149,21 @@ def _delta(n: int, k: int) -> Word:
 # d followed by an index k in ASCII digits; their words take k too, and
 # dump skips them.
 NAMES = {
-    "a0": (None, False, lambda n: tuple(range(1, n))),
-    "a1": (None, False, lambda n: tuple(range(1, n - 1))),
-    "a2": (4, False, lambda n: tuple(range(1, n - 2)) + (n - 2, n - 2)),
-    "a": (4, False, lambda n: reduce((n - 3, T_LETTER) + tuple(range(1, n)) + (-(n - 3),))),
-    "b": (4, False, lambda n: reduce((T_LETTER, -(n - 1)) + named_word("a2", n))),
-    "y": (4, True, lambda n: tuple(range(1, n, 2))),
-    "z": (6, True, lambda n: tuple(range(1, n - 4, 2)) + (n - 2,)),
-    "w": (6, True, lambda n: (-(n - 2), 1)),
-    "c": (6, True, lambda n: (-(n - 1), 1)),
-    "phi": (None, False,
+    "a0": (None, False, lambda n: n - 1, lambda n: tuple(range(1, n))),
+    "a1": (None, False, lambda n: n - 2, lambda n: tuple(range(1, n - 1))),
+    "a2": (4, False, lambda n: n - 1, lambda n: tuple(range(1, n - 2)) + (n - 2, n - 2)),
+    "a": (4, False, lambda n: n + 2,
+          lambda n: reduce((n - 3, T_LETTER) + tuple(range(1, n)) + (-(n - 3),))),
+    "b": (4, False, lambda n: n + 1,
+          lambda n: reduce((T_LETTER, -(n - 1)) + named_word("a2", n))),
+    "y": (4, True, lambda n: n // 2, lambda n: tuple(range(1, n, 2))),
+    "z": (6, True, lambda n: n // 2 - 1, lambda n: tuple(range(1, n - 4, 2)) + (n - 2,)),
+    "w": (6, True, lambda n: 2, lambda n: (-(n - 2), 1)),
+    "c": (6, True, lambda n: 2, lambda n: (-(n - 1), 1)),
+    "phi": (None, False, lambda n: (n - 1) * (n - 2) // 2,
             lambda n: tuple(chain.from_iterable(range(i, 0, -1) for i in range(1, n - 1)))),
-    "g<k>": (6, True, _gamma),
-    "d<k>": (6, False, _delta),
+    "g<k>": (6, True, lambda n: 3, _gamma),
+    "d<k>": (6, False, lambda n: 3, _delta),
 }
 
 
@@ -173,7 +176,7 @@ def _head(name: str) -> str | None:
 
 
 def _defined_at(head: str, n: int) -> bool:
-    least, even, _ = NAMES[head]
+    least, even, _, _ = NAMES[head]
     return least is None or n >= least and not (even and n % 2)
 
 
@@ -183,16 +186,29 @@ def names_at(n: int) -> tuple[str, ...]:
     return tuple(name for name in NAMES if not name.endswith("<k>") and _defined_at(name, n))
 
 
-def named_word(name: str, n: int) -> Word:
-    """The word, in the extended generators, that a name of NAMES stands
-    for at n; a ParseError for any other name or outside the name's range."""
+def _entry(name: str, n: int) -> tuple:
+    """The entry of NAMES a name reads as; a ParseError for any other
+    name or outside the name's range."""
     head = _head(name)
     if head is None:
         raise ParseError(f"unknown element name {name!r}")
-    least, even, build = NAMES[head]
+    least, even, _, _ = entry = NAMES[head]
     if not _defined_at(head, n):
         raise ParseError(f"{head} needs {'even ' if even else ''}n >= {least}, got n={n}")
-    return build(n) if head == name else build(n, int(name[1:]))
+    return entry
+
+
+def named_letters(name: str, n: int) -> int:
+    """The number of letters of named_word(name, n), counted from n
+    without building the word."""
+    return _entry(name, n)[2](n)
+
+
+def named_word(name: str, n: int) -> Word:
+    """The word, in the extended generators, that a name of NAMES stands
+    for at n; a ParseError for any other name or outside the name's range."""
+    build = _entry(name, n)[3]
+    return build(n) if name in NAMES else build(n, int(name[1:]))
 
 
 def parse_expressions(texts: Sequence[str], n: int) -> tuple[Word, ...]:
@@ -205,6 +221,7 @@ def parse_expressions(texts: Sequence[str], n: int) -> tuple[Word, ...]:
     power after an optional '-', as ascii_int reads them.  The texts
     share one budget: once their tokens would together flatten past
     DEFAULT_LENGTH_GUARD letters, they are refused before any power is
+    built.  A name's letters are counted from n, before its word is
     built.
     """
     parsed: list[list[tuple[Word, int]]] = []
@@ -226,14 +243,14 @@ def parse_expressions(texts: Sequence[str], n: int) -> tuple[Word, ...]:
                     raise ParseError(f"twist index {idx} out of range for n={n}")
                 word = (idx if base[0] == "s" else -idx,)
             elif _head(base) is not None:
-                word = named_word(base, n)
+                word = None  # a name, built once its letters are counted
             else:
                 raise ParseError(f"bad token {base!r}")
-            letters += len(word) * abs(exp)
+            letters += (len(word) if word else named_letters(base, n)) * abs(exp)
             if letters > DEFAULT_LENGTH_GUARD:
                 raise ParseError(f"{','.join(texts)!r} flattens past "
                                  f"{DEFAULT_LENGTH_GUARD} letters")
-            factors.append((word, exp))
+            factors.append((word or named_word(base, n), exp))
         parsed.append(factors)
     return tuple(concat(*(power(word, exp) for word, exp in factors)) for factors in parsed)
 

@@ -17,6 +17,7 @@ from spheremcg.action import (
     order_of,
     word_to_aut,
 )
+from spheremcg.harness import verify_prop22
 from spheremcg.presentation import build_presentation, named_word, parse_expression
 from spheremcg.homs import abelianization_image
 from spheremcg.words import EPSILON, T_LETTER, concat, cyclic_core, invert, power, reduce
@@ -594,6 +595,31 @@ class TestProducts:
         # move them differently
         assert equal_products([Power((1, 2), 2)], [EPSILON], Factors(6)) == (False, None)
         assert equal_products([Power((1,), 3), (2,)], [(3, 4)], Factors(6)) == (False, None)
+
+
+class TestOneLetterFactors:
+    """Factors.product reads a one-letter word after the first factor
+    onto the running product, as _evaluate reads a letter, instead of
+    composing it."""
+
+    @given(st.integers(3, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(_letters(n), max_size=10).map(tuple), _letters(n))))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_compose_and_the_reference_images(self, case):
+        n, w, x = case
+        folded = plain(Factors(n).product([w, (x,)]))
+        assert folded == plain(compose(word_to_aut(w, n), word_to_aut((x,), n)))
+        assert folded.images == reference_images(w + (x,), n)
+
+    def test_prop22_composes_no_one_letter_factor(self, monkeypatch):
+        n = 12
+        letters = {plain(word_to_aut((x,), n)) for x in [T, *range(1 - n, 0), *range(1, n)]}
+        rights = []
+        real = action.compose
+        monkeypatch.setattr(action, "compose",
+                            lambda f, g, *rest: rights.append(plain(g)) or real(f, g, *rest))
+        verify_prop22(n)
+        assert rights and letters.isdisjoint(rights)
 
 
 class TestEquality:

@@ -9,7 +9,7 @@ import pytest
 from spheremcg import action
 from spheremcg.cli import main
 from spheremcg.harness import SUITES
-from spheremcg.presentation import names_at
+from spheremcg.presentation import NAMES, names_at
 from spheremcg.words import T_LETTER
 
 
@@ -213,6 +213,15 @@ class TestEval:
         assert code == 1
         assert out.splitlines() == ["equal: no", "perm: id vs (1 2)",
                                     "psi: (0,0) vs (1,0)"]
+
+    def test_name_past_the_letter_bound_is_refused_unbuilt(self, capsys, monkeypatch):
+        # phi holds (n-1)(n-2)/2 letters, 4,495,501 at n = 3000
+        def refuse(n):
+            raise AssertionError("phi was built")
+        monkeypatch.setitem(NAMES, "phi", (*NAMES["phi"][:3], refuse))
+        code, out, err = run(capsys, "order", "--n", "3000", "phi")
+        assert (code, out) == (65, "")
+        assert err == "parse error: 'phi' flattens past 1000000 letters\n"
 
     def test_guard_trip_is_inconclusive(self, capsys):
         # (s1 S2)^30 has the quotient images of the empty word, so only

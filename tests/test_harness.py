@@ -363,7 +363,7 @@ class TestReplay:
 
     def test_every_equality_row_at_8(self, monkeypatch):
         single, products = self.passing_rows(monkeypatch, 8, None)
-        assert len(single) >= 34 and len(products) >= 14
+        assert len(single) >= 19 and len(products) >= 29
         self.replay(8, single + self.flattened(products))
 
     def test_single_word_and_short_product_rows_at_30(self, monkeypatch):

@@ -7,7 +7,9 @@ from spheremcg.presentation import (
     build_presentation,
     extended_letters,
     format_presentation,
+    named_letters,
     named_word,
+    names_at,
     parse_expression,
 )
 from spheremcg.words import EPSILON, ParseError, T_LETTER, invert, power, reduce
@@ -210,6 +212,14 @@ class TestNamedWords:
     ])
     def test_least_n_builds_a_word(self, name, n):
         assert isinstance(named_word(name, n), tuple)
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_letter_counts_match_the_words(self, n):
+        indexed = [f"d{k}" for k in range(1, n - 4)]
+        if n % 2 == 0 and n >= 6:
+            indexed += [f"g{k}" for k in range(1, n, 2)]
+        for name in [*names_at(n), *indexed]:
+            assert named_letters(name, n) == len(named_word(name, n)), name
 
 
 class TestParseExpression:
