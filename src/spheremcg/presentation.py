@@ -141,7 +141,7 @@ def _delta(n: int, k: int) -> Word:
 
 # Every named element, in the order dump prints them: the least n it
 # needs (None for any n), whether n must be even, the number of letters
-# of its word at n, counted without building it, and its word at n.
+# of its word at n >= 3, counted without building it, and its word at n.
 # a0, a1, a2 are the periodic rotations; a and b the two conjugated
 # reflection-rotations; y, z, w, c the even-index products used in the
 # generation argument; phi the half-twist word reversing the twist

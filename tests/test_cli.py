@@ -214,15 +214,6 @@ class TestEval:
         assert out.splitlines() == ["equal: no", "perm: id vs (1 2)",
                                     "psi: (0,0) vs (1,0)"]
 
-    def test_name_past_the_letter_bound_is_refused_unbuilt(self, capsys, monkeypatch):
-        # phi holds (n-1)(n-2)/2 letters, 4,495,501 at n = 3000
-        def refuse(n):
-            raise AssertionError("phi was built")
-        monkeypatch.setitem(NAMES, "phi", (*NAMES["phi"][:3], refuse))
-        code, out, err = run(capsys, "order", "--n", "3000", "phi")
-        assert (code, out) == (65, "")
-        assert err == "parse error: 'phi' flattens past 1000000 letters\n"
-
     def test_guard_trip_is_inconclusive(self, capsys):
         # (s1 S2)^30 has the quotient images of the empty word, so only
         # the free group can decide, and its images outgrow the guard
@@ -288,6 +279,15 @@ class TestOrder:
         code, _, err = run(capsys, "order", "--n", "6", expr)
         assert code == 65
         assert "flattens past 1000000 letters" in err
+
+    def test_name_past_the_letter_bound_is_refused_unbuilt(self, capsys, monkeypatch):
+        # phi holds (n-1)(n-2)/2 letters, 4,495,501 at n = 3000
+        def refuse(n):
+            raise AssertionError("phi was built")
+        monkeypatch.setitem(NAMES, "phi", (*NAMES["phi"][:3], refuse))
+        code, out, err = run(capsys, "order", "--n", "3000", "phi")
+        assert (code, out) == (65, "")
+        assert err == "parse error: 'phi' flattens past 1000000 letters\n"
 
     def test_guard_trip_is_inconclusive(self, capsys):
         # m = 15, and the 15th power outgrows the 10^6-letter guard

@@ -213,13 +213,13 @@ class TestNamedWords:
     def test_least_n_builds_a_word(self, name, n):
         assert isinstance(named_word(name, n), tuple)
 
-    @pytest.mark.parametrize("n", range(3, 41))
-    def test_letter_counts_match_the_words(self, n):
-        indexed = [f"d{k}" for k in range(1, n - 4)]
-        if n % 2 == 0 and n >= 6:
-            indexed += [f"g{k}" for k in range(1, n, 2)]
-        for name in [*names_at(n), *indexed]:
-            assert named_letters(name, n) == len(named_word(name, n)), name
+    def test_letter_counts_match_the_words(self):
+        for n in range(3, 41):
+            indexed = [f"d{k}" for k in range(1, n - 4)]
+            if n % 2 == 0 and n >= 6:
+                indexed += [f"g{k}" for k in range(1, n, 2)]
+            for name in [*names_at(n), *indexed]:
+                assert named_letters(name, n) == len(named_word(name, n)), (name, n)
 
 
 class TestParseExpression:
